@@ -64,7 +64,6 @@ from .rationals import (
     cf_expand,
     cf_value,
     is_unimodular,
-    make_rational,
     mediant_parents,
 )
 from .riemann_roch import (

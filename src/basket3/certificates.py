@@ -31,9 +31,11 @@ from math import gcd
 
 from .baskets import OrbifoldPoint, delta_pair
 from .functionals import (
+    SLOPE_CUT,
     Functional,
     box_representation,
     has_positive_representation,
+    point_target,
     xi_bar_pair,
     xi_delta_pair,
     xi_lin,
@@ -49,7 +51,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-DEFAULT_SLOPE_CUT = Fraction(1, 12)
 
 
 @dataclass(frozen=True)
@@ -126,21 +127,24 @@ class Certificate:
             raise ValueError("missing blank line after certificate header")
         if header.get("basket3-certificate") != str(FORMAT_VERSION):
             raise ValueError("unsupported certificate format")
-        func = Functional(tuple(int(c) for c in header["coefficients"].split(",")))
-        nodes = tuple(
-            _parse_node_line(line) for line in lines[body_start:] if line.strip()
-        )
-        if len(nodes) != int(header["nodes"]):
-            raise ValueError(
-                f"node count {len(nodes)} != declared {header['nodes']}"
+        try:
+            func = Functional(tuple(int(c) for c in header["coefficients"].split(",")))
+            nodes = tuple(
+                _parse_node_line(line) for line in lines[body_start:] if line.strip()
             )
-        return cls(
-            functional=func,
-            r_max=int(header["r-max"]),
-            low_slope_floor=int(header["low-slope-floor"]),
-            slope_cut=parse_fraction(header["slope-cut"]),
-            nodes=nodes,
-        )
+            if len(nodes) != int(header["nodes"]):
+                raise ValueError(
+                    f"node count {len(nodes)} != declared {header['nodes']}"
+                )
+            return cls(
+                functional=func,
+                r_max=int(header["r-max"]),
+                low_slope_floor=int(header["low-slope-floor"]),
+                slope_cut=parse_fraction(header["slope-cut"]),
+                nodes=nodes,
+            )
+        except (KeyError, IndexError) as exc:
+            raise ValueError(f"malformed certificate: missing {exc}") from exc
 
     def write(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -213,10 +217,6 @@ def _parse_node_line(line: str) -> CertificateNode:
     )
 
 
-def _target_for(b: int, r: int, floor: int, cut: Fraction) -> Fraction:
-    return Fraction(floor * b) if Fraction(b, r) <= cut else Fraction(0)
-
-
 def _split_offsets(
     func: Functional, b: int, r: int, hi: OrbifoldPoint, lo: OrbifoldPoint
 ) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -257,13 +257,12 @@ def _build_node(
     b: int,
     r: int,
     floor: int,
-    cut: Fraction,
     declared: dict[OrbifoldPoint, int],
 ) -> CertificateNode:
     point = OrbifoldPoint(b, r)
     xd = xi_delta_pair(func, b, r)
     xb = xi_bar_pair(func, b, r)
-    target = _target_for(b, r, floor, cut)
+    target = point_target(floor, b, r)
     bound = declared.get(point)
     if bound is not None and xd < bound:
         raise ArithmeticError(f"declared bound {bound} fails at {point}: {xd}")
@@ -288,11 +287,11 @@ def _points_for_range(r_lo: int, r_hi: int):
 
 
 def _build_range(args) -> list[CertificateNode]:
-    coeffs, floor, cut, declared_items, r_lo, r_hi = args
+    coeffs, floor, declared_items, r_lo, r_hi = args
     func = Functional(coeffs)
     declared = {OrbifoldPoint(b, r): v for (b, r), v in declared_items}
     return [
-        _build_node(func, b, r, floor, cut, declared)
+        _build_node(func, b, r, floor, declared)
         for b, r in _points_for_range(r_lo, r_hi)
     ]
 
@@ -303,7 +302,6 @@ def proof_replay(
     base_bounds: dict[OrbifoldPoint, int] | None = None,
     *,
     low_slope_floor: int = 0,
-    slope_cut: Fraction = DEFAULT_SLOPE_CUT,
     jobs: int = 1,
 ) -> Certificate:
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
@@ -318,24 +316,18 @@ def proof_replay(
     declared_items = tuple(
         ((p.b, p.r), v) for p, v in sorted((base_bounds or {}).items(), key=lambda kv: kv[0].key())
     )
+    chunk = r_max if jobs <= 1 else max(1, (r_max - 1) // (jobs * 8))
+    tasks = [
+        (func.coeffs, low_slope_floor, declared_items, r, min(r + chunk - 1, r_max))
+        for r in range(2, r_max + 1, chunk)
+    ]
     if jobs <= 1:
-        nodes = _build_range(
-            (func.coeffs, low_slope_floor, slope_cut, declared_items, 2, r_max)
-        )
+        parts = map(_build_range, tasks)
     else:
-        chunk = max(1, (r_max - 1) // (jobs * 8))
-        tasks = []
-        r = 2
-        while r <= r_max:
-            hi = min(r + chunk - 1, r_max)
-            tasks.append(
-                (func.coeffs, low_slope_floor, slope_cut, declared_items, r, hi)
-            )
-            r = hi + 1
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_build_range, tasks))
-        nodes = [node for part in parts for node in part]
-    return Certificate(func, r_max, low_slope_floor, slope_cut, tuple(nodes))
+    nodes = [node for part in parts for node in part]
+    return Certificate(func, r_max, low_slope_floor, SLOPE_CUT, tuple(nodes))
 
 
 @dataclass(frozen=True)
@@ -380,6 +372,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         issues.append(f"coverage mismatch: missing {missing}, extra {extra}")
 
     index = {node.point: node for node in cert.nodes}
+    slacks = []
     for node in cert.nodes:
         p = node.point
         label = str(p)
@@ -391,7 +384,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             issues.append(f"{label}: recorded xidelta {node.xi_delta} != {xd}")
         if xb != xd + xi_lin(func, p):
             issues.append(f"{label}: xi_bar != xi_delta + xi_lin")
-        target = _target_for(p.b, p.r, cert.low_slope_floor, cert.slope_cut)
+        target = point_target(cert.low_slope_floor, p.b, p.r, cert.slope_cut)
+        slacks.append(xb - target)
         if node.target != target:
             issues.append(f"{label}: recorded target {node.target} != {target}")
         if xb < target:
@@ -439,11 +433,6 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if xd != parent_sum + net:
             issues.append(f"{label}: xi_delta does not replay through the split")
 
-    slacks = [
-        (xi_bar_pair(func, n.point.b, n.point.r)
-         - _target_for(n.point.b, n.point.r, cert.low_slope_floor, cert.slope_cut))
-        for n in cert.nodes
-    ]
     min_slack = min(slacks) if slacks else None
     attained = tuple(
         n.point for n, s in zip(cert.nodes, slacks) if s == min_slack

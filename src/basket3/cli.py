@@ -11,44 +11,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
-from fractions import Fraction
 
-from .baskets import Basket, BasketError, sigma12
+from .baskets import Basket
 from .certificates import Certificate, proof_replay, verify_certificate
 from .enumeration import (
     EnumConstraints,
     ExplicitK3,
     MinimalK3Search,
-    NoCandidatesError,
     enumerate_candidates,
 )
 from .functionals import (
-    INEQ1,
-    INEQ2,
+    INEQUALITIES,
     check_lemmas_exhaustive,
     verify_plurigenus_form,
     xi_bar,
 )
-from .geography import (
-    PUBLISHED_C_PRIME,
-    PUBLISHED_M1,
-    ThresholdError,
-    derive_constants,
-)
+from .geography import PUBLISHED_C_PRIME, PUBLISHED_M1, derive_constants
 from .rationals import format_fraction, parse_fraction
-from .riemann_roch import (
-    InconsistentInvariantsError,
-    ThreefoldInvariants,
-    k3_from_p2,
-    plurigenus,
-)
+from .riemann_roch import ThreefoldInvariants, k3_from_p2, plurigenus
 
 __all__ = ["entry", "main"]
 
 PASS, VIOLATION, INVALID, IO_FAILURE = 0, 1, 2, 3
 
-_REPLAY_SETUP = {1: (INEQ1, 0), 2: (INEQ2, 14)}
+_REQUIRED = object()
 
 
 def _read_json(path: str):
@@ -58,13 +46,40 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _doc_invariants(data) -> ThreefoldInvariants:
+def _field(data: dict, name: str, kind: type = int, default=_REQUIRED):
+    """``data[name]`` when it is exactly a JSON ``kind``: int, or bool for flags.
+
+    Floats, strings and (for int) booleans are rejected, never coerced.  An
+    absent field is an error unless it has a default; null means absent
+    where the default is None.
+    """
+    value = data.get(name, default)
+    if value is _REQUIRED:
+        raise ValueError(f"field {name!r} is required")
+    if type(value) is not kind and value is not default:
+        raise ValueError(f"field {name!r} must be a JSON {kind.__name__}: {value!r}")
+    return value
+
+
+def _object(data, name: str) -> dict:
     if not isinstance(data, dict):
-        raise ValueError("document must be a JSON object")
-    if "chi" not in data:
-        raise ValueError("document field 'chi' is required")
-    chi = int(data["chi"])
-    basket = Basket.from_pairs(tuple((b, r) for b, r in data.get("basket", [])))
+        raise ValueError(f"{name} must be a JSON object")
+    return data
+
+
+def _basket(pairs) -> Basket:
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in pairs
+    ):
+        raise ValueError("field 'basket' must be an array of [b, r] pairs")
+    fields = [dict(zip("br", pair)) for pair in pairs]  # [b, r] as fields b, r
+    return Basket.from_pairs((_field(f, "b"), _field(f, "r")) for f in fields)
+
+
+def _doc_invariants(data) -> ThreefoldInvariants:
+    data = _object(data, "document")
+    chi = _field(data, "chi")
+    basket = _basket(data.get("basket", []))
     has_k3 = "k3" in data
     has_p2 = "p2" in data
     if has_k3 == has_p2:
@@ -72,7 +87,7 @@ def _doc_invariants(data) -> ThreefoldInvariants:
     if has_k3:
         k3 = parse_fraction(data["k3"])
     else:
-        k3 = k3_from_p2(chi, basket, int(data["p2"]))
+        k3 = k3_from_p2(chi, basket, _field(data, "p2"))
     return ThreefoldInvariants(k3, chi, basket)
 
 
@@ -111,27 +126,18 @@ def cmd_ineq(args) -> int:
             raise ValueError(f"form {args.which} needs a full invariants document")
         inv = _doc_invariants(_read_json(args.doc))
         report = verify_plurigenus_form(inv, args.which, strict=True)
-        _emit(
-            {
-                "which": args.which,
-                "value": format_fraction(report.p_form),
-                "target": format_fraction(report.target),
-                "slack": format_fraction(report.slack),
-                "pass": report.ok,
-            }
-        )
-        return PASS if report.ok else VIOLATION
-    # Forms 3 and 4 are per-basket statements; a basket suffices.
-    if args.basket is not None:
-        basket = Basket.from_pairs(tuple((b, r) for b, r in json.loads(args.basket)))
-    elif args.doc is not None:
-        data = _read_json(args.doc)
-        basket = Basket.from_pairs(tuple((b, r) for b, r in data.get("basket", [])))
+        value, target = report.p_form, report.target
     else:
-        raise ValueError("forms 3 and 4 need --basket or a document")
-    func = INEQ1 if args.which == 3 else INEQ2
-    value = xi_bar(func, basket)
-    target = Fraction(14 * sigma12(basket)) if args.which == 4 else Fraction(0)
+        # Forms 3 and 4 are the per-basket statements of forms 1 and 2.
+        if args.basket is not None:
+            pairs = json.loads(args.basket)
+        elif args.doc is not None:
+            pairs = _object(_read_json(args.doc), "document").get("basket", [])
+        else:
+            raise ValueError("forms 3 and 4 need --basket or a document")
+        basket = _basket(pairs)
+        ineq = INEQUALITIES[args.which - 2]
+        value, target = xi_bar(ineq.functional, basket), ineq.target(basket)
     ok = value >= target
     _emit(
         {
@@ -146,9 +152,9 @@ def cmd_ineq(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    func, floor = _REPLAY_SETUP[args.which]
+    ineq = INEQUALITIES[args.which]
     cert = proof_replay(
-        func, args.r_max, low_slope_floor=floor, jobs=args.jobs
+        ineq.functional, args.r_max, low_slope_floor=ineq.floor, jobs=args.jobs
     )
     cert.write(args.out)
     min_slack = cert.min_slack()
@@ -184,25 +190,24 @@ def cmd_verify(args) -> int:
 
 
 def _constraints_from_json(data) -> EnumConstraints:
-    if not isinstance(data, dict):
-        raise ValueError("constraints must be a JSON object")
-    policy_data = data.get("k3", {"search": {}})
+    data = _object(data, "constraints")
+    policy_data = _object(data.get("k3", {"search": {}}), "k3 policy")
     if "explicit" in policy_data:
         policy = ExplicitK3(parse_fraction(policy_data["explicit"]))
     elif "search" in policy_data:
-        denom = policy_data["search"].get("denominator")
-        policy = MinimalK3Search(None if denom is None else int(denom))
+        search = _object(policy_data["search"], "k3 search")
+        policy = MinimalK3Search(_field(search, "denominator", default=None))
     else:
         raise ValueError("k3 policy must contain 'explicit' or 'search'")
     return EnumConstraints(
-        chi_min=int(data["chi_min"]),
-        chi_max=int(data["chi_max"]),
-        sigma_max=int(data["sigma_max"]),
-        require_sigma12_zero=bool(data.get("require_sigma12_zero", True)),
+        chi_min=_field(data, "chi_min"),
+        chi_max=_field(data, "chi_max"),
+        sigma_max=_field(data, "sigma_max"),
+        require_sigma12_zero=_field(data, "require_sigma12_zero", bool, True),
         k3_policy=policy,
-        m_max=int(data.get("m_max", 12)),
-        require_nonneg_pm=bool(data.get("require_nonneg_pm", True)),
-        max_index=None if data.get("max_index") is None else int(data["max_index"]),
+        m_max=_field(data, "m_max", default=12),
+        require_nonneg_pm=_field(data, "require_nonneg_pm", bool, True),
+        max_index=_field(data, "max_index", default=None),
     )
 
 
@@ -261,6 +266,13 @@ def cmd_lemmas(args) -> int:
     return PASS if sweep.ok else VIOLATION
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="basket3",
@@ -285,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--out", required=True, help="certificate output path")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(handler=cmd_replay)
 
     p = sub.add_parser("verify", help="independently re-check a certificate")
@@ -294,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream candidates under constraints")
     p.add_argument("constraints", help="constraints JSON (path or -)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; output is identical")
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("constants", help="derive the constant chain from m0")
@@ -316,21 +327,17 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return IO_FAILURE
-    except (
-        BasketError,
-        InconsistentInvariantsError,
-        NoCandidatesError,
-        ThresholdError,
-        ValueError,
-        ZeroDivisionError,
-        KeyError,
-        TypeError,
-    ) as exc:
+    # Every invalid-input error of the package is a ValueError subclass.
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
 
 
 def entry() -> None:
+    # Die quietly, as Unix filters do, when a reader like `head` closes stdout.
+    # Not in main(): tests and the benchmark call main() in-process.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

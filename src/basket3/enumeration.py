@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterator
 
 from .baskets import Basket, OrbifoldPoint, l_table
-from .riemann_roch import ThreefoldInvariants
+from .riemann_roch import ThreefoldInvariants, chi_mk_row
 
 __all__ = [
     "Candidate",
@@ -183,17 +183,11 @@ def _pm_table(
     m_max: int,
     require_nonneg: bool,
 ) -> tuple[int, ...] | None:
-    table = []
-    for m in range(2, m_max + 1):
-        value = Fraction(m * (m - 1) * (2 * m - 1), 12) * k3 - (2 * m - 1) * chi
-        value += ells[m]
-        if value.denominator != 1:
-            return None
-        p = int(value)
-        if require_nonneg and p < 0:
-            return None
-        table.append(p)
-    return tuple(table)
+    row = chi_mk_row(k3, chi, ells, range(2, m_max + 1))
+    if any(value.denominator != 1 for value in row):
+        return None
+    table = tuple(value.numerator for value in row)
+    return None if require_nonneg and min(table) < 0 else table
 
 
 def _integrality_progression(
@@ -220,21 +214,6 @@ def _integrality_progression(
                 return None
             progression = merged
     return progression
-
-
-def _minimal_admissible_k3(
-    basket: Basket, chi: int, constraints: EnumConstraints, denominator: int | None
-) -> Fraction | None:
-    if denominator is None:
-        denominator = lcm(*(p.r for p, _ in basket.items)) ** 3 if basket.items else 1
-    ells = l_table(basket, constraints.m_max)
-    progression = _integrality_progression(ells, constraints.m_max, denominator)
-    if progression is None:
-        return None
-    k = _smallest_admissible_k(
-        progression, ells, chi, constraints, denominator
-    )
-    return Fraction(k, denominator)
 
 
 def _smallest_admissible_k(

@@ -20,16 +20,18 @@ x*r1 + y*r2 with x, y > 0, and off by exactly -min(x, y) when n has the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .baskets import Basket, OrbifoldPoint, delta_pair, l_table, sigma12
-from .riemann_roch import InconsistentInvariantsError, ThreefoldInvariants
+from .riemann_roch import InconsistentInvariantsError, ThreefoldInvariants, chi_mk_row
 
 __all__ = [
     "Functional",
     "INEQ1",
     "INEQ2",
+    "INEQUALITIES",
+    "Inequality",
     "LemmaHypothesisError",
     "LemmaSweep",
     "PlurigenusFormReport",
@@ -39,6 +41,7 @@ __all__ = [
     "has_positive_representation",
     "lemma_diff_check",
     "lemma_nodiff_check",
+    "point_target",
     "verify_plurigenus_form",
     "verify_single_basket",
     "xi_bar",
@@ -86,8 +89,53 @@ class Functional:
         return self.moments()[1] == 0
 
 
-INEQ1 = Functional((-2, 1, 2, 1, 0, -1))
-INEQ2 = Functional((-9, 1, 5, 5, 3, 0, 1, 0, 0, -1, 0, -1))
+SLOPE_CUT = Fraction(1, 12)
+
+
+def point_target(floor: int, b: int, r: int, cut: Fraction = SLOPE_CUT) -> Fraction:
+    """Target for xi_bar at the single point b/r: floor * b when b/r <= cut."""
+    low = b * cut.denominator <= cut.numerator * r
+    return Fraction(floor * b) if low else Fraction(0)
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """sum_m a_m P_m >= chi_coeff * chi(O) + floor * sigma12, as {m: a_m}.
+
+    Everything else derives from the table: l(m) = sum_{j<m} mbar^j gives
+    the functional c_j = sum_{m>j} a_m; the K^3 terms must cancel, and the
+    chi(O) terms leave chi_coeff = -sum_m a_m (2m - 1).
+    """
+
+    p_coeffs: dict[int, int]
+    floor: int
+    functional: Functional = field(init=False)
+    chi_coeff: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        items = self.p_coeffs.items()
+        k3_terms = sum(a * m * (m - 1) * (2 * m - 1) for m, a in items)
+        if k3_terms:
+            raise ValueError(f"K^3 terms of {self.p_coeffs} do not cancel: {k3_terms}")
+        top = max(self.p_coeffs)
+        suffix_sums = tuple(sum(a for m, a in items if m > j) for j in range(1, top))
+        object.__setattr__(self, "functional", Functional(suffix_sums))
+        object.__setattr__(self, "chi_coeff", -sum(a * (2 * m - 1) for m, a in items))
+
+    def target(self, basket: Basket) -> Fraction:
+        """floor * sigma12: the sum of ``point_target`` over the basket."""
+        return Fraction(self.floor * sigma12(basket))
+
+
+INEQUALITIES = {
+    1: Inequality({2: -3, 3: -1, 4: 1, 5: 1, 6: 1, 7: -1}, floor=0),
+    2: Inequality(
+        {2: -10, 3: -4, 5: 2, 6: 3, 7: -1, 8: 1, 10: 1, 11: -1, 12: 1, 13: -1},
+        floor=14,
+    ),
+}
+INEQ1 = INEQUALITIES[1].functional
+INEQ2 = INEQUALITIES[2].functional
 
 
 def xi_bar_pair(func: Functional, b: int, r: int) -> Fraction:
@@ -327,20 +375,6 @@ def verify_single_basket(
     return SingleBasketCheck(p, xi_bar_pair(func, p.b, p.r), Fraction(target))
 
 
-# P-form coefficients (on P_m) and l-form coefficients (on l(m)) for the two
-# inequalities, as LHS - RHS.  Form 2 carries an extra -chi(O) term and the
-# target 14 * sigma12.
-_P_FORM = {
-    1: {2: -3, 3: -1, 4: 1, 5: 1, 6: 1, 7: -1},
-    2: {2: -10, 3: -4, 5: 2, 6: 3, 7: -1, 8: 1, 10: 1, 11: -1, 12: 1, 13: -1},
-}
-_L_FORM = {
-    1: {2: -3, 3: -1, 4: 1, 5: 1, 6: 1, 7: -1},
-    2: {2: -10, 3: -4, 5: 2, 6: 3, 7: -1, 8: 1, 10: 1, 11: -1, 12: 1, 13: -1},
-}
-_FUNCTIONAL_FOR_FORM = {1: INEQ1, 2: INEQ2}
-
-
 @dataclass(frozen=True)
 class PlurigenusFormReport:
     """The three agreeing evaluations of one plurigenus inequality.
@@ -379,34 +413,22 @@ def verify_plurigenus_form(
     K^3 and integer chi.  With strict=True, non-integral plurigenera in the
     form's support raise InconsistentInvariantsError instead.
     """
-    if which not in (1, 2):
+    ineq = INEQUALITIES.get(which)
+    if ineq is None:
         raise ValueError(f"form must be 1 or 2, got {which}")
-    p_coeffs = _P_FORM[which]
-    support_max = max(p_coeffs)
-    ells = l_table(inv.basket, support_max)
-    values = {
-        m: Fraction(m * (m - 1) * (2 * m - 1), 12) * inv.k3
-        - (2 * m - 1) * inv.chi
-        + ells[m]
-        for m in p_coeffs
-    }
-    if strict:
-        bad = sorted(m for m, v in values.items() if v.denominator != 1)
-        if bad:
-            raise InconsistentInvariantsError(
-                f"non-integral plurigenera at m = {bad}"
-            )
+    p_coeffs = ineq.p_coeffs
+    ells = l_table(inv.basket, max(p_coeffs))
+    values = dict(zip(p_coeffs, chi_mk_row(inv.k3, inv.chi, ells, p_coeffs)))
+    bad = sorted(m for m, v in values.items() if v.denominator != 1)
+    if strict and bad:
+        raise InconsistentInvariantsError(f"non-integral plurigenera at m = {bad}")
     p_form = sum((c * values[m] for m, c in p_coeffs.items()), Fraction(0))
-    if which == 2:
-        p_form -= inv.chi
-    l_form = sum(
-        (c * ells[m] for m, c in _L_FORM[which].items()), Fraction(0)
-    )
-    xi_form = xi_bar(_FUNCTIONAL_FOR_FORM[which], inv.basket)
+    p_form -= ineq.chi_coeff * inv.chi
+    l_form = sum((c * ells[m] for m, c in p_coeffs.items()), Fraction(0))
+    xi_form = xi_bar(ineq.functional, inv.basket)
     if not p_form == l_form == xi_form:
         raise ArithmeticError(
             f"form {which} evaluations disagree: {p_form}, {l_form}, {xi_form}"
         )
-    target = Fraction(14 * sigma12(inv.basket)) if which == 2 else Fraction(0)
-    integral = all(v.denominator == 1 for v in values.values())
-    return PlurigenusFormReport(which, p_form, l_form, xi_form, target, integral)
+    target = ineq.target(inv.basket)
+    return PlurigenusFormReport(which, p_form, l_form, xi_form, target, not bad)

@@ -25,7 +25,6 @@ __all__ = [
     "cf_value",
     "format_fraction",
     "is_unimodular",
-    "make_rational",
     "mediant_parents",
     "parse_fraction",
 ]
@@ -37,23 +36,18 @@ class AtomError(ValueError):
     """Raised when asked to split a unit fraction; b = 1 has no parents."""
 
 
-def make_rational(num: int, den: int) -> Fraction:
-    """Exact num/den, normalized with positive denominator.
-
-    Raises ZeroDivisionError when den == 0.
-    """
-    return Fraction(num, den)
-
-
 def format_fraction(q: Fraction | int) -> str:
     """Render as fully reduced "p/q", or a bare integer when q == 1."""
     return str(Fraction(q))
 
 
 def parse_fraction(text: str | int) -> Fraction:
-    """Parse "p/q" or a bare integer; rejects floats and zero denominators."""
-    if isinstance(text, float):
-        raise ValueError(f"fractions cross I/O as 'p/q' strings, not floats: {text}")
+    """Parse "p/q" or a bare integer; rejects other types and zero denominators."""
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise ValueError(
+            "fractions cross I/O as 'p/q' strings or integers, "
+            f"not {type(text).__name__}: {text!r}"
+        )
     return Fraction(text)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .baskets import EMPTY_BASKET, Basket, l_correction, sigma
 
@@ -23,6 +24,7 @@ __all__ = [
     "SigmaIdentityReport",
     "ThreefoldInvariants",
     "chi_mk",
+    "chi_mk_row",
     "k3_from_p2",
     "plurigenus",
     "sigma_identity_check",
@@ -63,12 +65,19 @@ class PlurigenusReport:
     p_m: int | None
 
 
+def chi_mk_row(k3: Fraction, chi: int, ells, ms: Iterable[int]) -> list[Fraction]:
+    """Exact chi(mK) for each m in ``ms``; ``ells[m]`` gives l(m)."""
+    return [
+        Fraction(m * (m - 1) * (2 * m - 1), 12) * k3 - (2 * m - 1) * chi + ells[m]
+        for m in ms
+    ]
+
+
 def chi_mk(inv: ThreefoldInvariants, m: int) -> Fraction:
     """Exact chi(mK) for m >= 0."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    cubic = Fraction(m * (m - 1) * (2 * m - 1), 12) * inv.k3
-    return cubic - (2 * m - 1) * inv.chi + l_correction(inv.basket, m)
+    return chi_mk_row(inv.k3, inv.chi, {m: l_correction(inv.basket, m)}, (m,))[0]
 
 
 def plurigenus(inv: ThreefoldInvariants, m: int) -> PlurigenusReport:

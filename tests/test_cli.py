@@ -1,6 +1,13 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from basket3.cli import main
 from oracles import hypersurface_h0
@@ -63,6 +70,23 @@ class TestPluri:
             doc = write_json(tmp_path, "doc.json", payload)
             code, _, err = run(capsys, ["pluri", doc])
             assert code == 2 and "k3" in err
+
+    @pytest.mark.parametrize(
+        ("payload", "field"),
+        [
+            ({"chi": -3.9, "k3": "2", "basket": [[1.7, 2.2]]}, "chi"),
+            ({"chi": -3, "k3": "2", "basket": [[1, 2.0]]}, "r"),
+            ({"chi": True, "k3": "2", "basket": []}, "chi"),
+            ({"chi": "1", "k3": "2", "basket": []}, "chi"),
+            ({"k3": "2", "basket": []}, "chi"),
+            ({"chi": 1, "p2": 3.0, "basket": []}, "p2"),
+        ],
+    )
+    def test_inexact_values_rejected(self, tmp_path, capsys, payload, field):
+        doc = write_json(tmp_path, "doc.json", payload)
+        code, out, err = run(capsys, ["pluri", doc])
+        assert code == 2 and not out
+        assert repr(field) in err
 
     def test_invalid_basket_pair(self, tmp_path, capsys):
         doc = write_json(tmp_path, "doc.json", {"chi": 1, "k3": "2", "basket": [[3, 5]]})
@@ -154,6 +178,23 @@ class TestReplay:
         )
         assert one.read_bytes() == two.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        argv = ["replay", "--which", "1", "--r-max", "12",
+                "--out", str(tmp_path / "cert.txt"), "--jobs", jobs]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "cert.txt").exists()
+
+    def test_malformed_certificate_is_invalid_input(self, tmp_path, capsys):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "1", "--r-max", "12", "--out", str(out_path)])
+        lines = out_path.read_text().splitlines(keepends=True)
+        out_path.write_text("".join(line for line in lines if not line.startswith("nodes:")))
+        code, _, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and "nodes" in err
+
     def test_missing_certificate_is_io_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.txt")])
         assert code == 3 and err
@@ -187,6 +228,58 @@ class TestEnumerate:
         assert code == 0
         (line,) = [json.loads(line) for line in out.splitlines()]
         assert line["pm"] == [10, 20, 35, 57]
+
+    @pytest.mark.parametrize(
+        ("update", "field"),
+        [
+            ({"require_sigma12_zero": "false"}, "require_sigma12_zero"),
+            ({"require_nonneg_pm": 0}, "require_nonneg_pm"),
+            ({"sigma_max": 1.5}, "sigma_max"),
+            ({"m_max": True}, "m_max"),
+            ({"k3": {"search": {"denominator": "8"}}}, "denominator"),
+        ],
+    )
+    def test_inexact_constraints_rejected(self, tmp_path, capsys, update, field):
+        data = {"chi_min": 0, "chi_max": 0, "sigma_max": 1, "m_max": 6}
+        constraints = write_json(tmp_path, "c.json", {**data, **update})
+        code, out, err = run(capsys, ["enumerate", constraints])
+        assert code == 2 and not out
+        assert repr(field) in err
+
+    def test_missing_constraint_field_named(self, tmp_path, capsys):
+        constraints = write_json(tmp_path, "c.json", {"chi_min": 0, "sigma_max": 1})
+        code, _, err = run(capsys, ["enumerate", constraints])
+        assert code == 2 and "'chi_max'" in err
+
+    def test_no_jobs_flag(self, tmp_path, capsys):
+        constraints = write_json(
+            tmp_path, "c.json", {"chi_min": 0, "chi_max": 0, "sigma_max": 0}
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", constraints, "--jobs", "2"])
+        assert exc.value.code == 2
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        # Far more output than a pipe buffers, so the writer meets the
+        # closed pipe while it still has lines to print.
+        constraints = write_json(
+            tmp_path, "c.json",
+            {"chi_min": -8, "chi_max": 8, "sigma_max": 2, "m_max": 30},
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from basket3.cli import entry; entry()",
+             "enumerate", constraints],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert json.loads(first)["basket"] == []
+        assert err == b""
 
 
 class TestConstantsAndLemmas:

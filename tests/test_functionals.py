@@ -13,6 +13,8 @@ from basket3.functionals import (
     Functional,
     INEQ1,
     INEQ2,
+    INEQUALITIES,
+    Inequality,
     LemmaHypothesisError,
     box_representation,
     check_lemmas_exhaustive,
@@ -57,6 +59,14 @@ class TestFunctional:
     def test_support(self):
         assert INEQ1.support == (1, 2, 3, 4, 6)
         assert INEQ2.support == (1, 2, 3, 4, 5, 7, 10, 12)
+
+    def test_derived_chi_coefficients(self):
+        assert INEQUALITIES[1].chi_coeff == 0
+        assert INEQUALITIES[2].chi_coeff == 1
+
+    def test_uncancelled_k3_terms_rejected(self):
+        with pytest.raises(ValueError, match="K\\^3"):
+            Inequality({2: 1, 3: -1}, floor=0)
 
     def test_moments(self):
         assert INEQ1.moments() == (4, 0)

@@ -13,27 +13,13 @@ from basket3.rationals import (
     cf_value,
     format_fraction,
     is_unimodular,
-    make_rational,
     mediant_parents,
     parse_fraction,
 )
 
 
 class TestMakeRational:
-    def test_reduces(self):
-        assert make_rational(2, 4) == Fraction(1, 2)
-
-    def test_normalizes_signs(self):
-        q = make_rational(-3, -6)
-        assert q == Fraction(1, 2)
-        assert q.denominator > 0
-
-    def test_already_reduced(self):
-        assert make_rational(11, 2) == Fraction(11, 2)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            make_rational(1, 0)
+    """Exact rationals from and to their I/O string form."""
 
     def test_round_trip_strings(self):
         assert format_fraction(Fraction(11, 2)) == "11/2"
@@ -42,6 +28,9 @@ class TestMakeRational:
         assert parse_fraction(-4) == Fraction(-4)
         with pytest.raises(ZeroDivisionError):
             parse_fraction("2/0")
+        for bad in (5.5, True, None, [1, 2]):
+            with pytest.raises(ValueError):
+                parse_fraction(bad)
 
 
 class TestContinuedFractions:
