@@ -4,14 +4,16 @@ A basket is a finite multiset of points (b, r) with gcd(b, r) = 1 and
 0 < b <= r/2.  Each point contributes a periodized parabola term ``mbar``,
 its linear counterpart ``m_lin``, and their gap ``delta``, which is always
 a nonnegative integer.  The correction term ``l_correction`` sums mbar
-values over the basket.
+values over the basket; ``scaled_l_table`` gives l(0) .. l(m_max) as exact
+integers over one denominator, and ``l_table`` is its Fraction view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "l_table",
     "m_lin",
     "mbar",
+    "scaled_l_table",
     "sigma",
     "sigma12",
 ]
@@ -97,7 +100,9 @@ class Basket:
         """Validate raw (b, r) pairs (repeats allowed) into a canonical basket."""
         counts: dict[OrbifoldPoint, int] = {}
         for b, r in pairs:
-            p = OrbifoldPoint(int(b), int(r))
+            if type(b) is not int or type(r) is not int:  # no bool, no coercion
+                raise BasketError(f"b and r must be integers, got ({b!r}, {r!r})")
+            p = OrbifoldPoint(b, r)
             counts[p] = counts.get(p, 0) + 1
         return cls(tuple((p, counts[p]) for p in sorted(counts, key=OrbifoldPoint.key)))
 
@@ -177,18 +182,29 @@ def l_correction(basket: Basket, m: int) -> Fraction:
     return sum((mult * _l_point(p, m) for p, mult in basket.items), Fraction(0))
 
 
-def l_table(basket: Basket, m_max: int) -> list[Fraction]:
-    """l(0) .. l(m_max) in one incremental pass."""
+def scaled_l_table(basket: Basket, m_max: int) -> tuple[int, list[int]]:
+    """(D, [D * l(0), ..., D * l(m_max)]) with D = 2 * lcm(r_i), all integers.
+
+    D * mbar(j, p) = (D / 2r) * s(r - s) with s = jb mod r is an integer, so
+    the table is filled by accumulating integers, one step per m.
+    """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    table = [Fraction(0)] * (m_max + 1)
-    acc = Fraction(0)
-    for m in range(2, m_max + 1):
-        acc += sum(
-            (mult * mbar(m - 1, p) for p, mult in basket.items), Fraction(0)
-        )
-        table[m] = acc
-    return table
+    den = 2 * lcm(*(p.r for p, _ in basket.items))
+    steps = [0] * (m_max + 1)  # steps[m] = D * (l(m) - l(m - 1))
+    for p, mult in basket.items:
+        b, r = p.b, p.r
+        scale = mult * (den // (2 * r))
+        for m in range(2, m_max + 1):
+            s = (m - 1) * b % r
+            steps[m] += scale * s * (r - s)
+    return den, list(accumulate(steps))
+
+
+def l_table(basket: Basket, m_max: int) -> list[Fraction]:
+    """l(0) .. l(m_max): the Fraction view of ``scaled_l_table``."""
+    den, nums = scaled_l_table(basket, m_max)
+    return [Fraction(num, den) for num in nums]
 
 
 def sigma(basket: Basket) -> int:

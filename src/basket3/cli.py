@@ -61,9 +61,26 @@ def _field(data: dict, name: str, kind: type = int, default=_REQUIRED):
     return value
 
 
-def _object(data, name: str) -> dict:
+_DOC_KEYS = ("chi", "k3", "p2", "basket")
+_CONSTRAINT_KEYS = (
+    "chi_min",
+    "chi_max",
+    "sigma_max",
+    "require_sigma12_zero",
+    "k3",
+    "m_max",
+    "require_nonneg_pm",
+    "max_index",
+)
+
+
+def _object(data, name: str, keys: tuple[str, ...]) -> dict:
+    """``data`` when it is a JSON object whose keys are all among ``keys``."""
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be a JSON object")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {name}")
     return data
 
 
@@ -77,7 +94,7 @@ def _basket(pairs) -> Basket:
 
 
 def _doc_invariants(data) -> ThreefoldInvariants:
-    data = _object(data, "document")
+    data = _object(data, "document", _DOC_KEYS)
     chi = _field(data, "chi")
     basket = _basket(data.get("basket", []))
     has_k3 = "k3" in data
@@ -132,7 +149,8 @@ def cmd_ineq(args) -> int:
         if args.basket is not None:
             pairs = json.loads(args.basket)
         elif args.doc is not None:
-            pairs = _object(_read_json(args.doc), "document").get("basket", [])
+            doc = _object(_read_json(args.doc), "document", _DOC_KEYS)
+            pairs = doc.get("basket", [])
         else:
             raise ValueError("forms 3 and 4 need --basket or a document")
         basket = _basket(pairs)
@@ -190,15 +208,17 @@ def cmd_verify(args) -> int:
 
 
 def _constraints_from_json(data) -> EnumConstraints:
-    data = _object(data, "constraints")
-    policy_data = _object(data.get("k3", {"search": {}}), "k3 policy")
+    data = _object(data, "constraints", _CONSTRAINT_KEYS)
+    policy_data = _object(
+        data.get("k3", {"search": {}}), "k3 policy", ("explicit", "search")
+    )
+    if len(policy_data) != 1:
+        raise ValueError("k3 policy must contain exactly one of 'explicit' or 'search'")
     if "explicit" in policy_data:
         policy = ExplicitK3(parse_fraction(policy_data["explicit"]))
-    elif "search" in policy_data:
-        search = _object(policy_data["search"], "k3 search")
-        policy = MinimalK3Search(_field(search, "denominator", default=None))
     else:
-        raise ValueError("k3 policy must contain 'explicit' or 'search'")
+        search = _object(policy_data["search"], "k3 search", ("denominator",))
+        policy = MinimalK3Search(_field(search, "denominator", default=None))
     return EnumConstraints(
         chi_min=_field(data, "chi_min"),
         chi_max=_field(data, "chi_max"),

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
 
-from .baskets import Basket, OrbifoldPoint, l_table
+from .baskets import Basket, OrbifoldPoint, scaled_l_table
 from .riemann_roch import ThreefoldInvariants, chi_mk_row
 
 __all__ = [
@@ -72,10 +72,15 @@ class ExplicitK3:
 class MinimalK3Search:
     """Search K^3 in (1/denominator) * Z, smallest admissible first.
 
-    ``denominator`` defaults per basket to lcm(r_i)^3.
+    ``denominator`` defaults per basket to lcm(r_i)^3.  The search starts
+    at k = 1, so every volume it finds is positive.
     """
 
     denominator: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.denominator is not None and self.denominator < 1:
+            raise ValueError(f"denominator must be positive, got {self.denominator}")
 
 
 @dataclass(frozen=True)
@@ -177,32 +182,38 @@ def _merge_progressions(
 
 
 def _pm_table(
-    ells: list[Fraction],
+    ells: tuple[int, list[int]],
     chi: int,
     k3: Fraction,
     m_max: int,
     require_nonneg: bool,
 ) -> tuple[int, ...] | None:
-    row = chi_mk_row(k3, chi, ells, range(2, m_max + 1))
-    if any(value.denominator != 1 for value in row):
-        return None
-    table = tuple(value.numerator for value in row)
-    return None if require_nonneg and min(table) < 0 else table
+    # ``ells`` is the scaled table (den, den * l(m)) of ``scaled_l_table``.
+    w, row = chi_mk_row(k3, chi, *ells, range(2, m_max + 1))
+    table = []
+    for value in row:
+        p_m, rest = divmod(value, w)
+        if rest:
+            return None
+        table.append(p_m)
+    return None if require_nonneg and min(table) < 0 else tuple(table)
 
 
 def _integrality_progression(
-    ells: list[Fraction], m_max: int, denominator: int
+    ells: tuple[int, list[int]], m_max: int, denominator: int
 ) -> tuple[int, int] | None:
     # The set of k with chi(mK) integral for all m <= m_max at K^3 = k/D is
     # an arithmetic progression (or empty); chi shifts are integral anyway.
+    # Up to an integer, w * chi(mK) = a k + b with a = n_m w / 2D and
+    # b = w l(m).
+    den, nums = ells
+    w = lcm(2 * denominator, den)
+    k_scale, ell_scale = w // (2 * denominator), w // den
     progression = (0, 1)
     for m in range(2, m_max + 1):
         n_m = m * (m - 1) * (2 * m - 1) // 6
-        coef = Fraction(n_m, 2 * denominator)
-        ell = ells[m]
-        w = lcm(coef.denominator, ell.denominator)
-        a = coef.numerator * (w // coef.denominator)
-        b = ell.numerator * (w // ell.denominator)
+        a = n_m * k_scale
+        b = nums[m] * ell_scale
         g = gcd(a, w)
         if b % g:
             return None
@@ -218,19 +229,20 @@ def _integrality_progression(
 
 def _smallest_admissible_k(
     progression: tuple[int, int],
-    ells: list[Fraction],
+    ells: tuple[int, list[int]],
     chi: int,
     constraints: EnumConstraints,
     denominator: int,
 ) -> int:
+    den, nums = ells
     k_low = 1
     if constraints.require_nonneg_pm and chi > 0:
         # P_m >= 0 gives k >= ((2m-1) chi - l(m)) * 2D / n_m; for chi <= 0
         # the right side is never positive.
         for m in range(2, constraints.m_max + 1):
             n_m = m * (m - 1) * (2 * m - 1) // 6
-            bound = ((2 * m - 1) * chi - ells[m]) * Fraction(2 * denominator, n_m)
-            k_low = max(k_low, -((-bound.numerator) // bound.denominator))
+            bound = ((2 * m - 1) * chi * den - nums[m]) * 2 * denominator
+            k_low = max(k_low, -(-bound // (n_m * den)))
     rem, mod = progression
     k = rem + mod * -((rem - k_low) // mod)
     assert k >= k_low and (k - rem) % mod == 0
@@ -247,27 +259,23 @@ def attach_invariants(
     nothing.
     """
     policy = constraints.k3_policy
-    ells = l_table(basket, constraints.m_max)
-    progression = denominator = None
-    if isinstance(policy, MinimalK3Search):
+    ells = scaled_l_table(basket, constraints.m_max)
+    if isinstance(policy, ExplicitK3):
+        if policy.value <= 0:
+            return
+    else:
         denominator = policy.denominator
         if denominator is None:
-            denominator = (
-                lcm(*(p.r for p, _ in basket.items)) ** 3 if basket.items else 1
-            )
+            denominator = lcm(*(p.r for p, _ in basket.items)) ** 3
         progression = _integrality_progression(ells, constraints.m_max, denominator)
         if progression is None:
             return
     for chi in range(constraints.chi_min, constraints.chi_max + 1):
         if isinstance(policy, ExplicitK3):
             k3 = policy.value
-            if k3 <= 0:
-                continue
         else:
             k = _smallest_admissible_k(progression, ells, chi, constraints, denominator)
             k3 = Fraction(k, denominator)
-            if k3 <= 0:
-                continue
         table = _pm_table(
             ells, chi, k3, constraints.m_max, constraints.require_nonneg_pm
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .baskets import Basket, OrbifoldPoint, delta_pair, l_table, sigma12
+from .baskets import Basket, OrbifoldPoint, delta_pair, scaled_l_table, sigma12
 from .riemann_roch import InconsistentInvariantsError, ThreefoldInvariants, chi_mk_row
 
 __all__ = [
@@ -417,14 +417,15 @@ def verify_plurigenus_form(
     if ineq is None:
         raise ValueError(f"form must be 1 or 2, got {which}")
     p_coeffs = ineq.p_coeffs
-    ells = l_table(inv.basket, max(p_coeffs))
-    values = dict(zip(p_coeffs, chi_mk_row(inv.k3, inv.chi, ells, p_coeffs)))
-    bad = sorted(m for m, v in values.items() if v.denominator != 1)
+    # Both sums run over scaled integers: P-values over w, l-values over den.
+    den, ells = scaled_l_table(inv.basket, max(p_coeffs))
+    w, row = chi_mk_row(inv.k3, inv.chi, den, ells, p_coeffs)
+    bad = sorted(m for m, v in zip(p_coeffs, row) if v % w)
     if strict and bad:
         raise InconsistentInvariantsError(f"non-integral plurigenera at m = {bad}")
-    p_form = sum((c * values[m] for m, c in p_coeffs.items()), Fraction(0))
-    p_form -= ineq.chi_coeff * inv.chi
-    l_form = sum((c * ells[m] for m, c in p_coeffs.items()), Fraction(0))
+    p_sum = sum(c * v for c, v in zip(p_coeffs.values(), row))
+    p_form = Fraction(p_sum - ineq.chi_coeff * inv.chi * w, w)
+    l_form = Fraction(sum(c * ells[m] for m, c in p_coeffs.items()), den)
     xi_form = xi_bar(ineq.functional, inv.basket)
     if not p_form == l_form == xi_form:
         raise ArithmeticError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .baskets import EMPTY_BASKET, Basket, l_correction, sigma
@@ -65,10 +66,22 @@ class PlurigenusReport:
     p_m: int | None
 
 
-def chi_mk_row(k3: Fraction, chi: int, ells, ms: Iterable[int]) -> list[Fraction]:
-    """Exact chi(mK) for each m in ``ms``; ``ells[m]`` gives l(m)."""
-    return [
-        Fraction(m * (m - 1) * (2 * m - 1), 12) * k3 - (2 * m - 1) * chi + ells[m]
+def chi_mk_row(
+    k3: Fraction, chi: int, den: int, ells, ms: Iterable[int]
+) -> tuple[int, list[int]]:
+    """W and W * chi(mK) for each m in ``ms``, all integers.
+
+    ``ells[m]`` is den * l(m).  W = lcm(12 den(K^3), den) clears every
+    denominator, so chi(mK) is integral exactly when W divides its entry.
+    """
+    w = lcm(12 * k3.denominator, den)
+    k3_part = k3.numerator * (w // (12 * k3.denominator))
+    chi_part = chi * w
+    ell_scale = w // den
+    return w, [
+        m * (m - 1) * (2 * m - 1) * k3_part
+        - (2 * m - 1) * chi_part
+        + ell_scale * ells[m]
         for m in ms
     ]
 
@@ -77,7 +90,9 @@ def chi_mk(inv: ThreefoldInvariants, m: int) -> Fraction:
     """Exact chi(mK) for m >= 0."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    return chi_mk_row(inv.k3, inv.chi, {m: l_correction(inv.basket, m)}, (m,))[0]
+    ell = l_correction(inv.basket, m)
+    w, (value,) = chi_mk_row(inv.k3, inv.chi, ell.denominator, {m: ell.numerator}, (m,))
+    return Fraction(value, w)
 
 
 def plurigenus(inv: ThreefoldInvariants, m: int) -> PlurigenusReport:

@@ -36,6 +36,19 @@ def hypersurface_h0(m: int, weights=X10_WEIGHTS, degree=X10_DEGREE) -> int:
     )
 
 
+def l_by_definition(basket: Basket, m: int) -> Fraction:
+    """l(m) = sum of mbar(j, p) over the expanded basket and 0 < j < m.
+
+    mbar(j, p) = s(r - s)/(2r) with s = jb mod r, summed term by term.
+    """
+    total = Fraction(0)
+    for b, r in basket.pairs():
+        for j in range(1, m):
+            s = (j * b) % r
+            total += Fraction(s * (r - s), 2 * r)
+    return total
+
+
 def brute_force_baskets(
     points: tuple[OrbifoldPoint, ...], sigma_max: int
 ) -> set[Basket]:

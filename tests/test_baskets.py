@@ -1,7 +1,7 @@
 """Basket model and the local parabola terms."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +20,11 @@ from basket3.baskets import (
     l_table,
     m_lin,
     mbar,
+    scaled_l_table,
     sigma,
     sigma12,
 )
+from oracles import l_by_definition
 
 
 @st.composite
@@ -71,6 +73,14 @@ class TestBasket:
     def test_rejects_zero_multiplicity(self):
         with pytest.raises(BasketError):
             Basket(((OrbifoldPoint(1, 2), 0),))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(1.7, 2.2), (1, 2.0), (True, 2), (1, "3"), (None, 2), (1, Fraction(3))],
+    )
+    def test_from_pairs_rejects_non_integers(self, pair):
+        with pytest.raises(BasketError, match="integers"):
+            Basket.from_pairs([(1, 2), pair])
 
     def test_union(self):
         left = Basket.from_pairs([(1, 2)])
@@ -144,6 +154,20 @@ class TestCorrectionTerm:
         basket = Basket.from_pairs([(1, 2), (2, 5), (2, 5)])
         table = l_table(basket, 20)
         assert table == [l_correction(basket, m) for m in range(21)]
+
+    @settings(max_examples=60)
+    @given(baskets(max_points=4), st.integers(0, 40))
+    def test_tables_match_definition(self, basket, m_max):
+        den, nums = scaled_l_table(basket, m_max)
+        assert den == 2 * lcm(*(r for _, r in basket.pairs()))
+        assert all(type(num) is int for num in nums)
+        expected = [l_by_definition(basket, m) for m in range(m_max + 1)]
+        assert [Fraction(num, den) for num in nums] == expected
+        assert l_table(basket, m_max) == expected
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError):
+            scaled_l_table(EMPTY_BASKET, -1)
 
     @settings(max_examples=40)
     @given(baskets(max_points=3), baskets(max_points=3), st.integers(0, 15))

@@ -1,5 +1,8 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import signal
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basket3.cli import main
 from oracles import hypersurface_h0
@@ -87,6 +92,13 @@ class TestPluri:
         code, out, err = run(capsys, ["pluri", doc])
         assert code == 2 and not out
         assert repr(field) in err
+
+    def test_unknown_key_named(self, tmp_path, capsys):
+        doc = write_json(tmp_path, "doc.json", {**X10_DOC, "kk3": "2"})
+        for argv in (["pluri", doc], ["ineq", doc, "--which", "3"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and not out
+            assert "unknown key 'kk3'" in err
 
     def test_invalid_basket_pair(self, tmp_path, capsys):
         doc = write_json(tmp_path, "doc.json", {"chi": 1, "k3": "2", "basket": [[3, 5]]})
@@ -251,6 +263,54 @@ class TestEnumerate:
         code, _, err = run(capsys, ["enumerate", constraints])
         assert code == 2 and "'chi_max'" in err
 
+    @pytest.mark.parametrize(
+        ("update", "key"),
+        [
+            ({"m_mx": 30}, "m_mx"),
+            ({"k3": {"search": {}, "explict": "2"}}, "explict"),
+            ({"k3": {"search": {"denom": 8}}}, "denom"),
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, capsys, update, key):
+        data = {"chi_min": 0, "chi_max": 0, "sigma_max": 0}
+        constraints = write_json(tmp_path, "c.json", {**data, **update})
+        code, out, err = run(capsys, ["enumerate", constraints])
+        assert code == 2 and not out
+        assert f"unknown key {key!r}" in err
+
+    # Pinned bytes: any change to the candidate stream fails here.
+    @pytest.mark.parametrize(
+        ("constraints", "lines", "digest"),
+        [
+            (
+                {"chi_min": -3, "chi_max": 3, "sigma_max": 2, "m_max": 30,
+                 "k3": {"search": {}}},
+                532,
+                "b9c62770a19bd4bbc86c059c3b5eb4b18eaf9ed3bccf001a6146a332514db5c0",
+            ),
+            (
+                {"chi_min": -2, "chi_max": 2, "sigma_max": 2, "m_max": 13,
+                 "require_sigma12_zero": False, "max_index": 30,
+                 "require_nonneg_pm": False,
+                 "k3": {"search": {"denominator": 720}}},
+                700,
+                "24ec29ed4d70ae511a3eb52db93f0c25a8d81f7abcb460605bab9c6a29052765",
+            ),
+            (
+                {"chi_min": -4, "chi_max": 4, "sigma_max": 3, "m_max": 20,
+                 "require_nonneg_pm": False, "k3": {"explicit": "7/2"}},
+                36,
+                "49447f50483eac9b52ec7d766154d0cfa1adf482b167ac82a1bab74b3d1573f9",
+            ),
+        ],
+    )
+    def test_stream_is_pinned(self, tmp_path, capsys, constraints, lines, digest):
+        path = write_json(tmp_path, "c.json", constraints)
+        code, out, _ = run(capsys, ["enumerate", path])
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_no_jobs_flag(self, tmp_path, capsys):
         constraints = write_json(
             tmp_path, "c.json", {"chi_min": 0, "chi_max": 0, "sigma_max": 0}
@@ -280,6 +340,131 @@ class TestEnumerate:
         assert proc.wait(timeout=60) == -signal.SIGPIPE
         assert json.loads(first)["basket"] == []
         assert err == b""
+
+
+def run_stdin(argv, doc):
+    """Exit code and stdout of ``main(argv)`` reading ``doc`` as JSON on stdin."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+NON_OBJECTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+    st.lists(st.integers(), max_size=3),
+)
+SMALL_OBJECTS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+NOT_INT = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+    st.lists(st.integers(), max_size=2),
+    SMALL_OBJECTS,
+)
+NOT_INT_OR_NULL = st.one_of(st.none(), NOT_INT)
+NOT_FRACTION = NOT_INT_OR_NULL.filter(lambda v: not isinstance(v, str))
+NOT_BOOL = st.one_of(
+    st.none(), st.integers(), st.floats(allow_nan=False), st.text(max_size=5)
+)
+
+
+def with_field(valid, fields):
+    """``valid`` with one of ``fields`` (name -> strategy) set to a bad value."""
+    return st.sampled_from(sorted(fields)).flatmap(
+        lambda name: fields[name].map(lambda value: {**valid, name: value})
+    )
+
+
+def with_unknown_key(valid, known):
+    """``valid`` plus one key outside ``known``, with any JSON value."""
+    key = st.text(max_size=8).filter(lambda k: k not in known)
+    value = st.one_of(NON_OBJECTS, SMALL_OBJECTS)
+    return st.tuples(key, value).map(lambda kv: {**valid, kv[0]: kv[1]})
+
+
+DOC_KEYS = ("chi", "k3", "p2", "basket")
+PLURI_VALID = {"chi": 1, "k3": "11/2", "basket": [[1, 2]]}
+PLURI_VALID_P2 = {"chi": 1, "p2": 0, "basket": [[1, 2]]}
+BAD_BASKET = st.one_of(
+    NOT_INT_OR_NULL.filter(lambda v: not isinstance(v, list)),
+    NOT_INT.map(lambda b: [[b, 2]]),
+    NOT_INT.map(lambda r: [[1, r]]),
+    st.lists(st.integers(1, 5), max_size=3).filter(lambda p: len(p) != 2).map(
+        lambda p: [p]
+    ),
+)
+MALFORMED_PLURI = st.one_of(
+    NON_OBJECTS,
+    with_unknown_key(PLURI_VALID, DOC_KEYS),
+    with_field(
+        PLURI_VALID, {"chi": NOT_INT_OR_NULL, "k3": NOT_FRACTION, "basket": BAD_BASKET}
+    ),
+    with_field(PLURI_VALID_P2, {"p2": NOT_INT_OR_NULL}),
+)
+
+CONSTRAINT_KEYS = (
+    "chi_min", "chi_max", "sigma_max", "require_sigma12_zero", "k3", "m_max",
+    "require_nonneg_pm", "max_index",
+)
+ENUM_VALID = {"chi_min": 0, "chi_max": 0, "sigma_max": 0, "m_max": 4}
+BAD_K3_POLICY = st.one_of(
+    NON_OBJECTS,
+    st.just({}),
+    st.just({"explicit": "2", "search": {}}),
+    with_unknown_key({"search": {}}, ("explicit", "search")),
+    NOT_FRACTION.map(lambda v: {"explicit": v}),
+    NON_OBJECTS.map(lambda v: {"search": v}),
+    with_unknown_key({}, ("denominator",)).map(lambda search: {"search": search}),
+    st.one_of(NOT_INT, st.integers(max_value=0)).map(
+        lambda v: {"search": {"denominator": v}}
+    ),
+)
+MALFORMED_ENUMERATE = st.one_of(
+    NON_OBJECTS,
+    with_unknown_key(ENUM_VALID, CONSTRAINT_KEYS),
+    with_field(
+        ENUM_VALID,
+        {
+            "chi_min": NOT_INT_OR_NULL,
+            "chi_max": NOT_INT_OR_NULL,
+            "sigma_max": NOT_INT_OR_NULL,
+            "m_max": NOT_INT_OR_NULL,
+            "max_index": NOT_INT,  # null is allowed: no bound
+            "require_sigma12_zero": NOT_BOOL,
+            "require_nonneg_pm": NOT_BOOL,
+            "k3": BAD_K3_POLICY,
+        },
+    ),
+)
+
+
+class TestMalformedDocuments:
+    def test_valid_documents_pass(self):
+        for doc in (PLURI_VALID, PLURI_VALID_P2):
+            assert run_stdin(["pluri", "-", "--m-to", "3"], doc)[0] == 0
+        assert run_stdin(["enumerate", "-"], ENUM_VALID)[0] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(MALFORMED_PLURI)
+    def test_pluri_exits_invalid(self, doc):
+        code, out = run_stdin(["pluri", "-", "--m-to", "3"], doc)
+        assert code == 2 and not out
+
+    @settings(max_examples=60, deadline=None)
+    @given(MALFORMED_ENUMERATE)
+    def test_enumerate_exits_invalid(self, doc):
+        code, out = run_stdin(["enumerate", "-"], doc)
+        assert code == 2 and not out
 
 
 class TestConstantsAndLemmas:

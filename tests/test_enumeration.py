@@ -140,6 +140,11 @@ class TestAttachInvariants:
         assert cand.p(2) == 0
         assert all(cand.p(m) >= 0 for m in range(2, 13))
 
+    @pytest.mark.parametrize("denominator", [0, -8])
+    def test_search_denominator_must_be_positive(self, denominator):
+        with pytest.raises(ValueError, match="denominator"):
+            MinimalK3Search(denominator)
+
     def test_minimal_search_is_minimal(self):
         c = EnumConstraints(chi_min=0, chi_max=0, sigma_max=1, m_max=12)
         (cand,) = attach_invariants(Basket.from_pairs([(1, 2)]), c)
@@ -148,9 +153,9 @@ class TestAttachInvariants:
         assert k.denominator == 1
         # Nothing smaller on the same grid is admissible.
         from basket3.enumeration import _pm_table
-        from basket3.baskets import l_table
+        from basket3.baskets import scaled_l_table
 
-        ells = l_table(Basket.from_pairs([(1, 2)]), 12)
+        ells = scaled_l_table(Basket.from_pairs([(1, 2)]), 12)
         for smaller in range(1, int(k)):
             assert _pm_table(ells, 0, Fraction(smaller, denominator), 12, True) is None
 

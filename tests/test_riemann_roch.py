@@ -5,17 +5,20 @@ from math import lcm
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from basket3.baskets import Basket, EMPTY_BASKET, mbar
+from basket3.baskets import Basket, EMPTY_BASKET, mbar, scaled_l_table
 from basket3.riemann_roch import (
     InconsistentInvariantsError,
     ThreefoldInvariants,
     chi_mk,
+    chi_mk_row,
     k3_from_p2,
     plurigenus,
     sigma_identity_check,
 )
-from oracles import random_basket
+from oracles import l_by_definition, random_basket, random_k3
 
 X10 = ThreefoldInvariants(Fraction(2), -3, EMPTY_BASKET)
 
@@ -34,6 +37,23 @@ class TestChiMk:
                 random_basket(rng),
             )
             assert chi_mk(inv, 1) == -inv.chi == inv.chi_omega
+
+    @settings(max_examples=40)
+    @given(st.randoms(use_true_random=False), st.integers(0, 20))
+    def test_row_matches_formula(self, rng, m_max):
+        basket = random_basket(rng)
+        k3, chi = random_k3(rng), rng.randrange(-9, 10)
+        w, row = chi_mk_row(k3, chi, *scaled_l_table(basket, m_max), range(m_max + 1))
+        assert all(type(value) is int for value in row)
+        for m, value in enumerate(row):
+            expected = (
+                Fraction(m * (m - 1) * (2 * m - 1), 12) * k3
+                - (2 * m - 1) * chi
+                + l_by_definition(basket, m)
+            )
+            assert Fraction(value, w) == expected
+            # One divmod decides integrality over the common denominator.
+            assert (value % w == 0) == (expected.denominator == 1)
 
     def test_m_zero_is_chi(self):
         inv = ThreefoldInvariants(Fraction(7, 3), 4, Basket.from_pairs([(2, 5)]))
