@@ -29,13 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .baskets import OrbifoldPoint, delta_pair
+from .baskets import OrbifoldPoint
 from .functionals import (
     SLOPE_CUT,
     Functional,
-    box_representation,
-    has_positive_representation,
+    lemma_offset,
     point_target,
+    split_offset,
     xi_bar_pair,
     xi_delta_pair,
     xi_lin,
@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+_HEADER_KEYS = (
+    "basket3-certificate", "coefficients", "low-slope-floor", "slope-cut", "r-max", "nodes"
+)
+_LEAF_FIELDS = ("xidelta", "xibar", "target")
+_SPLIT_FIELDS = ("cfdet", "offsets", "net") + _LEAF_FIELDS
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,6 @@ class CertificateNode:
     xi_delta: int
     xi_bar: Fraction
     target: Fraction
-    declared: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -122,6 +126,8 @@ class Certificate:
                 body_start = i + 1
                 break
             key, _, value = line.partition(": ")
+            if key not in _HEADER_KEYS or key in header:
+                raise ValueError(f"unknown or repeated certificate header line {line!r}")
             header[key] = value
         else:
             raise ValueError("missing blank line after certificate header")
@@ -162,8 +168,6 @@ def _node_line(node: CertificateNode) -> str:
         f" xibar={format_fraction(node.xi_bar)}"
         f" target={format_fraction(node.target)}"
     )
-    if node.declared is not None:
-        tail += f" declared={node.declared}"
     if node.is_leaf:
         return f"{node.point} leaf {tail}"
     hi, lo = node.parents
@@ -179,12 +183,23 @@ def _parse_point(text: str) -> OrbifoldPoint:
     return OrbifoldPoint(int(b), int(r))
 
 
+def _fields(tokens: list[str], names: tuple[str, ...]) -> dict[str, str]:
+    """The ``name=value`` tokens of a node line, which must be exactly ``names``."""
+    for i, tok in enumerate(tokens):
+        name, eq, _ = tok.partition("=")
+        if i >= len(names) or name != names[i] or not eq:
+            raise ValueError(f"unexpected node field {tok!r}; want {' '.join(names)}")
+    if len(tokens) < len(names):
+        raise ValueError(f"missing node field {names[len(tokens)]!r}")
+    return dict(tok.split("=", 1) for tok in tokens)
+
+
 def _parse_node_line(line: str) -> CertificateNode:
     tokens = line.split()
     point = _parse_point(tokens[0])
     kind = tokens[1]
     if kind == "leaf":
-        fields = dict(tok.split("=", 1) for tok in tokens[2:])
+        fields = _fields(tokens[2:], _LEAF_FIELDS)
         parents = None
         cf_det = None
         offsets: tuple[tuple[int, int], ...] = ()
@@ -192,7 +207,7 @@ def _parse_node_line(line: str) -> CertificateNode:
     elif kind == "split":
         hi_text, _, lo_text = tokens[2].partition(",")
         parents = (_parse_point(hi_text), _parse_point(lo_text))
-        fields = dict(tok.split("=", 1) for tok in tokens[3:])
+        fields = _fields(tokens[3:], _SPLIT_FIELDS)
         cf_det = int(fields["cfdet"])
         if fields["offsets"] == "-":
             offsets = ()
@@ -213,7 +228,6 @@ def _parse_node_line(line: str) -> CertificateNode:
         xi_delta=int(fields["xidelta"]),
         xi_bar=parse_fraction(fields["xibar"]),
         target=parse_fraction(fields["target"]),
-        declared=int(fields["declared"]) if "declared" in fields else None,
     )
 
 
@@ -223,24 +237,13 @@ def _split_offsets(
     """Per-j delta offsets across the split, checked against the lemmas.
 
     Each offset is computed directly as delta^j(child) minus the parents'
-    sum and then compared with the lemma prediction whenever one applies
-    (box representation: -min(x, y); no positive representation: 0).
+    sum and then compared with ``lemma_offset`` whenever a lemma applies.
     """
     offsets = []
     net = 0
     for j in func.support:
-        off = (
-            delta_pair(j, b, r)
-            - delta_pair(j, hi.b, hi.r)
-            - delta_pair(j, lo.b, lo.r)
-        )
-        rep = box_representation(hi.r, lo.r, j)
-        if rep is not None:
-            expected: int | None = -min(rep)
-        elif not has_positive_representation(hi.r, lo.r, j):
-            expected = 0
-        else:
-            expected = None
+        off = split_offset(j, hi, lo)
+        expected = lemma_offset(hi.r, lo.r, j)
         if expected is not None and off != expected:
             raise ArithmeticError(
                 f"offset {off} at j={j} contradicts lemma value {expected} "
@@ -252,22 +255,13 @@ def _split_offsets(
     return tuple(offsets), net
 
 
-def _build_node(
-    func: Functional,
-    b: int,
-    r: int,
-    floor: int,
-    declared: dict[OrbifoldPoint, int],
-) -> CertificateNode:
+def _build_node(func: Functional, b: int, r: int, floor: int) -> CertificateNode:
     point = OrbifoldPoint(b, r)
     xd = xi_delta_pair(func, b, r)
     xb = xi_bar_pair(func, b, r)
     target = point_target(floor, b, r)
-    bound = declared.get(point)
-    if bound is not None and xd < bound:
-        raise ArithmeticError(f"declared bound {bound} fails at {point}: {xd}")
     if b == 1:
-        return CertificateNode(point, None, None, (), 0, xd, xb, target, bound)
+        return CertificateNode(point, None, None, (), 0, xd, xb, target)
     split = mediant_parents(b, r)
     offsets, net = _split_offsets(func, b, r, split.high, split.low)
     parent_sum = xi_delta_pair(func, split.high.b, split.high.r) + xi_delta_pair(
@@ -275,7 +269,7 @@ def _build_node(
     )
     assert xd == parent_sum + net
     return CertificateNode(
-        point, (split.high, split.low), split.cf_det, offsets, net, xd, xb, target, bound
+        point, (split.high, split.low), split.cf_det, offsets, net, xd, xb, target
     )
 
 
@@ -287,38 +281,28 @@ def _points_for_range(r_lo: int, r_hi: int):
 
 
 def _build_range(args) -> list[CertificateNode]:
-    coeffs, floor, declared_items, r_lo, r_hi = args
+    coeffs, floor, r_lo, r_hi = args
     func = Functional(coeffs)
-    declared = {OrbifoldPoint(b, r): v for (b, r), v in declared_items}
-    return [
-        _build_node(func, b, r, floor, declared)
-        for b, r in _points_for_range(r_lo, r_hi)
-    ]
+    return [_build_node(func, b, r, floor) for b, r in _points_for_range(r_lo, r_hi)]
 
 
 def proof_replay(
     func: Functional,
     r_max: int,
-    base_bounds: dict[OrbifoldPoint, int] | None = None,
     *,
     low_slope_floor: int = 0,
     jobs: int = 1,
 ) -> Certificate:
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
 
-    ``base_bounds`` optionally declares lower bounds for xi_delta at atoms;
-    each is verified against the directly evaluated value and recorded.
     The node list is identical for any ``jobs``: work is chunked by r and
     merged in order.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
-    declared_items = tuple(
-        ((p.b, p.r), v) for p, v in sorted((base_bounds or {}).items(), key=lambda kv: kv[0].key())
-    )
     chunk = r_max if jobs <= 1 else max(1, (r_max - 1) // (jobs * 8))
     tasks = [
-        (func.coeffs, low_slope_floor, declared_items, r, min(r + chunk - 1, r_max))
+        (func.coeffs, low_slope_floor, r, min(r + chunk - 1, r_max))
         for r in range(2, r_max + 1, chunk)
     ]
     if jobs <= 1:
@@ -390,8 +374,6 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             issues.append(f"{label}: recorded target {node.target} != {target}")
         if xb < target:
             issues.append(f"{label}: violation, xibar {xb} < target {target}")
-        if node.declared is not None and xd < node.declared:
-            issues.append(f"{label}: declared bound {node.declared} fails ({xd})")
         if node.is_leaf:
             if p.b != 1:
                 issues.append(f"{label}: non-atom recorded as leaf")
@@ -410,20 +392,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         recorded = dict(node.offsets)
         net = 0
         for j in func.support:
-            off = (
-                delta_pair(j, p.b, p.r)
-                - delta_pair(j, hi.b, hi.r)
-                - delta_pair(j, lo.b, lo.r)
-            )
+            off = split_offset(j, hi, lo)
             if recorded.pop(j, 0) != off:
                 issues.append(f"{label}: offset at j={j} should be {off}")
-            rep = box_representation(hi.r, lo.r, j)
-            if rep is not None:
-                if off != -min(rep):
-                    issues.append(f"{label}: j={j} contradicts the offset lemma")
-            elif not has_positive_representation(hi.r, lo.r, j):
-                if off != 0:
-                    issues.append(f"{label}: j={j} contradicts additivity")
+            expected = lemma_offset(hi.r, lo.r, j)
+            if expected is not None and off != expected:
+                rule = "additivity" if expected == 0 else "the offset lemma"
+                issues.append(f"{label}: j={j} contradicts {rule}")
             net += func.coeffs[j - 1] * off
         if recorded:
             issues.append(f"{label}: offsets outside the support: {sorted(recorded)}")

@@ -36,12 +36,12 @@ __all__ = [
     "LemmaSweep",
     "PlurigenusFormReport",
     "SingleBasketCheck",
-    "box_representation",
     "check_lemmas_exhaustive",
-    "has_positive_representation",
     "lemma_diff_check",
     "lemma_nodiff_check",
+    "lemma_offset",
     "point_target",
+    "split_offset",
     "verify_plurigenus_form",
     "verify_single_basket",
     "xi_bar",
@@ -191,27 +191,44 @@ def _min_x_solution(r1: int, r2: int, n: int) -> tuple[int, int]:
     return x, (n - x * r1) // r2
 
 
-def box_representation(r1: int, r2: int, n: int) -> tuple[int, int] | None:
-    """The unique (x, y) with n = x*r1 + y*r2, 0 < x <= r2, 0 < y <= r1.
+def lemma_offset(r1: int, r2: int, n: int) -> int | None:
+    """The offset of delta^n that the split lemmas predict, or None.
 
-    Returns None when no such representation exists.
+    With n = x*r1 + y*r2 and x smallest in [1, r2]: -min(x, y) when the
+    representation lies in the box 0 < y <= r1, 0 when n has no
+    representation with x, y > 0 (y <= 0), and None otherwise, where
+    neither lemma applies.  Requires gcd(r1, r2) = 1.
     """
     x, y = _min_x_solution(r1, r2, n)
-    return (x, y) if 1 <= y <= r1 else None
+    if y < 1:
+        return 0
+    return -min(x, y) if y <= r1 else None
 
 
-def has_positive_representation(r1: int, r2: int, n: int) -> bool:
-    """True when n = x*r1 + y*r2 for some integers x, y > 0."""
-    _, y = _min_x_solution(r1, r2, n)
-    return y >= 1
+def split_offset(n: int, hi: OrbifoldPoint, lo: OrbifoldPoint) -> int:
+    """delta^n of the mediant of hi and lo minus delta^n of each of them."""
+    return (
+        delta_pair(n, hi.b + lo.b, hi.r + lo.r)
+        - delta_pair(n, hi.b, hi.r)
+        - delta_pair(n, lo.b, lo.r)
+    )
 
 
-def _require_det_one(p1: OrbifoldPoint, p2: OrbifoldPoint) -> None:
+def _no_slope_between(hi: OrbifoldPoint, lo: OrbifoldPoint, n: int) -> bool:
+    # The smallest integer strictly above b_lo*n/r_lo is not below b_hi*n/r_hi.
+    k = lo.b * n // lo.r + 1
+    return k * hi.r >= hi.b * n
+
+
+def _lemma_value(p1: OrbifoldPoint, p2: OrbifoldPoint, n: int) -> int | None:
+    if n < 1:
+        raise LemmaHypothesisError(f"n must be positive, got {n}")
     det = p1.b * p2.r - p2.b * p1.r
     if det != 1:
         raise LemmaHypothesisError(
             f"need b1*r2 - b2*r1 = 1, got {det} for {p1}, {p2}"
         )
+    return lemma_offset(p1.r, p2.r, n)
 
 
 def lemma_nodiff_check(p1: OrbifoldPoint, p2: OrbifoldPoint, n: int) -> bool:
@@ -221,20 +238,11 @@ def lemma_nodiff_check(p1: OrbifoldPoint, p2: OrbifoldPoint, n: int) -> bool:
     lies strictly between the two slopes.  Returns True when both hold
     (they must); raises LemmaHypothesisError when a hypothesis fails.
     """
-    if n < 1:
-        raise LemmaHypothesisError(f"n must be positive, got {n}")
-    _require_det_one(p1, p2)
-    if has_positive_representation(p1.r, p2.r, n):
+    if _lemma_value(p1, p2, n) != 0:
         raise LemmaHypothesisError(
             f"n={n} is representable as x*{p1.r} + y*{p2.r} with x, y > 0"
         )
-    additive = delta_pair(n, p1.b + p2.b, p1.r + p2.r) == delta_pair(
-        n, p1.b, p1.r
-    ) + delta_pair(n, p2.b, p2.r)
-    # Smallest integer strictly above b2*n/r2 must not be below b1*n/r1.
-    k = p2.b * n // p2.r + 1
-    interval_empty = k * p1.r >= p1.b * n
-    return additive and interval_empty
+    return split_offset(n, p1, p2) == 0 and _no_slope_between(p1, p2, n)
 
 
 def lemma_diff_check(p1: OrbifoldPoint, p2: OrbifoldPoint, n: int) -> int:
@@ -243,24 +251,16 @@ def lemma_diff_check(p1: OrbifoldPoint, p2: OrbifoldPoint, n: int) -> int:
     Returns delta^n(b1+b2, r1+r2) - delta^n(b1, r1) - delta^n(b2, r2) and
     confirms it equals -min(x, y).
     """
-    if n < 1:
-        raise LemmaHypothesisError(f"n must be positive, got {n}")
-    _require_det_one(p1, p2)
-    rep = box_representation(p1.r, p2.r, n)
-    if rep is None:
+    expected = _lemma_value(p1, p2, n)
+    if not expected:
         raise LemmaHypothesisError(
             f"n={n} has no representation x*{p1.r} + y*{p2.r} "
             f"with 0 < x <= {p2.r}, 0 < y <= {p1.r}"
         )
-    x, y = rep
-    offset = (
-        delta_pair(n, p1.b + p2.b, p1.r + p2.r)
-        - delta_pair(n, p1.b, p1.r)
-        - delta_pair(n, p2.b, p2.r)
-    )
-    if offset != -min(x, y):
+    offset = split_offset(n, p1, p2)
+    if offset != expected:
         raise ArithmeticError(
-            f"offset {offset} != -min{(x, y)} for {p1}, {p2}, n={n}"
+            f"offset {offset} != lemma value {expected} for {p1}, {p2}, n={n}"
         )
     return offset
 
@@ -313,29 +313,18 @@ def check_lemmas_exhaustive(
                 p1 = OrbifoldPoint(b1, r1)
                 p2 = OrbifoldPoint(b2, r2)
                 pairs += 1
-                inv_r1 = pow(r1, -1, r2)
-                bs, rs = b1 + b2, r1 + r2
                 for n in range(1, n_factor * r1 * r2 + 1):
-                    x = (n * inv_r1) % r2
-                    if x == 0:
-                        x = r2
-                    y, resid = divmod(n - x * r1, r2)
-                    assert resid == 0
-                    gap = (
-                        delta_pair(n, bs, rs)
-                        - delta_pair(n, b1, r1)
-                        - delta_pair(n, b2, r2)
-                    )
-                    if y < 1:
+                    expected = lemma_offset(r1, r2, n)
+                    gap = split_offset(n, p1, p2)
+                    if expected == 0:
                         nodiff_checked += 1
-                        k = b2 * n // r2 + 1
-                        if gap != 0 or k * r1 < b1 * n:
+                        if gap != 0 or not _no_slope_between(p1, p2, n):
                             mismatches.append(f"nodiff {p1} {p2} n={n} gap={gap}")
-                    elif y <= r1:
+                    elif expected is not None:
                         diff_checked += 1
-                        if gap != -min(x, y):
+                        if gap != expected:
                             mismatches.append(
-                                f"diff {p1} {p2} n={n} gap={gap} xy=({x},{y})"
+                                f"diff {p1} {p2} n={n} gap={gap} lemma={expected}"
                             )
                     else:
                         # Positive representation without a box one; possible

@@ -10,6 +10,7 @@ inequality machinery.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class AtomError(ValueError):
@@ -42,13 +44,21 @@ def format_fraction(q: Fraction | int) -> str:
 
 
 def parse_fraction(text: str | int) -> Fraction:
-    """Parse "p/q" or a bare integer; rejects other types and zero denominators."""
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
+    """Parse an int or an ASCII "p/q" or "p" string; a zero q raises.
+
+    Only ``-?[0-9]+(/[0-9]+)?`` is read: no decimal point, exponent, sign
+    on q, leading "+", underscore or surrounding whitespace.
+    """
+    if type(text) is int:
+        return Fraction(text)
+    match = _FRACTION.fullmatch(text) if type(text) is str else None
+    if match is None:
         raise ValueError(
-            "fractions cross I/O as 'p/q' strings or integers, "
-            f"not {type(text).__name__}: {text!r}"
+            "fractions cross I/O as ASCII 'p/q' strings or integers, "
+            f"got {type(text).__name__} {text!r}"
         )
-    return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -49,6 +49,22 @@ def l_by_definition(basket: Basket, m: int) -> Fraction:
     return total
 
 
+def lemma_offset_by_search(r1: int, r2: int, n: int) -> int | None:
+    """The split-lemma offset for n, by trying every x in 1..n.
+
+    -min(x, y) for a representation n = x*r1 + y*r2 with 0 < x <= r2 and
+    0 < y <= r1; 0 when no representation has x, y > 0; None otherwise.
+    """
+    positive = False
+    for x in range(1, n + 1):
+        y, rest = divmod(n - x * r1, r2)
+        if rest == 0 and y >= 1:
+            if x <= r2 and y <= r1:
+                return -min(x, y)
+            positive = True
+    return None if positive else 0
+
+
 def brute_force_baskets(
     points: tuple[OrbifoldPoint, ...], sigma_max: int
 ) -> set[Basket]:

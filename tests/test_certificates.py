@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from basket3 import certificates
 from basket3.baskets import OrbifoldPoint
 from basket3.certificates import Certificate, proof_replay, verify_certificate
 from basket3.functionals import INEQ1, INEQ2, xi_bar_pair
@@ -53,14 +54,6 @@ class TestReplay:
     def test_node_counts_cover_all_slopes(self):
         cert = proof_replay(INEQ1, 30)
         assert len(cert.nodes) == expected_count(30)
-
-    def test_declared_bounds_recorded_and_checked(self):
-        bounds = {OrbifoldPoint(1, r): -2 for r in range(2, 9)}
-        cert = proof_replay(INEQ1, 8, base_bounds=bounds)
-        leaf = cert.node_for(OrbifoldPoint(1, 5))
-        assert leaf.declared == -2 and leaf.xi_delta == -1
-        with pytest.raises(ArithmeticError):
-            proof_replay(INEQ1, 8, base_bounds={OrbifoldPoint(1, 5): 0})
 
     def test_rejects_tiny_range(self):
         with pytest.raises(ValueError):
@@ -140,6 +133,18 @@ class TestVerification:
         )
         report = verify_certificate(shuffled)
         assert any("order" in issue for issue in report.issues)
+
+    def test_wrong_lemma_rule_is_caught(self, monkeypatch):
+        # A split lemma that disagrees with the recomputed offsets must stop
+        # the builder and be reported by the verifier, in both of its forms.
+        cert = proof_replay(INEQ2, 12, low_slope_floor=14)
+        for wrong, rule in ((lambda r1, r2, n: 0, "additivity"),
+                            (lambda r1, r2, n: 7, "the offset lemma")):
+            monkeypatch.setattr(certificates, "lemma_offset", wrong)
+            with pytest.raises(ArithmeticError, match="contradicts lemma value"):
+                proof_replay(INEQ2, 12, low_slope_floor=14)
+            issues = verify_certificate(cert).issues
+            assert any(f"contradicts {rule}" in issue for issue in issues)
 
     def test_violation_reported_for_hostile_target(self):
         # A floor the inequality does not satisfy must be flagged, not hidden.

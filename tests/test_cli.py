@@ -64,6 +64,11 @@ class TestPluri:
         code, _, err = run(capsys, ["pluri", doc])
         assert code == 2 and err
 
+    def test_decimal_string_volume_rejected(self, tmp_path, capsys):
+        doc = write_json(tmp_path, "bad.json", {"chi": 1, "k3": "0.5", "basket": []})
+        code, out, err = run(capsys, ["pluri", doc])
+        assert code == 2 and not out and "'0.5'" in err
+
     def test_float_volume_rejected(self, tmp_path, capsys):
         doc = write_json(tmp_path, "bad.json", {"chi": 1, "k3": 5.5, "basket": []})
         code, _, err = run(capsys, ["pluri", doc])
@@ -206,6 +211,37 @@ class TestReplay:
         out_path.write_text("".join(line for line in lines if not line.startswith("nodes:")))
         code, _, err = run(capsys, ["verify", str(out_path)])
         assert code == 2 and "nodes" in err
+
+    @pytest.mark.parametrize(
+        ("old", "new", "named"),
+        [
+            ("xibar=0 target=0", "xibar=0 target=0 xidelta=-4", "xidelta=-4"),
+            ("xibar=0 target=0", "xibar=0 target=0 bogus=7", "bogus=7"),
+            ("xibar=0 target=0", "xibar=0 target=0 declared=-2", "declared=-2"),
+            ("xibar=0 target=0", "xibar=0.0 target=0", "0.0"),
+            ("net=0 xidelta=-4", "xidelta=-4 net=0", "xidelta=-4"),
+            (" target=0", "", "target"),
+            ("r-max: 12\n", "r-max: 12\nr-max: 12\n", "r-max"),
+            ("r-max: 12\n", "r-max: 12\ncomment: hi\n", "comment"),
+        ],
+        ids=["duplicate", "unknown", "declared", "decimal", "reordered", "missing",
+             "repeated-header", "unknown-header"],
+    )
+    def test_malformed_node_or_header_is_invalid_input(
+        self, tmp_path, capsys, old, new, named
+    ):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "1", "--r-max", "12", "--out", str(out_path)])
+        text = out_path.read_text()
+        line = next(line for line in text.splitlines() if line.startswith("2/5 "))
+        if old.endswith("\n"):
+            tampered = text.replace(old, new, 1)
+        else:
+            tampered = text.replace(line, line.replace(old, new, 1))
+        assert tampered != text
+        out_path.write_text(tampered)
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and not out and named in err
 
     def test_missing_certificate_is_io_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.txt")])

@@ -16,11 +16,10 @@ from basket3.functionals import (
     INEQUALITIES,
     Inequality,
     LemmaHypothesisError,
-    box_representation,
     check_lemmas_exhaustive,
-    has_positive_representation,
     lemma_diff_check,
     lemma_nodiff_check,
+    lemma_offset,
     verify_plurigenus_form,
     verify_single_basket,
     xi_bar,
@@ -28,7 +27,7 @@ from basket3.functionals import (
     xi_lin,
 )
 from basket3.riemann_roch import InconsistentInvariantsError, ThreefoldInvariants
-from oracles import random_basket, random_k3
+from oracles import lemma_offset_by_search, random_basket, random_k3
 
 
 @st.composite
@@ -105,16 +104,31 @@ class TestXiEvaluations:
         )
 
 
+@st.composite
+def coprime_lemma_inputs(draw, r_max=30):
+    r1 = draw(st.integers(2, r_max))
+    r2 = draw(st.integers(2, r_max).filter(lambda r2: gcd(r1, r2) == 1))
+    return r1, r2, draw(st.integers(1, 3 * r1 * r2))
+
+
 class TestRepresentations:
     def test_box_cases(self):
-        assert box_representation(2, 3, 5) == (1, 1)
-        assert box_representation(2, 3, 12) == (3, 2)
-        assert box_representation(2, 3, 6) is None
+        # 5 = 1*2 + 1*3 and 12 = 3*2 + 2*3 lie in the box 0 < y <= r1, so the
+        # offset is -min(x, y); 6 has no representation with x, y > 0.
+        assert lemma_offset(2, 3, 5) == -1
+        assert lemma_offset(2, 3, 12) == -2
+        assert lemma_offset(2, 3, 6) == 0
 
     def test_positive_but_no_box(self):
         # 11 = 4*2 + 1*3 has positive representations but none in the box.
-        assert has_positive_representation(2, 3, 11)
-        assert box_representation(2, 3, 11) is None
+        assert lemma_offset(2, 3, 11) is None
+
+
+class TestLemmaOffset:
+    @settings(max_examples=300)
+    @given(coprime_lemma_inputs())
+    def test_matches_search(self, args):
+        assert lemma_offset(*args) == lemma_offset_by_search(*args)
 
 
 class TestLemmas:
@@ -145,8 +159,8 @@ class TestLemmas:
     def test_small_sweep_clean(self):
         sweep = check_lemmas_exhaustive(12, 12)
         assert sweep.ok
-        assert sweep.pairs > 0
-        assert sweep.nodiff_checked > 0 and sweep.diff_checked > 0
+        counts = (sweep.pairs, sweep.nodiff_checked, sweep.diff_checked, sweep.uncovered)
+        assert counts == (34, 1043, 1647, 604)
 
 
 class TestSingleBasket:

@@ -28,7 +28,8 @@ class TestMakeRational:
         assert parse_fraction(-4) == Fraction(-4)
         with pytest.raises(ZeroDivisionError):
             parse_fraction("2/0")
-        for bad in (5.5, True, None, [1, 2]):
+        bad_strings = ("0.5", "1e3", " 1/2 ", "1_0/3", "+3/4", "1/-2", "3/", "")
+        for bad in (5.5, True, None, [1, 2], *bad_strings):
             with pytest.raises(ValueError):
                 parse_fraction(bad)
 
