@@ -24,6 +24,7 @@ support; ``net`` is their coefficient-weighted sum, so that
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,9 @@ _HEADER_KEYS = (
 )
 _LEAF_FIELDS = ("xidelta", "xibar", "target")
 _SPLIT_FIELDS = ("cfdet", "offsets", "net") + _LEAF_FIELDS
+_INT_RULE = "-?[0-9]+"  # every integer field: ASCII digits, optional "-"
+_INT = re.compile(_INT_RULE)
+_POINT = re.compile(f"({_INT_RULE})/({_INT_RULE})")
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,13 @@ class Certificate:
         return min(node.slack for node in self.nodes)
 
     def min_slack_points(self) -> tuple[OrbifoldPoint, ...]:
-        best = self.min_slack()
-        return tuple(n.point for n in self.nodes if n.slack == best)
+        return self.slack_summary()[1]
+
+    def slack_summary(self) -> tuple[Fraction, tuple[OrbifoldPoint, ...]]:
+        """The least slack and the points attaining it, from one pass of slacks."""
+        slacks = [node.slack for node in self.nodes]
+        best = min(slacks)
+        return best, tuple(n.point for n, s in zip(self.nodes, slacks) if s == best)
 
     def to_text(self) -> str:
         lines = [
@@ -134,18 +143,20 @@ class Certificate:
         if header.get("basket3-certificate") != str(FORMAT_VERSION):
             raise ValueError("unsupported certificate format")
         try:
-            func = Functional(tuple(int(c) for c in header["coefficients"].split(",")))
+            func = Functional(
+                tuple(_int(c) for c in header["coefficients"].split(","))
+            )
             nodes = tuple(
                 _parse_node_line(line) for line in lines[body_start:] if line.strip()
             )
-            if len(nodes) != int(header["nodes"]):
+            if len(nodes) != _int(header["nodes"]):
                 raise ValueError(
                     f"node count {len(nodes)} != declared {header['nodes']}"
                 )
             return cls(
                 functional=func,
-                r_max=int(header["r-max"]),
-                low_slope_floor=int(header["low-slope-floor"]),
+                r_max=_int(header["r-max"]),
+                low_slope_floor=_int(header["low-slope-floor"]),
                 slope_cut=parse_fraction(header["slope-cut"]),
                 nodes=nodes,
             )
@@ -178,20 +189,36 @@ def _node_line(node: CertificateNode) -> str:
     )
 
 
+def _int(text: str) -> int:
+    """An ASCII ``-?[0-9]+`` integer; int() alone also takes "+1" and "1_2"."""
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"malformed certificate integer {text!r}")
+    return int(text)
+
+
 def _parse_point(text: str) -> OrbifoldPoint:
-    b, _, r = text.partition("/")
+    match = _POINT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed certificate point {text!r}")
+    b, r = match.groups()
     return OrbifoldPoint(int(b), int(r))
 
 
 def _fields(tokens: list[str], names: tuple[str, ...]) -> dict[str, str]:
     """The ``name=value`` tokens of a node line, which must be exactly ``names``."""
-    for i, tok in enumerate(tokens):
-        name, eq, _ = tok.partition("=")
-        if i >= len(names) or name != names[i] or not eq:
+    fields = {}
+    for name, tok in zip(names, tokens):
+        key, eq, value = tok.partition("=")
+        if key != name or not eq:
             raise ValueError(f"unexpected node field {tok!r}; want {' '.join(names)}")
+        fields[name] = value
+    if len(tokens) > len(names):
+        raise ValueError(
+            f"unexpected node field {tokens[len(names)]!r}; want {' '.join(names)}"
+        )
     if len(tokens) < len(names):
         raise ValueError(f"missing node field {names[len(tokens)]!r}")
-    return dict(tok.split("=", 1) for tok in tokens)
+    return fields
 
 
 def _parse_node_line(line: str) -> CertificateNode:
@@ -208,15 +235,15 @@ def _parse_node_line(line: str) -> CertificateNode:
         hi_text, _, lo_text = tokens[2].partition(",")
         parents = (_parse_point(hi_text), _parse_point(lo_text))
         fields = _fields(tokens[3:], _SPLIT_FIELDS)
-        cf_det = int(fields["cfdet"])
+        cf_det = _int(fields["cfdet"])
         if fields["offsets"] == "-":
             offsets = ()
         else:
             offsets = tuple(
-                (int(j), int(v))
+                (_int(j), _int(v))
                 for j, v in (item.split(":") for item in fields["offsets"].split(","))
             )
-        net = int(fields["net"])
+        net = _int(fields["net"])
     else:
         raise ValueError(f"unknown node kind {kind!r}")
     return CertificateNode(
@@ -225,7 +252,7 @@ def _parse_node_line(line: str) -> CertificateNode:
         cf_det=cf_det,
         offsets=offsets,
         net_offset=net,
-        xi_delta=int(fields["xidelta"]),
+        xi_delta=_int(fields["xidelta"]),
         xi_bar=parse_fraction(fields["xibar"]),
         target=parse_fraction(fields["target"]),
     )

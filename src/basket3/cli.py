@@ -175,8 +175,7 @@ def cmd_replay(args) -> int:
         ineq.functional, args.r_max, low_slope_floor=ineq.floor, jobs=args.jobs
     )
     cert.write(args.out)
-    min_slack = cert.min_slack()
-    attained = cert.min_slack_points()
+    min_slack, attained = cert.slack_summary()
     _emit(
         {
             "which": args.which,
@@ -235,9 +234,9 @@ def cmd_enumerate(args) -> int:
     constraints = _constraints_from_json(_read_json(args.constraints))
     all_ok = True
     for cand in enumerate_candidates(constraints):
+        inv = cand.invariants()
         checks_ok = all(
-            verify_plurigenus_form(cand.invariants(), which, strict=False).ok
-            for which in (1, 2)
+            verify_plurigenus_form(inv, which, strict=False).ok for which in (1, 2)
         )
         all_ok = all_ok and checks_ok
         _emit(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .baskets import Basket, OrbifoldPoint, delta_pair, scaled_l_table, sigma12
 from .riemann_roch import InconsistentInvariantsError, ThreefoldInvariants, chi_mk_row
@@ -60,6 +61,8 @@ class Functional:
     """
 
     coeffs: tuple[int, ...]
+    # Indices j with c_j != 0, ascending; derived, so not part of eq or repr.
+    support: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(int(c) for c in self.coeffs)
@@ -68,11 +71,8 @@ class Functional:
         if not coeffs:
             raise ValueError("functional needs at least one nonzero coefficient")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices j with c_j != 0, ascending."""
-        return tuple(j for j, c in enumerate(self.coeffs, start=1) if c != 0)
+        support = tuple(j for j, c in enumerate(coeffs, start=1) if c)
+        object.__setattr__(self, "support", support)
 
     def moments(self) -> tuple[int, int]:
         """(sum c_j * j, sum c_j * j^2).
@@ -386,10 +386,29 @@ class PlurigenusFormReport:
 
     @property
     def ok(self) -> bool:
-        return self.slack >= 0
+        return self.p_form >= self.target
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+@lru_cache(maxsize=4)
+def _basket_half(
+    basket: Basket, which: int
+) -> tuple[int, tuple[int, ...], int, Fraction, Fraction, Fraction]:
+    """What a form check needs of the basket alone, computed once per basket.
+
+    Returns (D, (D*l(0), ..., D*l(top)), D*l_form, l_form, xi_form, target)
+    with D = 2*lcm(r_i) and top the form's largest m.  The memo is keyed by
+    (basket, which) and bounded: the sweep checks both forms on every chi
+    of one basket before it moves on.  Every value is immutable, so the
+    callers share them.
+    """
+    ineq = INEQUALITIES[which]
+    den, ells = scaled_l_table(basket, max(ineq.p_coeffs))
+    l_num = sum(c * ells[m] for m, c in ineq.p_coeffs.items())
+    xi_form = xi_bar(ineq.functional, basket)
+    return den, tuple(ells), l_num, Fraction(l_num, den), xi_form, ineq.target(basket)
 
 
 def verify_plurigenus_form(
@@ -400,25 +419,26 @@ def verify_plurigenus_form(
     The K^3 and chi terms cancel between the plurigenera, so the P-form
     equals the l-form equals xi_bar of the basket for *any* exact rational
     K^3 and integer chi.  With strict=True, non-integral plurigenera in the
-    form's support raise InconsistentInvariantsError instead.
+    form's support raise InconsistentInvariantsError instead.  The basket
+    half (l table, l-form, xi_bar, target) comes from ``_basket_half``;
+    only the P-form depends on K^3 and chi.
     """
     ineq = INEQUALITIES.get(which)
     if ineq is None:
         raise ValueError(f"form must be 1 or 2, got {which}")
+    den, ells, l_num, l_form, xi_form, target = _basket_half(inv.basket, which)
     p_coeffs = ineq.p_coeffs
-    # Both sums run over scaled integers: P-values over w, l-values over den.
-    den, ells = scaled_l_table(inv.basket, max(p_coeffs))
+    # P-values are scaled by w, a multiple of den, so p_form == l_form is
+    # an integer comparison and the report reuses the l-form Fraction.
     w, row = chi_mk_row(inv.k3, inv.chi, den, ells, p_coeffs)
     bad = sorted(m for m, v in zip(p_coeffs, row) if v % w)
     if strict and bad:
         raise InconsistentInvariantsError(f"non-integral plurigenera at m = {bad}")
-    p_sum = sum(c * v for c, v in zip(p_coeffs.values(), row))
-    p_form = Fraction(p_sum - ineq.chi_coeff * inv.chi * w, w)
-    l_form = Fraction(sum(c * ells[m] for m, c in p_coeffs.items()), den)
-    xi_form = xi_bar(ineq.functional, inv.basket)
-    if not p_form == l_form == xi_form:
+    p_num = sum(c * v for c, v in zip(p_coeffs.values(), row))
+    p_num -= ineq.chi_coeff * inv.chi * w
+    if p_num != l_num * (w // den) or l_form != xi_form:
         raise ArithmeticError(
-            f"form {which} evaluations disagree: {p_form}, {l_form}, {xi_form}"
+            f"form {which} evaluations disagree: "
+            f"{Fraction(p_num, w)}, {l_form}, {xi_form}"
         )
-    target = ineq.target(inv.basket)
-    return PlurigenusFormReport(which, p_form, l_form, xi_form, target, not bad)
+    return PlurigenusFormReport(which, l_form, l_form, xi_form, target, not bad)

@@ -51,6 +51,11 @@ class TestReplay:
         assert attained == INEQ1_EQUALITY_R12
         assert {(1, 2), (1, 3), (1, 4), (2, 5)} <= attained
 
+    def test_slack_summary_is_min_and_attaining_points(self):
+        for func in (INEQ1, INEQ2):
+            cert = proof_replay(func, 30)
+            assert cert.slack_summary() == (cert.min_slack(), cert.min_slack_points())
+
     def test_node_counts_cover_all_slopes(self):
         cert = proof_replay(INEQ1, 30)
         assert len(cert.nodes) == expected_count(30)

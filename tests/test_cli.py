@@ -243,6 +243,36 @@ class TestReplay:
         code, out, err = run(capsys, ["verify", str(out_path)])
         assert code == 2 and not out and named in err
 
+    # Each edit keeps the value int() would read, so only a strict reader
+    # refuses it: "+1", "0_0" and "1_2" are the same numbers to int().
+    @pytest.mark.parametrize(
+        ("old", "new", "named"),
+        [
+            ("2/5 split", "0_2/5 split", "0_2/5"),
+            ("1/2,1/3 ", "1/2,1/+3 ", "1/+3"),
+            ("cfdet=1 ", "cfdet=+1 ", "+1"),
+            ("offsets=5:-1,", "offsets=+5:-1,", "+5"),
+            ("7:-1,", "7:-0_1,", "-0_1"),
+            ("net=0 ", "net=0_0 ", "0_0"),
+            ("xidelta=-28", "xidelta=-2_8", "-2_8"),
+            ("r-max: 12\n", "r-max: 1_2\n", "1_2"),
+            ("nodes: 23\n", "nodes: +23\n", "+23"),
+            ("low-slope-floor: 14\n", "low-slope-floor: 1_4\n", "1_4"),
+            ("coefficients: -9,1,", "coefficients: -9,+1,", "+1"),
+        ],
+        ids=["point", "parent", "cfdet", "offset-j", "offset-v", "net", "xidelta",
+             "r-max", "nodes", "low-slope-floor", "coefficients"],
+    )
+    def test_loose_integer_is_invalid_input(self, tmp_path, capsys, old, new, named):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        text = out_path.read_text()
+        tampered = text.replace(old, new, 1)
+        assert tampered != text
+        out_path.write_text(tampered)
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and not out and repr(named) in err
+
     def test_missing_certificate_is_io_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.txt")])
         assert code == 3 and err

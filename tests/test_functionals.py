@@ -1,5 +1,7 @@
 """Functionals, the split lemmas, and the inequality forms."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -16,6 +18,7 @@ from basket3.functionals import (
     INEQUALITIES,
     Inequality,
     LemmaHypothesisError,
+    PlurigenusFormReport,
     check_lemmas_exhaustive,
     lemma_diff_check,
     lemma_nodiff_check,
@@ -23,11 +26,12 @@ from basket3.functionals import (
     verify_plurigenus_form,
     verify_single_basket,
     xi_bar,
+    xi_bar_pair,
     xi_delta,
     xi_lin,
 )
 from basket3.riemann_roch import InconsistentInvariantsError, ThreefoldInvariants
-from oracles import lemma_offset_by_search, random_basket, random_k3
+from oracles import l_by_definition, lemma_offset_by_search, random_basket, random_k3
 
 
 @st.composite
@@ -36,6 +40,9 @@ def points(draw, r_max=200):
     b = draw(st.sampled_from([b for b in range(1, r // 2 + 1) if gcd(b, r) == 1]))
     return OrbifoldPoint(b, r)
 
+
+baskets = st.lists(points(40), max_size=4).map(Basket.from_points)
+volumes = st.builds(Fraction, st.integers(-100, 300), st.integers(1, 60))
 
 functionals = st.builds(
     Functional,
@@ -58,6 +65,13 @@ class TestFunctional:
     def test_support(self):
         assert INEQ1.support == (1, 2, 3, 4, 6)
         assert INEQ2.support == (1, 2, 3, 4, 5, 7, 10, 12)
+
+    def test_support_is_not_compared_or_shown(self):
+        func = Functional((1, 0, -2, 0))
+        assert func.support == (1, 3)
+        assert func == Functional((1, 0, -2))
+        assert hash(func) == hash(Functional((1, 0, -2)))
+        assert repr(func) == "Functional(coeffs=(1, 0, -2))"
 
     def test_derived_chi_coefficients(self):
         assert INEQUALITIES[1].chi_coeff == 0
@@ -229,3 +243,85 @@ class TestPlurigenusForms:
             verify_plurigenus_form(
                 ThreefoldInvariants(Fraction(2), -3, EMPTY_BASKET), 3
             )
+
+    def test_strict_after_non_strict_on_same_basket(self):
+        basket = Basket.from_pairs([(1, 2)])
+        bad = ThreefoldInvariants(Fraction(1, 3), 1, basket)
+        good = ThreefoldInvariants(Fraction(11, 2), 1, basket)
+        for which in (1, 2):
+            assert not verify_plurigenus_form(bad, which, strict=False).integral
+            with pytest.raises(InconsistentInvariantsError):
+                verify_plurigenus_form(bad, which, strict=True)
+            assert verify_plurigenus_form(good, which, strict=True).integral
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(baskets, min_size=2, max_size=7),
+        st.lists(
+            st.tuples(st.integers(0, 6), volumes, st.integers(-20, 20),
+                      st.sampled_from((1, 2))),
+            min_size=3, max_size=16,
+        ),
+    )
+    def test_interleaved_calls_match_definitions(self, pool, calls):
+        # Calls hop between baskets (A, B, A, ...) with fresh K^3, chi and
+        # form each time, so a stale or mis-keyed basket half shows.
+        for i, k3, chi, which in calls:
+            inv = ThreefoldInvariants(k3, chi, pool[i % len(pool)])
+            report = verify_plurigenus_form(inv, which, strict=False)
+            assert report == form_by_definition(inv, which)
+
+    def test_concurrent_calls_match_definitions(self):
+        rng = Random(11)
+        invs = [
+            ThreefoldInvariants(random_k3(rng), rng.randrange(-9, 10), random_basket(rng))
+            for _ in range(12)
+        ]
+        jobs = [(inv, which) for inv in invs for which in (1, 2)]
+        expected = [form_by_definition(inv, which) for inv, which in jobs]
+        failures = []
+
+        def worker(seed):
+            order = list(range(len(jobs))) * 5
+            Random(seed).shuffle(order)
+            for k in order:
+                inv, which = jobs[k]
+                try:
+                    report = verify_plurigenus_form(inv, which, strict=False)
+                except Exception as exc:  # a thread's exception would be lost
+                    report = exc
+                if report != expected[k]:
+                    failures.append((k, report))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
+def form_by_definition(inv, which):
+    """The form's report, every value evaluated term by term from its definition."""
+    ineq = INEQUALITIES[which]
+    pairs = inv.basket.pairs()
+    chi_mk = {
+        m: Fraction(m * (m - 1) * (2 * m - 1), 12) * inv.k3
+        - (2 * m - 1) * inv.chi
+        + l_by_definition(inv.basket, m)
+        for m in ineq.p_coeffs
+    }
+    p_form = sum(a * chi_mk[m] for m, a in ineq.p_coeffs.items()) - ineq.chi_coeff * inv.chi
+    l_form = sum(
+        (a * l_by_definition(inv.basket, m) for m, a in ineq.p_coeffs.items()), Fraction(0)
+    )
+    xi_form = sum((xi_bar_pair(ineq.functional, b, r) for b, r in pairs), Fraction(0))
+    target = Fraction(ineq.floor * sum(b for b, r in pairs if 12 * b <= r))
+    integral = all(v.denominator == 1 for v in chi_mk.values())
+    return PlurigenusFormReport(which, p_form, l_form, xi_form, target, integral)
