@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .baskets import Basket, OrbifoldPoint, delta_pair, scaled_l_table, sigma12
 from .riemann_roch import InconsistentInvariantsError, ThreefoldInvariants, chi_mk_row
@@ -38,6 +39,7 @@ __all__ = [
     "PlurigenusFormReport",
     "SingleBasketCheck",
     "check_lemmas_exhaustive",
+    "delta_vector",
     "lemma_diff_check",
     "lemma_nodiff_check",
     "lemma_offset",
@@ -46,9 +48,11 @@ __all__ = [
     "verify_plurigenus_form",
     "verify_single_basket",
     "xi_bar",
+    "xi_bar_num",
     "xi_bar_pair",
     "xi_delta",
     "xi_lin",
+    "xi_lin_num",
 ]
 
 
@@ -61,8 +65,10 @@ class Functional:
     """
 
     coeffs: tuple[int, ...]
-    # Indices j with c_j != 0, ascending; derived, so not part of eq or repr.
+    # Indices j with c_j != 0, ascending, and their c_j; derived, so not
+    # part of eq or repr.
     support: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(int(c) for c in self.coeffs)
@@ -73,6 +79,11 @@ class Functional:
         object.__setattr__(self, "coeffs", coeffs)
         support = tuple(j for j, c in enumerate(coeffs, start=1) if c)
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "weights", tuple(coeffs[j - 1] for j in support))
+
+    def weigh(self, values) -> int:
+        """sum of c_j * v_j for per-j values v_j listed over the support."""
+        return sum(map(mul, self.weights, values))
 
     def moments(self) -> tuple[int, int]:
         """(sum c_j * j, sum c_j * j^2).
@@ -92,10 +103,9 @@ class Functional:
 SLOPE_CUT = Fraction(1, 12)
 
 
-def point_target(floor: int, b: int, r: int, cut: Fraction = SLOPE_CUT) -> Fraction:
+def point_target(floor: int, b: int, r: int, cut: Fraction = SLOPE_CUT) -> int:
     """Target for xi_bar at the single point b/r: floor * b when b/r <= cut."""
-    low = b * cut.denominator <= cut.numerator * r
-    return Fraction(floor * b) if low else Fraction(0)
+    return floor * b if b * cut.denominator <= cut.numerator * r else 0
 
 
 @dataclass(frozen=True)
@@ -138,14 +148,18 @@ INEQ1 = INEQUALITIES[1].functional
 INEQ2 = INEQUALITIES[2].functional
 
 
+def xi_bar_num(func: Functional, b: int, r: int) -> int:
+    """2r * xi_bar at b/r: sum of c_j * s(r - s) with s = jb mod r."""
+    num = 0
+    for j, c in zip(func.support, func.weights):
+        s = j * b % r
+        num += c * s * (r - s)
+    return num
+
+
 def xi_bar_pair(func: Functional, b: int, r: int) -> Fraction:
     """xi_bar on a single raw point, as one exact fraction over 2r."""
-    num = 0
-    for j, c in enumerate(func.coeffs, start=1):
-        if c:
-            s = (j * b) % r
-            num += c * s * (r - s)
-    return Fraction(num, 2 * r)
+    return Fraction(xi_bar_num(func, b, r), 2 * r)
 
 
 def xi_bar(func: Functional, basket: Basket) -> Fraction:
@@ -156,21 +170,28 @@ def xi_bar(func: Functional, basket: Basket) -> Fraction:
     )
 
 
+def xi_lin_num(func: Functional, b: int, r: int) -> int:
+    """2r * xi_lin at b/r: sum of c_j * t(r - t) with t = jb."""
+    num = 0
+    for j, c in zip(func.support, func.weights):
+        t = j * b
+        num += c * t * (r - t)
+    return num
+
+
 def xi_lin(func: Functional, p: OrbifoldPoint) -> Fraction:
     """Sum of c_j * m_lin^j at a single point."""
-    num = 0
-    for j, c in enumerate(func.coeffs, start=1):
-        if c:
-            t = j * p.b
-            num += c * t * (p.r - t)
-    return Fraction(num, 2 * p.r)
+    return Fraction(xi_lin_num(func, p.b, p.r), 2 * p.r)
+
+
+def delta_vector(func: Functional, b: int, r: int) -> tuple[int, ...]:
+    """delta^j at b/r for each j in the functional's support, in order."""
+    return tuple([delta_pair(j, b, r) for j in func.support])
 
 
 def xi_delta_pair(func: Functional, b: int, r: int) -> int:
     """xi_delta on a raw point: sum of c_j * delta^j, an exact integer."""
-    return sum(
-        c * delta_pair(j, b, r) for j, c in enumerate(func.coeffs, start=1) if c
-    )
+    return func.weigh(delta_vector(func, b, r))
 
 
 def xi_delta(func: Functional, p: OrbifoldPoint) -> int:
@@ -182,15 +203,6 @@ class LemmaHypothesisError(ValueError):
     """A lemma was invoked outside its hypotheses."""
 
 
-def _min_x_solution(r1: int, r2: int, n: int) -> tuple[int, int]:
-    # Smallest x in [1, r2] with x*r1 = n (mod r2), and the matching y
-    # (possibly nonpositive).  Requires gcd(r1, r2) = 1.
-    x = (n * pow(r1, -1, r2)) % r2
-    if x == 0:
-        x = r2
-    return x, (n - x * r1) // r2
-
-
 def lemma_offset(r1: int, r2: int, n: int) -> int | None:
     """The offset of delta^n that the split lemmas predict, or None.
 
@@ -199,7 +211,8 @@ def lemma_offset(r1: int, r2: int, n: int) -> int | None:
     representation with x, y > 0 (y <= 0), and None otherwise, where
     neither lemma applies.  Requires gcd(r1, r2) = 1.
     """
-    x, y = _min_x_solution(r1, r2, n)
+    x = n * pow(r1, -1, r2) % r2 or r2  # x*r1 = n (mod r2)
+    y = (n - x * r1) // r2
     if y < 1:
         return 0
     return -min(x, y) if y <= r1 else None

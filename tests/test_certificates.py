@@ -1,13 +1,24 @@
 """Certificate building, serialization, and independent verification."""
 
+import hashlib
+from dataclasses import replace
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basket3 import certificates
 from basket3.baskets import OrbifoldPoint
 from basket3.certificates import Certificate, proof_replay, verify_certificate
-from basket3.functionals import INEQ1, INEQ2, xi_bar_pair
+from basket3.functionals import (
+    INEQ1,
+    INEQ2,
+    INEQUALITIES,
+    Functional,
+    point_target,
+    xi_bar_pair,
+)
 
 # Equality set of the first inequality for r <= 12, computed by direct
 # evaluation of xi_bar: exactly the points whose repeated mediant splits
@@ -65,10 +76,42 @@ class TestReplay:
             proof_replay(INEQ1, 1)
 
 
+# sha256 of the INEQ2 certificate at r_max 400, as pinned for the benchmark
+# (bench/expected.json, full.certify.cert_sha256).
+FULL_SIZE_SHA256 = "f60dda8830296c8708e4fbdeab6ef060f574eeacbc948d2c1ea12fdcebe212e1"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 60), st.sampled_from(sorted(INEQUALITIES)))
+def test_nodes_match_definitions_and_round_trip(r_max, which):
+    ineq = INEQUALITIES[which]
+    cert = proof_replay(ineq.functional, r_max, low_slope_floor=ineq.floor)
+    for node in cert.nodes:
+        b, r = node.point.b, node.point.r
+        assert node.xi_bar == xi_bar_pair(ineq.functional, b, r)
+        assert node.target == point_target(ineq.floor, b, r)
+    assert Certificate.from_text(cert.to_text()) == cert
+
+
 class TestSerialization:
     def test_round_trip(self):
         cert = proof_replay(INEQ2, 15, low_slope_floor=14)
         assert Certificate.from_text(cert.to_text()) == cert
+
+    @pytest.mark.parametrize(
+        ("func", "floor"),
+        # The last functional is unbalanced, so its xibar values are proper
+        # fractions over 2r and exercise the gcd reduction both ways.
+        [(INEQ1, 0), (INEQ2, 14), (Functional((-4, 1, 0, 2)), 3)],
+    )
+    def test_text_is_canonical(self, func, floor):
+        text = proof_replay(func, 60, low_slope_floor=floor).to_text()
+        assert Certificate.from_text(text).to_text() == text
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_full_size_bytes_are_pinned(self, jobs):
+        cert = proof_replay(INEQ2, 400, low_slope_floor=14, jobs=jobs)
+        assert hashlib.sha256(cert.to_text().encode()).hexdigest() == FULL_SIZE_SHA256
 
     def test_deterministic_bytes(self):
         one = proof_replay(INEQ1, 25).to_text()
@@ -150,6 +193,36 @@ class TestVerification:
                 proof_replay(INEQ2, 12, low_slope_floor=14)
             issues = verify_certificate(cert).issues
             assert any(f"contradicts {rule}" in issue for issue in issues)
+
+    def test_parents_are_recomputed_not_read(self):
+        # Doctor the split 2/5 (xidelta, xibar, its offset at j = 19 and its
+        # net) and give its child 3/7 the offset and net that agree with the
+        # doctored vector.  Every replay identity among the recorded values
+        # still holds, and no lemma applies to j = 19 at the split of 3/7, so
+        # only a verifier that recomputes the parent's vector sees the child.
+        func = Functional((0,) * 18 + (1,))
+        cert = proof_replay(func, 8)
+        p25, p37 = OrbifoldPoint(2, 5), OrbifoldPoint(3, 7)
+        assert cert.node_for(p37).parents == (OrbifoldPoint(1, 2), p25)
+        assert certificates.lemma_offset(2, 5, 19) is None
+
+        def bump(node, k):
+            offsets = dict(node.offsets)
+            offsets[19] = offsets.get(19, 0) + k
+            return replace(
+                node,
+                offsets=tuple((j, v) for j, v in sorted(offsets.items()) if v),
+                net_offset=node.net_offset + k,
+            )
+
+        parent = bump(cert.node_for(p25), 1)
+        parent = replace(parent, xi_delta=parent.xi_delta + 1, xi_num=parent.xi_num + 10)
+        doctored = {p25: parent, p37: bump(cert.node_for(p37), -1)}
+        nodes = tuple(doctored.get(n.point, n) for n in cert.nodes)
+        text = replace(cert, nodes=nodes).to_text()
+        issues = verify_certificate(Certificate.from_text(text)).issues
+        assert any(issue.startswith("2/5: recorded xidelta") for issue in issues)
+        assert any(issue.startswith("3/7: ") for issue in issues)
 
     def test_violation_reported_for_hostile_target(self):
         # A floor the inequality does not satisfy must be flagged, not hidden.

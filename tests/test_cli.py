@@ -273,6 +273,44 @@ class TestReplay:
         code, out, err = run(capsys, ["verify", str(out_path)])
         assert code == 2 and not out and repr(named) in err
 
+    # Each edit spells a value the reader could take some other way, so a
+    # certificate has exactly one spelling: no leading zero, no "-0", a
+    # reduced xibar over a divisor of 2r without "/1", an integer target.
+    @pytest.mark.parametrize(
+        ("old", "new", "named"),
+        [
+            ("2/5 split", "02/5 split", "02/5"),
+            ("1/2,1/3 ", "1/2,1/03 ", "1/03"),
+            ("cfdet=1 offsets=5", "cfdet=01 offsets=5", "01"),
+            ("offsets=5:-1,", "offsets=5:-01,", "-01"),
+            ("1/5 leaf xidelta=-12 xibar=2 ", "1/5 leaf xidelta=-12 xibar=4/2 ", "4/2"),
+            ("1/5 leaf xidelta=-12 xibar=2 ", "1/5 leaf xidelta=-12 xibar=2/1 ", "2/1"),
+            ("2/5 split 1/2,1/3 cfdet=1 offsets=5:-1,7:-1,10:-2,12:-2 net=0 xidelta=-28 xibar=0",
+             "2/5 split 1/2,1/3 cfdet=1 offsets=5:-1,7:-1,10:-2,12:-2 net=0 xidelta=-28 xibar=0/5",
+             "0/5"),
+            ("1/2 leaf xidelta=-14 xibar=0 ", "1/2 leaf xidelta=-14 xibar=-0 ", "-0"),
+            ("1/2 leaf xidelta=-14 xibar=0 ", "1/2 leaf xidelta=-14 xibar=1/3 ", "1/3"),
+            ("1/2 leaf xidelta=-14 xibar=0 target=0", "1/2 leaf xidelta=-14 xibar=0 target=-0",
+             "-0"),
+            ("1/12 leaf xidelta=0 xibar=14 target=14", "1/12 leaf xidelta=0 xibar=14 target=14/1",
+             "14/1"),
+            ("slope-cut: 1/12\n", "slope-cut: 2/24\n", "2/24"),
+            ("r-max: 12\n", "r-max: 012\n", "012"),
+        ],
+        ids=["point", "parent", "cfdet", "offset-v", "xibar-unreduced", "xibar-over-one",
+             "xibar-zero-over", "xibar-minus-zero", "xibar-not-over-2r", "target-minus-zero",
+             "target-fraction", "slope-cut", "r-max"],
+    )
+    def test_non_canonical_spelling_is_invalid_input(self, tmp_path, capsys, old, new, named):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        text = out_path.read_text()
+        tampered = text.replace(old, new, 1)
+        assert tampered != text
+        out_path.write_text(tampered)
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and not out and repr(named) in err
+
     def test_missing_certificate_is_io_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.txt")])
         assert code == 3 and err

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basket3.baskets import Basket, EMPTY_BASKET, OrbifoldPoint, l_correction, sigma12
+from basket3.baskets import (
+    EMPTY_BASKET,
+    Basket,
+    OrbifoldPoint,
+    delta,
+    l_correction,
+    m_lin,
+    mbar,
+    sigma12,
+)
 from basket3.functionals import (
     Functional,
     INEQ1,
@@ -20,15 +29,18 @@ from basket3.functionals import (
     LemmaHypothesisError,
     PlurigenusFormReport,
     check_lemmas_exhaustive,
+    delta_vector,
     lemma_diff_check,
     lemma_nodiff_check,
     lemma_offset,
     verify_plurigenus_form,
     verify_single_basket,
     xi_bar,
+    xi_bar_num,
     xi_bar_pair,
     xi_delta,
     xi_lin,
+    xi_lin_num,
 )
 from basket3.riemann_roch import InconsistentInvariantsError, ThreefoldInvariants
 from oracles import l_by_definition, lemma_offset_by_search, random_basket, random_k3
@@ -69,6 +81,7 @@ class TestFunctional:
     def test_support_is_not_compared_or_shown(self):
         func = Functional((1, 0, -2, 0))
         assert func.support == (1, 3)
+        assert func.weights == (1, -2)
         assert func == Functional((1, 0, -2))
         assert hash(func) == hash(Functional((1, 0, -2)))
         assert repr(func) == "Functional(coeffs=(1, 0, -2))"
@@ -104,6 +117,15 @@ class TestXiEvaluations:
         assert xi_lin(INEQ2, p) == 14 * p.b
         # A small balanced functional beyond the built-ins.
         assert xi_lin(Functional((-4, 1)), p) == -p.b
+
+    @settings(max_examples=150)
+    @given(functionals, points())
+    def test_integer_kernels_match_definitions(self, func, p):
+        # The integer kernels against sums of the Fraction terms in baskets.
+        terms = list(zip(func.support, func.weights))
+        assert xi_bar_num(func, p.b, p.r) == 2 * p.r * sum(c * mbar(j, p) for j, c in terms)
+        assert xi_lin_num(func, p.b, p.r) == 2 * p.r * sum(c * m_lin(j, p) for j, c in terms)
+        assert delta_vector(func, p.b, p.r) == tuple(delta(j, p) for j, _ in terms)
 
     def test_xi_delta_examples(self):
         assert xi_delta(INEQ1, OrbifoldPoint(1, 2)) == -2
