@@ -34,6 +34,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
@@ -50,7 +51,7 @@ from .functionals import (
     xi_bar_num,
     xi_lin_num,
 )
-from .rationals import format_fraction, mediant_parents
+from .rationals import format_fraction, slopes, split_slope
 
 __all__ = [
     "Certificate",
@@ -131,8 +132,9 @@ class Certificate:
     nodes: tuple[CertificateNode, ...]
 
     def node_for(self, point: OrbifoldPoint) -> CertificateNode:
-        return self._index()[point]
+        return self._index[point]
 
+    @cached_property
     def _index(self) -> dict[OrbifoldPoint, CertificateNode]:
         return {node.point: node for node in self.nodes}
 
@@ -373,9 +375,9 @@ def _build_node(
     target = point_target(floor, b, r)
     if b == 1:
         return CertificateNode(point, None, None, (), 0, xd, xi, target)
-    split = mediant_parents(b, r)
-    hi, d_hi = _table_entry(func, table, split.high)
-    lo, d_lo = _table_entry(func, table, split.low)
+    hi_key, lo_key, cf_det = split_slope(b, r)
+    hi, d_hi = _table_entry(func, table, hi_key)
+    lo, d_lo = _table_entry(func, table, lo_key)
     offs = _observed_offsets(d, d_hi, d_lo)
     offsets = []
     for j, off in zip(func.support, offs):
@@ -388,23 +390,16 @@ def _build_node(
         if off:
             offsets.append((j, off))
     return CertificateNode(
-        point, (hi, lo), split.cf_det, tuple(offsets), func.weigh(offs), xd, xi, target
+        point, (hi, lo), cf_det, tuple(offsets), func.weigh(offs), xd, xi, target
     )
 
 
-def _table_entry(func: Functional, table: dict, p: OrbifoldPoint):
+def _table_entry(func: Functional, table: dict, key: tuple[int, int]):
     # A parent below the chunk's first r is computed once, then kept.
-    entry = table.get((p.b, p.r))
+    entry = table.get(key)
     if entry is None:
-        entry = table[p.b, p.r] = p, delta_vector(func, p.b, p.r)
+        entry = table[key] = OrbifoldPoint(*key), delta_vector(func, *key)
     return entry
-
-
-def _points_for_range(r_lo: int, r_hi: int):
-    for r in range(r_lo, r_hi + 1):
-        for b in range(1, r // 2 + 1):
-            if gcd(b, r) == 1:
-                yield b, r
 
 
 def _build_range(args) -> list[CertificateNode]:
@@ -412,7 +407,7 @@ def _build_range(args) -> list[CertificateNode]:
     func = Functional(coeffs)
     table: dict[tuple[int, int], tuple[OrbifoldPoint, tuple[int, ...]]] = {}
     return [
-        _build_node(func, b, r, floor, table) for b, r in _points_for_range(r_lo, r_hi)
+        _build_node(func, b, r, floor, table) for b, r in slopes(r_lo, r_hi)
     ]
 
 
@@ -465,8 +460,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check every node of a certificate from scratch.
 
     Structural checks: the node set covers exactly the coprime slopes up
-    to r_max, in canonical order, and the parents of every split come
-    before it.  Arithmetic checks, all recomputed independently of the
+    to r_max, in canonical order, the parents of every split come before
+    it, and its cfdet is +1 exactly when the high parent has the smaller
+    index.  Arithmetic checks, all recomputed independently of the
     recorded values: xi_bar, xi_delta, targets, per-j offsets with their
     lemma classification, and the additivity identity through each split.
     Finally every node must satisfy xi_bar >= target.  Values are compared
@@ -478,9 +474,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     issues: list[str] = []
 
     got = ((node.point.b, node.point.r) for node in cert.nodes)
-    if any(g != e for g, e in zip_longest(got, _points_for_range(2, cert.r_max))):
+    if any(g != e for g, e in zip_longest(got, slopes(2, cert.r_max))):
         got = [(node.point.b, node.point.r) for node in cert.nodes]
-        expected = set(_points_for_range(2, cert.r_max))
+        expected = set(slopes(2, cert.r_max))
         keys = [(r, b) for b, r in got]
         if keys != sorted(keys) or len(set(got)) != len(got):
             issues.append("nodes are not in canonical order or contain repeats")
@@ -528,8 +524,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             continue
         if hi.b * lo.r - lo.b * hi.r != 1:
             issues.append(f"{label}: parents are not unimodular in (high, low) order")
-        if node.cf_det not in (1, -1):
-            issues.append(f"{label}: cf determinant {node.cf_det} not +-1")
+        cf_det = 1 if 2 * hi.r < r else -1
+        if node.cf_det != cf_det:
+            issues.append(f"{label}: recorded cfdet {node.cf_det} != {cf_det}")
         d_hi = vectors.get((hi.b, hi.r))
         d_lo = vectors.get((lo.b, lo.r))
         if d_hi is None or d_lo is None:

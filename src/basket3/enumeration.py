@@ -21,6 +21,7 @@ from math import gcd, lcm
 from typing import Iterator
 
 from .baskets import Basket, OrbifoldPoint, scaled_l_table
+from .rationals import slopes
 from .riemann_roch import ThreefoldInvariants, chi_mk_row
 
 __all__ = [
@@ -50,12 +51,7 @@ def farey_stage(n: int) -> frozenset[OrbifoldPoint]:
     """
     if n < 2:
         raise ValueError(f"stage must be at least 2, got {n}")
-    return frozenset(
-        OrbifoldPoint(b, r)
-        for r in range(2, n + 1)
-        for b in range(1, r // 2 + 1)
-        if gcd(b, r) == 1
-    )
+    return frozenset(OrbifoldPoint(b, r) for b, r in slopes(2, n))
 
 
 @dataclass(frozen=True)
@@ -131,20 +127,18 @@ def admissible_points(constraints: EnumConstraints) -> tuple[OrbifoldPoint, ...]
     1/12, forcing r < 12b; otherwise max_index must bound r to keep the
     set finite.
     """
-    points = []
-    for b in range(1, constraints.sigma_max + 1):
-        if constraints.require_sigma12_zero:
-            r_hi = 12 * b - 1
-        elif constraints.max_index is not None:
-            r_hi = constraints.max_index
-        else:
-            raise ValueError(
-                "enumeration without the sigma12 = 0 restriction needs max_index"
-            )
-        for r in range(2 * b, r_hi + 1):
-            if r >= 2 and gcd(b, r) == 1:
-                points.append(OrbifoldPoint(b, r))
-    return tuple(sorted(points, key=OrbifoldPoint.key))
+    sigma_max, sigma12_zero = constraints.sigma_max, constraints.require_sigma12_zero
+    r_max = 12 * sigma_max - 1 if sigma12_zero else constraints.max_index
+    if r_max is None and sigma_max:
+        raise ValueError(
+            "enumeration without the sigma12 = 0 restriction needs max_index"
+        )
+    # With sigma_max 0 no point is admissible, bounded or not.
+    return tuple(
+        OrbifoldPoint(b, r)
+        for b, r in slopes(2, r_max or 0, sigma_max)
+        if not sigma12_zero or r < 12 * b
+    )
 
 
 def enumerate_baskets(constraints: EnumConstraints) -> Iterator[Basket]:

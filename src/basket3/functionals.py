@@ -26,6 +26,7 @@ from functools import lru_cache
 from operator import mul
 
 from .baskets import Basket, OrbifoldPoint, delta_pair, scaled_l_table, sigma12
+from .rationals import mediant_parents, slopes
 from .riemann_roch import InconsistentInvariantsError, ThreefoldInvariants, chi_mk_row
 
 __all__ = [
@@ -298,53 +299,42 @@ class LemmaSweep:
         return not self.mismatches
 
 
-def check_lemmas_exhaustive(
-    r1_max: int, r2_max: int, n_factor: int = 2
-) -> LemmaSweep:
-    """Run both lemmas over every unimodular pair with r1, r2 in range.
+def check_lemmas_exhaustive(r1_max: int, r2_max: int) -> LemmaSweep:
+    """Run both lemmas over every mediant split into r1 <= r1_max, r2 <= r2_max.
 
-    Each unordered unimodular pair appears once, oriented so that the
-    determinant is +1; n runs from 1 to n_factor * r1 * r2.
+    The splits, with the high parent's index r1, are those of the
+    certificates; n runs from 1 to 2 * r1 * r2.
     """
-    from math import gcd
-
     pairs = 0
     nodiff_checked = diff_checked = uncovered = 0
     mismatches: list[str] = []
-    for r1 in range(2, r1_max + 1):
-        for b1 in range(1, r1 // 2 + 1):
-            if gcd(b1, r1) != 1:
-                continue
-            for r2 in range(2, r2_max + 1):
-                # b2 with b1*r2 - b2*r1 = 1, if it lands in the valid range.
-                num = b1 * r2 - 1
-                if num % r1:
-                    continue
-                b2 = num // r1
-                if not 0 < 2 * b2 <= r2:
-                    continue
-                p1 = OrbifoldPoint(b1, r1)
-                p2 = OrbifoldPoint(b2, r2)
-                pairs += 1
-                for n in range(1, n_factor * r1 * r2 + 1):
-                    expected = lemma_offset(r1, r2, n)
-                    gap = split_offset(n, p1, p2)
-                    if expected == 0:
-                        nodiff_checked += 1
-                        if gap != 0 or not _no_slope_between(p1, p2, n):
-                            mismatches.append(f"nodiff {p1} {p2} n={n} gap={gap}")
-                    elif expected is not None:
-                        diff_checked += 1
-                        if gap != expected:
-                            mismatches.append(
-                                f"diff {p1} {p2} n={n} gap={gap} lemma={expected}"
-                            )
-                    else:
-                        # Positive representation without a box one; possible
-                        # only for n > r1*r2, where neither lemma applies.
-                        uncovered += 1
-                        if n <= r1 * r2:
-                            mismatches.append(f"uncovered {p1} {p2} n={n}")
+    for b, r in slopes(5, r1_max + r2_max):
+        if b == 1:
+            continue
+        p1, p2, _ = mediant_parents(b, r)
+        r1, r2 = p1.r, p2.r
+        if r1 > r1_max or r2 > r2_max:
+            continue
+        pairs += 1
+        for n in range(1, 2 * r1 * r2 + 1):
+            expected = lemma_offset(r1, r2, n)
+            gap = split_offset(n, p1, p2)
+            if expected == 0:
+                nodiff_checked += 1
+                if gap != 0 or not _no_slope_between(p1, p2, n):
+                    mismatches.append(f"nodiff {p1} {p2} n={n} gap={gap}")
+            elif expected is not None:
+                diff_checked += 1
+                if gap != expected:
+                    mismatches.append(
+                        f"diff {p1} {p2} n={n} gap={gap} lemma={expected}"
+                    )
+            else:
+                # Positive representation without a box one; possible
+                # only for n > r1*r2, where neither lemma applies.
+                uncovered += 1
+                if n <= r1 * r2:
+                    mismatches.append(f"uncovered {p1} {p2} n={n}")
     return LemmaSweep(
         pairs, nodiff_checked, diff_checked, uncovered, tuple(mismatches)
     )

@@ -1,4 +1,4 @@
-"""Exact rationals, continued fractions, and mediant parent splitting.
+"""Exact rationals, continued fractions, slopes and mediant parent splitting.
 
 All values are `fractions.Fraction` over Python's unbounded integers, so
 nothing here ever rounds or overflows.  Continued fractions are restricted
@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .baskets import OrbifoldPoint
 
@@ -28,6 +28,8 @@ __all__ = [
     "is_unimodular",
     "mediant_parents",
     "parse_fraction",
+    "slopes",
+    "split_slope",
 ]
 
 HALF = Fraction(1, 2)
@@ -114,6 +116,30 @@ def cf_value(cf: ContinuedFraction) -> Fraction:
     return value
 
 
+def slopes(r_lo: int, r_hi: int, b_max: int | None = None) -> Iterator[tuple[int, int]]:
+    """Every coprime (b, r) with b/r <= 1/2, r_lo <= r <= r_hi, b <= b_max, by (r, b).
+
+    The one walk over the slopes; ``b_max`` keeps a walk over few
+    multiplicities and many indices linear in the indices.
+    """
+    for r in range(r_lo, r_hi + 1):
+        top = r // 2 if b_max is None else min(r // 2, b_max)
+        for b in range(1, top + 1):
+            if gcd(b, r) == 1:
+                yield b, r
+
+
+def split_slope(b: int, r: int) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """``((b_high, r_high), (b_low, r_low), cf_det)`` for b/r, unchecked.
+
+    b_high*r - b*r_high = 1 fixes r_high = -b^-1 mod r.  The continued-
+    fraction parent has the smaller index, so cf_det = +1 iff 2*r_high < r.
+    """
+    r_hi = -pow(b, -1, r) % r
+    b_hi = (b * r_hi + 1) // r
+    return (b_hi, r_hi), (b - b_hi, r - r_hi), 1 if 2 * r_hi < r else -1
+
+
 class MediantSplit(NamedTuple):
     """Parents of a slope, in (larger-slope, smaller-slope) order.
 
@@ -141,25 +167,8 @@ def mediant_parents(b: int, n: int) -> MediantSplit:
         raise ValueError(f"b and n must be coprime, got ({b}, {n})")
     if b == 1:
         raise AtomError(f"1/{n} is an atom; unit fractions have no mediant parents")
-
-    # Convergents of [0; a1, ..., at]; the previous convergent is the parent.
-    hm1, km1, h, k = 1, 0, 0, 1
-    x, y = n, b
-    while y:
-        a, rem = divmod(x, y)
-        hm1, km1, h, k = h, k, a * h + hm1, a * k + km1
-        x, y = y, rem
-    assert (h, k) == (b, n)
-    b1, r1 = hm1, km1
-    b2, r2 = b - b1, n - r1
-    cf_det = b1 * r2 - b2 * r1
-    assert cf_det in (1, -1)
-    if cf_det == 1:
-        high, low = OrbifoldPoint(b1, r1), OrbifoldPoint(b2, r2)
-    else:
-        high, low = OrbifoldPoint(b2, r2), OrbifoldPoint(b1, r1)
-    assert high.b + low.b == b and high.r + low.r == n
-    return MediantSplit(high, low, cf_det)
+    high, low, cf_det = split_slope(b, n)
+    return MediantSplit(OrbifoldPoint(*high), OrbifoldPoint(*low), cf_det)
 
 
 def is_unimodular(p1: OrbifoldPoint, p2: OrbifoldPoint) -> bool:

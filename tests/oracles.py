@@ -65,6 +65,46 @@ def lemma_offset_by_search(r1: int, r2: int, n: int) -> int | None:
     return None if positive else 0
 
 
+def mediant_parents_by_convergents(
+    b: int, r: int
+) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """((b_high, r_high), (b_low, r_low), cf_det) from the convergents of b/r.
+
+    The previous convergent h/k of [0; a1, ..., at] comes from the
+    recurrence h_i = a_i h_{i-1} + h_{i-2}; it and its complement
+    (b - h, r - k) are the parents.  cf_det is h*(r - k) - (b - h)*k, and
+    the parent with the larger slope is high.
+    """
+    h_prev, k_prev, h, k = 1, 0, 0, 1
+    x, y = r, b
+    while y:
+        a, rest = divmod(x, y)
+        h_prev, k_prev, h, k = h, k, a * h + h_prev, a * k + k_prev
+        x, y = y, rest
+    assert (h, k) == (b, r)
+    first, second = (h_prev, k_prev), (b - h_prev, r - k_prev)
+    cf_det = first[0] * second[1] - second[0] * first[1]
+    if cf_det == 1:
+        return first, second, cf_det
+    return second, first, cf_det
+
+
+def admissible_points_by_definition(
+    sigma_max: int, sigma12_zero: bool, max_index: int | None
+) -> tuple[OrbifoldPoint, ...]:
+    """Coprime b/r <= 1/2 with b <= sigma_max and r < 12b or r <= max_index.
+
+    One nested loop per multiplicity, then a sort by (r, b).
+    """
+    points = []
+    for b in range(1, sigma_max + 1):
+        r_top = 12 * b - 1 if sigma12_zero else max_index
+        for r in range(max(2, 2 * b), r_top + 1):
+            if gcd(b, r) == 1:
+                points.append(OrbifoldPoint(b, r))
+    return tuple(sorted(points, key=lambda p: (p.r, p.b)))
+
+
 def brute_force_baskets(
     points: tuple[OrbifoldPoint, ...], sigma_max: int
 ) -> set[Basket]:

@@ -55,8 +55,8 @@ def test_criterion_1_golden_tables():
 def test_criterion_2_lemma_brute_force():
     sweep = check_lemmas_exhaustive(25, 25)
     assert sweep.mismatches == ()
-    assert sweep.pairs > 0
-    assert sweep.nodiff_checked > 0 and sweep.diff_checked > 0
+    counts = (sweep.pairs, sweep.nodiff_checked, sweep.diff_checked, sweep.uncovered)
+    assert counts == (175, 18548, 32498, 13950)
 
 
 def test_criterion_3_proof_replay_at_500():

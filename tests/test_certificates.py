@@ -75,6 +75,12 @@ class TestReplay:
         with pytest.raises(ValueError):
             proof_replay(INEQ1, 1)
 
+    def test_node_index_is_built_once(self):
+        cert = proof_replay(INEQ1, 30)
+        index = cert._index
+        assert all(cert.node_for(node.point) is node for node in cert.nodes)
+        assert cert._index is index
+
 
 # sha256 of the INEQ2 certificate at r_max 400, as pinned for the benchmark
 # (bench/expected.json, full.certify.cert_sha256).
@@ -223,6 +229,31 @@ class TestVerification:
         issues = verify_certificate(Certificate.from_text(text)).issues
         assert any(issue.startswith("2/5: recorded xidelta") for issue in issues)
         assert any(issue.startswith("3/7: ") for issue in issues)
+
+    # One doctored line of the INEQ2 r_max 12 certificate per verifier
+    # issue that a freshly built certificate never raises.
+    @pytest.mark.parametrize(
+        ("old", "new", "issue"),
+        [
+            ("1/12 leaf xidelta=0 xibar=14 target=14",
+             "1/12 leaf xidelta=0 xibar=14 target=13",
+             "1/12: recorded target 13 != 14"),
+            ("2/5 split 1/2,1/3 cfdet=1 offsets=5:-1,7:-1,10:-2,12:-2 net=0 xidelta",
+             "2/5 leaf xidelta",
+             "2/5: non-atom recorded as leaf"),
+            ("3/7 split 1/2,2/5 ", "3/7 split 2/5,1/2 ",
+             "3/7: parents are not unimodular"),
+            ("offsets=5:-1,7:-1,10:-2,12:-2 ", "offsets=5:-1,7:-1,10:-2,12:-2,13:1 ",
+             "2/5: offsets outside the support: [13]"),
+        ],
+        ids=["target", "leaf", "unimodular", "support"],
+    )
+    def test_doctored_line_names_the_issue(self, old, new, issue):
+        text = proof_replay(INEQ2, 12, low_slope_floor=14).to_text()
+        doctored = text.replace(old, new, 1)
+        assert doctored != text
+        issues = verify_certificate(Certificate.from_text(doctored)).issues
+        assert any(found.startswith(issue) for found in issues), issues
 
     def test_violation_reported_for_hostile_target(self):
         # A floor the inequality does not satisfy must be flagged, not hidden.

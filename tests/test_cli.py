@@ -184,6 +184,20 @@ class TestReplay:
         assert code == 1
         assert not json.loads(out)["ok"]
 
+    def test_verify_checks_cf_orientation(self, tmp_path, capsys):
+        # 1/2 is the truncation parent of 2/5 and the high one, so cfdet is +1.
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        text = out_path.read_text()
+        flipped = text.replace("2/5 split 1/2,1/3 cfdet=1 ", "2/5 split 1/2,1/3 cfdet=-1 ")
+        assert flipped != text
+        out_path.write_text(flipped)
+        code, out, _ = run(capsys, ["verify", str(out_path)])
+        assert code == 1
+        report = json.loads(out)
+        assert not report["ok"]
+        assert any(issue.startswith("2/5: ") for issue in report["issues"])
+
     def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
         one = tmp_path / "one.txt"
         two = tmp_path / "two.txt"

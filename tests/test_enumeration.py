@@ -1,6 +1,7 @@
 """Slope filtration, basket enumeration, and candidate generation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,7 +19,7 @@ from basket3.enumeration import (
     find_m0,
 )
 from basket3.rationals import mediant_parents
-from oracles import brute_force_baskets
+from oracles import admissible_points_by_definition, brute_force_baskets
 
 
 def non_units(stage):
@@ -39,6 +40,16 @@ class TestFareyStage:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             farey_stage(1)
+
+    def test_matches_definition(self):
+        for n in range(2, 40):
+            expected = {
+                OrbifoldPoint(b, r)
+                for r in range(2, n + 1)
+                for b in range(1, r // 2 + 1)
+                if gcd(b, r) == 1
+            }
+            assert farey_stage(n) == expected
 
     def test_filtration_and_parent_closure(self):
         previous = farey_stage(2)
@@ -96,6 +107,26 @@ class TestEnumerateBaskets:
         )
         points = admissible_points(bounded)
         assert OrbifoldPoint(1, 13) in points
+
+
+@pytest.mark.parametrize("sigma_max", range(6))
+@pytest.mark.parametrize("sigma12_zero", [True, False])
+@pytest.mark.parametrize("max_index", [None, 1, 2, 7, 30])
+def test_admissible_points_match_definition(sigma_max, sigma12_zero, max_index):
+    c = EnumConstraints(
+        chi_min=0,
+        chi_max=0,
+        sigma_max=sigma_max,
+        require_sigma12_zero=sigma12_zero,
+        max_index=max_index,
+    )
+    if sigma_max and not sigma12_zero and max_index is None:
+        with pytest.raises(ValueError):
+            admissible_points(c)
+        return
+    assert admissible_points(c) == admissible_points_by_definition(
+        sigma_max, sigma12_zero, max_index
+    )
 
 
 class TestAttachInvariants:

@@ -15,7 +15,9 @@ from basket3.rationals import (
     is_unimodular,
     mediant_parents,
     parse_fraction,
+    slopes,
 )
+from oracles import mediant_parents_by_convergents
 
 
 class TestMakeRational:
@@ -117,13 +119,29 @@ class TestMediantParents:
                 if gcd(b, n) != 1:
                     continue
                 hi, lo, cf_det = mediant_parents(b, n)
-                assert cf_det in (1, -1)
+                assert ((hi.b, hi.r), (lo.b, lo.r), cf_det) == (
+                    mediant_parents_by_convergents(b, n)
+                )
                 assert hi.b + lo.b == b and hi.r + lo.r == n
                 assert hi.r < n and lo.r < n
                 assert hi.b * lo.r - lo.b * hi.r == 1
                 # Strict slope ordering around the child, in cross products.
                 assert hi.b * n > b * hi.r
                 assert lo.b * n < b * lo.r
+
+
+class TestSlopes:
+    @pytest.mark.parametrize("b_max", [None, 0, 1, 3])
+    def test_matches_definition(self, b_max):
+        for r_lo in range(-1, 8):
+            for r_hi in range(-1, 40):
+                expected = [
+                    (b, r)
+                    for r in range(max(r_lo, 2), r_hi + 1)
+                    for b in range(1, r // 2 + 1)
+                    if gcd(b, r) == 1 and (b_max is None or b <= b_max)
+                ]
+                assert list(slopes(r_lo, r_hi, b_max)) == expected
 
 
 class TestIsUnimodular:
