@@ -16,7 +16,7 @@ Node lines look like:
         xidelta=-28 xibar=0 target=0
 
 ``offsets`` lists only the nonzero per-j offsets for j in the functional's
-support; ``net`` is their coefficient-weighted sum, so that
+support, in ascending j; ``net`` is their coefficient-weighted sum, so that
 
     xidelta(child) = xidelta(high) + xidelta(low) + net.
 
@@ -26,6 +26,10 @@ parents' vectors from that table, so its offsets are
 ``d_child - d_high - d_low``.  xi_bar is kept as its numerator over 2r and
 the target as an integer; ``Fraction`` appears only in the node properties,
 the reports and the text fields.
+
+The reader takes exactly the text that ``to_text`` writes: it reads each
+node line with one match of the grammar ``_NODE_GRAMMAR`` and names the
+line and the token of anything else.
 """
 
 from __future__ import annotations
@@ -36,17 +40,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import compress, islice, zip_longest
 from math import gcd
-from operator import attrgetter
-from typing import Iterable
+from operator import attrgetter, sub
+from typing import Iterable, NoReturn
 
 from .baskets import OrbifoldPoint
 from .functionals import (
     SLOPE_CUT,
     Functional,
     delta_vector,
-    lemma_offset,
+    lemma_offsets,
     point_target,
     xi_bar_num,
     xi_lin_num,
@@ -62,16 +66,60 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# The header lines, in this order, then one blank line and the node lines.
 _HEADER_KEYS = (
     "basket3-certificate", "coefficients", "low-slope-floor", "slope-cut", "r-max", "nodes"
 )
-_LEAF_FIELDS = ("xidelta", "xibar", "target")
-_SPLIT_FIELDS = ("cfdet", "offsets", "net") + _LEAF_FIELDS
 # One spelling per value: no leading zeros, no "-0", no "+", ASCII digits.
-_INT_RULE = "0|-?[1-9][0-9]*"
+_NAT_RULE = "[1-9][0-9]*"
+_INT_RULE = f"0|-?{_NAT_RULE}"
 _INT = re.compile(_INT_RULE)
-_POINT = re.compile("([1-9][0-9]*)/([1-9][0-9]*)")
-_FRACTION = re.compile(f"({_INT_RULE})(?:/([1-9][0-9]*))?")
+_FRACTION_RULE = f"(?:{_INT_RULE})(?:/{_NAT_RULE})?"
+_FRACTION = re.compile(_FRACTION_RULE)
+# The values a node line is written with; an offset is j:v with v != 0.
+_OFFSET_RULE = f"(?:{_INT_RULE}):-?{_NAT_RULE}"
+_NODE_VALUES = {
+    "point": f"{_NAT_RULE}/{_NAT_RULE}",
+    "int": _INT_RULE,
+    "fraction": _FRACTION_RULE,
+    "offsets": f"-|{_OFFSET_RULE}(?:,{_OFFSET_RULE})*",
+}
+# The node-line grammar, written once: each line kind's tokens, one space
+# apart, with each {value} one of _NODE_VALUES.  _NODE_LINE is compiled
+# from it, and _reject_node_line walks it token by token.
+_NODE_GRAMMAR = {
+    "split": "{point} split {point},{point} cfdet={int} offsets={offsets} net={int}"
+    " xidelta={int} xibar={fraction} target={int}",
+    "leaf": "{point} leaf xidelta={int} xibar={fraction} target={int}",
+}
+
+
+def _template_rule(template: str) -> str:
+    """The regex of a template: each {value} one group, the rest literal."""
+    parts = re.split(r"\{(\w+)\}", template)
+    return "".join(
+        f"({_NODE_VALUES[part]})" if i % 2 else re.escape(part)
+        for i, part in enumerate(parts)
+    )
+
+
+_NODE_LINE = re.compile(
+    "|".join(f"(?P<{kind}>{_template_rule(t)})" for kind, t in _NODE_GRAMMAR.items())
+)
+
+
+def _value_groups(kind: str) -> tuple[int, ...]:
+    # A kind's value groups follow its own named group in _NODE_LINE.
+    first = _NODE_LINE.groupindex[kind] + 1
+    return tuple(range(first, first + _NODE_GRAMMAR[kind].count("{")))
+
+
+_SPLIT_GROUPS = _value_groups("split")
+_LEAF_GROUPS = _value_groups("leaf")
+# Every value is built of integers, points and offsets joined by ","; a
+# malformed one is named by its first piece that is none of them.  Only
+# errors use it, so it is left to re's cache rather than compiled here.
+_PIECE_RULE = f"{_INT_RULE}|{_NODE_VALUES['point']}|{_OFFSET_RULE}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,44 +213,52 @@ class Certificate:
 
     @classmethod
     def from_text(cls, text: str) -> "Certificate":
-        lines = text.splitlines()
+        """Read a certificate; text that ``to_text`` would not write is refused."""
+        lines = text.split("\n")
+        if lines.pop():
+            raise ValueError(
+                f"certificate line {len(lines) + 1}: no newline at its end"
+            )
+        head = len(_HEADER_KEYS)
         header: dict[str, str] = {}
-        body_start = 0
-        for i, line in enumerate(lines):
-            if not line.strip():
-                body_start = i + 1
-                break
-            key, _, value = line.partition(": ")
-            if key not in _HEADER_KEYS or key in header:
-                raise ValueError(f"unknown or repeated certificate header line {line!r}")
-            header[key] = value
-        else:
-            raise ValueError("missing blank line after certificate header")
-        if header.get("basket3-certificate") != str(FORMAT_VERSION):
-            raise ValueError("unsupported certificate format")
-        try:
-            func = Functional(
-                tuple(_int(c) for c in header["coefficients"].split(","))
-            )
-            points: dict[str, OrbifoldPoint] = {}
-            nodes = tuple(
-                _parse_node_line(line, points)
-                for line in lines[body_start:]
-                if line.strip()
-            )
-            if len(nodes) != _int(header["nodes"]):
+        for number, key in enumerate(_HEADER_KEYS, start=1):
+            line = lines[number - 1] if number <= len(lines) else ""
+            name, sep, value = line.partition(": ")
+            if name != key or not sep:
                 raise ValueError(
-                    f"node count {len(nodes)} != declared {header['nodes']}"
+                    f"certificate line {number}: want the {key!r} header, got {line!r}"
                 )
-            return cls(
-                functional=func,
-                r_max=_int(header["r-max"]),
-                low_slope_floor=_int(header["low-slope-floor"]),
-                slope_cut=Fraction(*_fraction(header["slope-cut"])),
-                nodes=nodes,
+            header[key] = value
+        version = header["basket3-certificate"]
+        if version != str(FORMAT_VERSION):
+            raise ValueError(f"certificate line 1: unsupported format {version!r}")
+        if len(lines) == head or lines[head]:
+            raise ValueError(
+                f"certificate line {head + 1}: want the blank line after the header"
             )
-        except (KeyError, IndexError) as exc:
-            raise ValueError(f"malformed certificate: missing {exc}") from exc
+        written = header["coefficients"]
+        coeffs = tuple(_int(c) for c in written.split(","))
+        func = Functional(coeffs)
+        if func.coeffs != coeffs:
+            raise ValueError(
+                f"certificate line 2: coefficients {written!r} end in a zero"
+            )
+        points: dict[str, OrbifoldPoint] = {}
+        nodes = []
+        for number, line in enumerate(islice(lines, head + 1, None), start=head + 2):
+            try:
+                nodes.append(_parse_node_line(line, points))
+            except ValueError as exc:
+                raise ValueError(f"certificate line {number}: {exc}") from None
+        if len(nodes) != _int(header["nodes"]):
+            raise ValueError(f"node count {len(nodes)} != declared {header['nodes']}")
+        return cls(
+            functional=func,
+            r_max=_int(header["r-max"]),
+            low_slope_floor=_int(header["low-slope-floor"]),
+            slope_cut=Fraction(*_fraction(header["slope-cut"])),
+            nodes=tuple(nodes),
+        )
 
     def write(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -210,7 +266,8 @@ class Certificate:
 
     @classmethod
     def read(cls, path: str | os.PathLike) -> "Certificate":
-        with open(path, "r", encoding="ascii") as fh:
+        # newline="" keeps "\r\n" as written, so the reader refuses it.
+        with open(path, "r", encoding="ascii", newline="") as fh:
             return cls.from_text(fh.read())
 
 
@@ -262,11 +319,10 @@ def _int(text: str) -> int:
 
 def _fraction(text: str) -> tuple[int, int]:
     """(p, q) of a canonical fraction: an integer, or reduced ``p/q`` with q > 1."""
-    match = _FRACTION.fullmatch(text)
-    if match is None:
+    if _FRACTION.fullmatch(text) is None:
         raise ValueError(f"malformed certificate fraction {text!r}")
-    num, den = match.groups()
-    if den is None:
+    num, _, den = text.partition("/")
+    if not den:
         return int(num), 1
     num, den = int(num), int(den)
     if den == 1 or gcd(num, den) != 1:
@@ -283,79 +339,113 @@ def _xi_num(text: str, r: int) -> int:
     return num * scale
 
 
-def _parse_point(text: str) -> OrbifoldPoint:
-    match = _POINT.fullmatch(text)
-    if match is None:
-        raise ValueError(f"malformed certificate point {text!r}")
-    b, r = match.groups()
-    return OrbifoldPoint(int(b), int(r))
+def _point(text: str, points: dict[str, OrbifoldPoint]) -> OrbifoldPoint:
+    """The point written ``b/r``, kept in ``points`` for later mentions."""
+    b, _, r = text.partition("/")
+    point = points[text] = OrbifoldPoint(int(b), int(r))
+    return point
 
 
-def _fields(tokens: list[str], names: tuple[str, ...]) -> dict[str, str]:
-    """The ``name=value`` tokens of a node line, which must be exactly ``names``."""
-    fields = {}
-    for name, tok in zip(names, tokens):
-        key, eq, value = tok.partition("=")
-        if key != name or not eq:
-            raise ValueError(f"unexpected node field {tok!r}; want {' '.join(names)}")
-        fields[name] = value
-    if len(tokens) > len(names):
-        raise ValueError(
-            f"unexpected node field {tokens[len(names)]!r}; want {' '.join(names)}"
-        )
-    if len(tokens) < len(names):
-        raise ValueError(f"missing node field {names[len(tokens)]!r}")
-    return fields
+def _offsets(text: str) -> tuple[tuple[int, int], ...]:
+    """The ``offsets=`` pairs, which must have strictly ascending j."""
+    if text == "-":
+        return ()
+    offsets = tuple(
+        (int(j), int(v)) for j, v in (item.split(":") for item in text.split(","))
+    )
+    if any(a[0] >= b[0] for a, b in zip(offsets, offsets[1:])):
+        raise ValueError(f"offsets {text!r} are not in strictly ascending j")
+    return offsets
 
 
 def _parse_node_line(line: str, points: dict[str, OrbifoldPoint]) -> CertificateNode:
-    """One node line.
+    """One node line, read with one match of the grammar.
 
     ``points`` maps the text of every point read so far to its object, so a
     split's parents reuse those objects instead of being parsed again.
     """
-    tokens = line.split()
-    point = points[tokens[0]] = _parse_point(tokens[0])
-    kind = tokens[1]
-    if kind == "leaf":
-        fields = _fields(tokens[2:], _LEAF_FIELDS)
-        parents = None
-        cf_det = None
-        offsets: tuple[tuple[int, int], ...] = ()
-        net = 0
-    elif kind == "split":
-        hi_text, _, lo_text = tokens[2].partition(",")
-        parents = (
-            points.get(hi_text) or _parse_point(hi_text),
-            points.get(lo_text) or _parse_point(lo_text),
+    match = _NODE_LINE.fullmatch(line)
+    if match is None:
+        _reject_node_line(line)
+    if match.lastgroup == "split":
+        point, hi, lo, cf_det, offsets, net, xd, xibar, target = match.group(
+            *_SPLIT_GROUPS
         )
-        fields = _fields(tokens[3:], _SPLIT_FIELDS)
-        cf_det = _int(fields["cfdet"])
-        if fields["offsets"] == "-":
-            offsets = ()
-        else:
-            offsets = tuple(
-                (_int(j), _int(v))
-                for j, v in (item.split(":") for item in fields["offsets"].split(","))
-            )
-        net = _int(fields["net"])
+        point = _point(point, points)
+        parents = (
+            points.get(hi) or _point(hi, points), points.get(lo) or _point(lo, points)
+        )
+        cf_det, offsets, net = int(cf_det), _offsets(offsets), int(net)
     else:
-        raise ValueError(f"unknown node kind {kind!r}")
+        point, xd, xibar, target = match.group(*_LEAF_GROUPS)
+        point = _point(point, points)
+        parents, cf_det, offsets, net = None, None, (), 0
+    xi_num = _xi_num(xibar, point.r)
     return CertificateNode(
-        point=point,
-        parents=parents,
-        cf_det=cf_det,
-        offsets=offsets,
-        net_offset=net,
-        xi_delta=_int(fields["xidelta"]),
-        xi_num=_xi_num(fields["xibar"], point.r),
-        target_int=_int(fields["target"]),
+        point, parents, cf_det, offsets, net, int(xd), xi_num, int(target)
     )
 
 
-def _observed_offsets(d, d_hi, d_lo) -> list[int]:
+def _bad_piece(value: str) -> str:
+    """The first malformed piece of a value, down to a j or v of an offset."""
+    for piece in value.split(","):
+        if re.fullmatch(_PIECE_RULE, piece) is None:
+            bad = (p for p in piece.split(":") if re.fullmatch(_PIECE_RULE, p) is None)
+            return next(bad, piece)
+    return value
+
+
+def _reject_node_line(line: str) -> NoReturn:
+    """Raise the error for a node line the grammar refused, naming the bad token.
+
+    Walks the line against the same templates, token by token.
+    """
+    if not line:
+        raise ValueError("blank line among the node lines")
+    tokens = line.split(" ")
+    kind = tokens[1] if len(tokens) > 1 else ""
+    # Every kind starts with the point, so a bad point is named first.
+    wants = _NODE_GRAMMAR.get(kind, "{point}").split(" ")
+    for token, want in zip(tokens, wants):
+        if re.fullmatch(_template_rule(want), token) is not None:
+            continue
+        prefix = want.partition("{")[0]
+        if not token.startswith(prefix):
+            raise ValueError(f"unexpected node field {token!r}; want {want!r}")
+        bad = _bad_piece(token[len(prefix):])
+        raise ValueError(
+            f"malformed value {bad!r} in node field {token!r}; want {want!r}"
+        )
+    if kind not in _NODE_GRAMMAR:
+        raise ValueError(f"unknown node kind {kind!r}")
+    if len(tokens) < len(wants):
+        raise ValueError(f"missing node field {wants[len(tokens)]!r}")
+    if len(tokens) > len(wants):
+        raise ValueError(f"unexpected node field {tokens[len(wants)]!r}")
+    raise ValueError(f"malformed node line {line!r}")
+
+
+def _observed_offsets(d, d_hi, d_lo) -> tuple[int, ...]:
     """delta^j(child) - delta^j(hi) - delta^j(lo), from the three delta vectors."""
-    return [c - h - l for c, h, l in zip(d, d_hi, d_lo)]
+    return tuple(map(sub, map(sub, d, d_hi), d_lo))
+
+
+def _nonzero(support, offs) -> tuple[tuple[int, int], ...]:
+    """The (j, offset) pairs with a nonzero offset, in ascending j."""
+    return tuple(compress(zip(support, offs), offs))
+
+
+def _contradictions(support, offs, predicted):
+    """(j, observed, predicted) wherever the lemma vector predicts another offset.
+
+    A None entry predicts nothing, so ``offs != predicted`` with no
+    contradiction means the offsets differ only where neither lemma applies.
+    """
+    return [
+        (j, off, want)
+        for j, off, want in zip(support, offs, predicted)
+        if want is not None and off != want
+    ]
 
 
 def _build_node(
@@ -379,19 +469,16 @@ def _build_node(
     hi, d_hi = _table_entry(func, table, hi_key)
     lo, d_lo = _table_entry(func, table, lo_key)
     offs = _observed_offsets(d, d_hi, d_lo)
-    offsets = []
-    for j, off in zip(func.support, offs):
-        expected = lemma_offset(hi.r, lo.r, j)
-        if expected is not None and off != expected:
+    predicted = lemma_offsets(hi.r, lo.r, func.support)
+    if offs != predicted:
+        for j, off, want in _contradictions(func.support, offs, predicted):
             raise ArithmeticError(
-                f"offset {off} at j={j} contradicts lemma value {expected} "
+                f"offset {off} at j={j} contradicts lemma value {want} "
                 f"for split {b}/{r} -> {hi}, {lo}"
             )
-        if off:
-            offsets.append((j, off))
-    return CertificateNode(
-        point, (hi, lo), cf_det, tuple(offsets), func.weigh(offs), xd, xi, target
-    )
+    offsets = _nonzero(func.support, offs)
+    net = func.weigh(offs) if offsets else 0
+    return CertificateNode(point, (hi, lo), cf_det, offsets, net, xd, xi, target)
 
 
 def _table_entry(func: Functional, table: dict, key: tuple[int, int]):
@@ -493,59 +580,66 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     for node in cert.nodes:
         p = node.point
         b, r = p.b, p.r
-        label = str(p)
         d = vectors[b, r] = delta_vector(func, b, r)
         xd = func.weigh(d)
         xi = xi_bar_num(func, b, r)
         if node.xi_num != xi:
             issues.append(
-                f"{label}: recorded xibar {node.xi_bar} != {Fraction(xi, 2 * r)}"
+                f"{p}: recorded xibar {node.xi_bar} != {Fraction(xi, 2 * r)}"
             )
         if node.xi_delta != xd:
-            issues.append(f"{label}: recorded xidelta {node.xi_delta} != {xd}")
+            issues.append(f"{p}: recorded xidelta {node.xi_delta} != {xd}")
         if xi != 2 * r * xd + xi_lin_num(func, b, r):
-            issues.append(f"{label}: xi_bar != xi_delta + xi_lin")
+            issues.append(f"{p}: xi_bar != xi_delta + xi_lin")
         target = point_target(cert.low_slope_floor, b, r, cert.slope_cut)
         slack = xi - 2 * r * target
         slacks.append(slack)
         if node.target_int != target:
-            issues.append(f"{label}: recorded target {node.target_int} != {target}")
+            issues.append(f"{p}: recorded target {node.target_int} != {target}")
         if slack < 0:
             issues.append(
-                f"{label}: violation, xibar {Fraction(xi, 2 * r)} < target {target}"
+                f"{p}: violation, xibar {Fraction(xi, 2 * r)} < target {target}"
             )
-        if node.is_leaf:
+        if node.parents is None:
             if b != 1:
-                issues.append(f"{label}: non-atom recorded as leaf")
+                issues.append(f"{p}: non-atom recorded as leaf")
             continue
         hi, lo = node.parents
         if hi.b + lo.b != b or hi.r + lo.r != r:
-            issues.append(f"{label}: parents {hi}, {lo} do not sum to the point")
+            issues.append(f"{p}: parents {hi}, {lo} do not sum to the point")
             continue
-        if hi.b * lo.r - lo.b * hi.r != 1:
-            issues.append(f"{label}: parents are not unimodular in (high, low) order")
+        unimodular = hi.b * lo.r - lo.b * hi.r == 1
+        if not unimodular:
+            issues.append(f"{p}: parents are not unimodular in (high, low) order")
         cf_det = 1 if 2 * hi.r < r else -1
         if node.cf_det != cf_det:
-            issues.append(f"{label}: recorded cfdet {node.cf_det} != {cf_det}")
+            issues.append(f"{p}: recorded cfdet {node.cf_det} != {cf_det}")
         d_hi = vectors.get((hi.b, hi.r))
         d_lo = vectors.get((lo.b, lo.r))
         if d_hi is None or d_lo is None:
-            issues.append(f"{label}: parents missing from the certificate before it")
+            issues.append(f"{p}: parents missing from the certificate before it")
             continue
         offs = _observed_offsets(d, d_hi, d_lo)
-        recorded = dict(node.offsets)
-        for j, off in zip(func.support, offs):
-            if recorded.pop(j, 0) != off:
-                issues.append(f"{label}: offset at j={j} should be {off}")
-            expected = lemma_offset(hi.r, lo.r, j)
-            if expected is not None and off != expected:
-                rule = "additivity" if expected == 0 else "the offset lemma"
-                issues.append(f"{label}: j={j} contradicts {rule}")
-        if recorded:
-            issues.append(f"{label}: offsets outside the support: {sorted(recorded)}")
-        net = func.weigh(offs)
+        nonzero = _nonzero(func.support, offs)
+        if node.offsets != nonzero:
+            found = len(issues)
+            recorded = dict(node.offsets)
+            for j, off in zip(func.support, offs):
+                if recorded.pop(j, 0) != off:
+                    issues.append(f"{p}: offset at j={j} should be {off}")
+            if recorded:
+                issues.append(f"{p}: offsets outside the support: {sorted(recorded)}")
+            if len(issues) == found:
+                issues.append(f"{p}: offsets are not nonzero and in ascending j")
+        # The lemmas speak only of unimodular splits, whose indices are coprime.
+        predicted = lemma_offsets(hi.r, lo.r, func.support) if unimodular else offs
+        if offs != predicted:
+            for j, _, want in _contradictions(func.support, offs, predicted):
+                rule = "additivity" if want == 0 else "the offset lemma"
+                issues.append(f"{p}: j={j} contradicts {rule}")
+        net = func.weigh(offs) if nonzero else 0
         if node.net_offset != net:
-            issues.append(f"{label}: recorded net offset {node.net_offset} != {net}")
+            issues.append(f"{p}: recorded net offset {node.net_offset} != {net}")
 
     min_slack, attained = _least_slack((n.point for n in cert.nodes), slacks)
     return VerificationReport(len(cert.nodes), min_slack, attained, tuple(issues))

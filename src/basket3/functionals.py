@@ -44,6 +44,7 @@ __all__ = [
     "lemma_diff_check",
     "lemma_nodiff_check",
     "lemma_offset",
+    "lemma_offsets",
     "point_target",
     "split_offset",
     "verify_plurigenus_form",
@@ -204,19 +205,31 @@ class LemmaHypothesisError(ValueError):
     """A lemma was invoked outside its hypotheses."""
 
 
-def lemma_offset(r1: int, r2: int, n: int) -> int | None:
-    """The offset of delta^n that the split lemmas predict, or None.
+def lemma_offsets(r1: int, r2: int, ns) -> tuple[int | None, ...]:
+    """The offsets of delta^n that the split lemmas predict, for each n in ns.
 
-    With n = x*r1 + y*r2 and x smallest in [1, r2]: -min(x, y) when the
+    ``ns`` is an ascending, nonempty sequence of positive n.  With
+    n = x*r1 + y*r2 and x smallest in [1, r2]: -min(x, y) when the
     representation lies in the box 0 < y <= r1, 0 when n has no
     representation with x, y > 0 (y <= 0), and None otherwise, where
-    neither lemma applies.  Requires gcd(r1, r2) = 1.
+    neither lemma applies.  Below r1 + r2 no n has a representation with
+    x, y >= 1, so the vector is all zeros without a modular inverse;
+    otherwise one inverse serves every n.  Requires gcd(r1, r2) = 1.
     """
-    x = n * pow(r1, -1, r2) % r2 or r2  # x*r1 = n (mod r2)
-    y = (n - x * r1) // r2
-    if y < 1:
-        return 0
-    return -min(x, y) if y <= r1 else None
+    if ns[-1] < r1 + r2:
+        return (0,) * len(ns)
+    inverse = pow(r1, -1, r2)
+    offsets = []
+    for n in ns:
+        x = n * inverse % r2 or r2  # x*r1 = n (mod r2)
+        y = (n - x * r1) // r2
+        offsets.append(0 if y < 1 else -min(x, y) if y <= r1 else None)
+    return tuple(offsets)
+
+
+def lemma_offset(r1: int, r2: int, n: int) -> int | None:
+    """``lemma_offsets`` at the single n."""
+    return lemma_offsets(r1, r2, (n,))[0]
 
 
 def split_offset(n: int, hi: OrbifoldPoint, lo: OrbifoldPoint) -> int:
@@ -316,8 +329,8 @@ def check_lemmas_exhaustive(r1_max: int, r2_max: int) -> LemmaSweep:
         if r1 > r1_max or r2 > r2_max:
             continue
         pairs += 1
-        for n in range(1, 2 * r1 * r2 + 1):
-            expected = lemma_offset(r1, r2, n)
+        ns = range(1, 2 * r1 * r2 + 1)
+        for n, expected in zip(ns, lemma_offsets(r1, r2, ns)):
             gap = split_offset(n, p1, p2)
             if expected == 0:
                 nodiff_checked += 1

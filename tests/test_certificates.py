@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basket3 import certificates
+from basket3 import certificates, functionals
 from basket3.baskets import OrbifoldPoint
 from basket3.certificates import Certificate, proof_replay, verify_certificate
 from basket3.functionals import (
@@ -16,6 +16,7 @@ from basket3.functionals import (
     INEQ2,
     INEQUALITIES,
     Functional,
+    lemma_offsets,
     point_target,
     xi_bar_pair,
 )
@@ -129,6 +130,31 @@ class TestSerialization:
         par = proof_replay(INEQ2, 40, low_slope_floor=14, jobs=2)
         assert seq.to_text() == par.to_text()
 
+    # A certificate that the reader takes must be the bytes that it writes.
+    # Random edits with the characters a certificate is made of: most are
+    # refused, and the ones that are taken must round-trip exactly.
+    SMALL = proof_replay(INEQ2, 8, low_slope_floor=14).to_text()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_accepted_edits_round_trip(self, data):
+        text = self.SMALL
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+            i = data.draw(st.integers(0, len(text) - 1))
+            char = data.draw(st.sampled_from(" \t\n\r0123456789,:/-"))
+            if op == "insert":
+                text = text[:i] + char + text[i:]
+            elif op == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + char + text[i + 1:]
+        try:
+            cert = Certificate.from_text(text)
+        except ValueError:
+            return
+        assert cert.to_text() == text
+
     def test_file_round_trip(self, tmp_path):
         cert = proof_replay(INEQ1, 10)
         path = tmp_path / "cert.txt"
@@ -190,15 +216,27 @@ class TestVerification:
 
     def test_wrong_lemma_rule_is_caught(self, monkeypatch):
         # A split lemma that disagrees with the recomputed offsets must stop
-        # the builder and be reported by the verifier, in both of its forms.
+        # the builder and be reported by the verifier, in both of its forms,
+        # also when the vector is wrong only at the largest j of the support.
         cert = proof_replay(INEQ2, 12, low_slope_floor=14)
-        for wrong, rule in ((lambda r1, r2, n: 0, "additivity"),
-                            (lambda r1, r2, n: 7, "the offset lemma")):
-            monkeypatch.setattr(certificates, "lemma_offset", wrong)
+        top = INEQ2.support[-1]
+
+        def wrong_at_top(r1, r2, ns):
+            *rest, last = lemma_offsets(r1, r2, ns)
+            return (*rest, last + 1)
+
+        for wrong, rule in (
+            (lambda r1, r2, ns: (0,) * len(ns), "contradicts additivity"),
+            (lambda r1, r2, ns: (7,) * len(ns), "contradicts the offset lemma"),
+            (wrong_at_top, f"j={top} contradicts"),
+        ):
+            monkeypatch.setattr(certificates, "lemma_offsets", wrong)
             with pytest.raises(ArithmeticError, match="contradicts lemma value"):
                 proof_replay(INEQ2, 12, low_slope_floor=14)
             issues = verify_certificate(cert).issues
-            assert any(f"contradicts {rule}" in issue for issue in issues)
+            assert any(rule in issue for issue in issues)
+        lemma_issues = [issue for issue in issues if "contradicts" in issue]
+        assert lemma_issues and all(f"j={top} " in issue for issue in lemma_issues)
 
     def test_parents_are_recomputed_not_read(self):
         # Doctor the split 2/5 (xidelta, xibar, its offset at j = 19 and its
@@ -210,7 +248,7 @@ class TestVerification:
         cert = proof_replay(func, 8)
         p25, p37 = OrbifoldPoint(2, 5), OrbifoldPoint(3, 7)
         assert cert.node_for(p37).parents == (OrbifoldPoint(1, 2), p25)
-        assert certificates.lemma_offset(2, 5, 19) is None
+        assert functionals.lemma_offset(2, 5, 19) is None
 
         def bump(node, k):
             offsets = dict(node.offsets)
@@ -243,10 +281,13 @@ class TestVerification:
              "2/5: non-atom recorded as leaf"),
             ("3/7 split 1/2,2/5 ", "3/7 split 2/5,1/2 ",
              "3/7: parents are not unimodular"),
+            # Indices 3 and 6 share a factor, so no lemma applies to them.
+            ("2/9 split 1/4,1/5 ", "2/9 split 1/3,1/6 ",
+             "2/9: parents are not unimodular"),
             ("offsets=5:-1,7:-1,10:-2,12:-2 ", "offsets=5:-1,7:-1,10:-2,12:-2,13:1 ",
              "2/5: offsets outside the support: [13]"),
         ],
-        ids=["target", "leaf", "unimodular", "support"],
+        ids=["target", "leaf", "unimodular", "non-coprime-indices", "support"],
     )
     def test_doctored_line_names_the_issue(self, old, new, issue):
         text = proof_replay(INEQ2, 12, low_slope_floor=14).to_text()
@@ -254,6 +295,23 @@ class TestVerification:
         assert doctored != text
         issues = verify_certificate(Certificate.from_text(doctored)).issues
         assert any(found.startswith(issue) for found in issues), issues
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda offs: offs[::-1], lambda offs: offs + offs[-1:],
+         lambda offs: ((1, 0),) + offs],
+        ids=["reordered", "repeated", "zero"],
+    )
+    def test_non_canonical_offsets_object_is_an_issue(self, edit):
+        # The reader refuses these spellings, so only a certificate built in
+        # code carries them; the verifier must still name the point.
+        cert = proof_replay(INEQ2, 12, low_slope_floor=14)
+        p25 = OrbifoldPoint(2, 5)
+        node = cert.node_for(p25)
+        doctored = replace(node, offsets=edit(node.offsets))
+        nodes = tuple(doctored if n.point == p25 else n for n in cert.nodes)
+        issues = verify_certificate(replace(cert, nodes=nodes)).issues
+        assert any(issue.startswith("2/5: offsets") for issue in issues), issues
 
     def test_violation_reported_for_hostile_target(self):
         # A floor the inequality does not satisfy must be flagged, not hidden.

@@ -18,6 +18,9 @@ from basket3.cli import main
 from oracles import hypersurface_h0
 
 X10_DOC = {"chi": -3, "k3": "2", "basket": []}
+# The line of 2/5 in the INEQ2 certificate at r_max 12, its 12th line.
+SPLIT_25 = ("2/5 split 1/2,1/3 cfdet=1 offsets=5:-1,7:-1,10:-2,12:-2 net=0"
+            " xidelta=-28 xibar=0 target=0\n")
 
 
 def write_json(tmp_path, name, data):
@@ -324,6 +327,43 @@ class TestReplay:
         out_path.write_text(tampered)
         code, out, err = run(capsys, ["verify", str(out_path)])
         assert code == 2 and not out and repr(named) in err
+
+    # Each edit keeps every value and changes only the layout, so a reader
+    # that split on any whitespace, skipped blank lines or took the header
+    # keys in any order would read the same certificate.
+    @pytest.mark.parametrize(
+        ("edit", "named"),
+        [
+            (lambda t: t.replace(" net=0 xidelta=-28", "  net=0 xidelta=-28", 1), "line 12:"),
+            (lambda t: t.replace(" net=0 xidelta=-28", "\tnet=0 xidelta=-28", 1), "line 12:"),
+            (lambda t: t.replace(SPLIT_25, SPLIT_25[:-1] + " \n"),
+             "line 12:"),
+            (lambda t: t.replace(SPLIT_25, SPLIT_25 + "\n"), "line 13:"),
+            (lambda t: t.replace("\n\n", "\n\n\n", 1), "line 8:"),
+            (lambda t: t.replace("\n", "\r\n"), "'1\\r'"),
+            (lambda t: t[:-1], "line 30:"),
+            (lambda t: t.replace("low-slope-floor: 14\nslope-cut: 1/12\n",
+                                 "slope-cut: 1/12\nlow-slope-floor: 14\n"), "line 3:"),
+            (lambda t: t.replace(",0,-1\n", ",0,-1,0\n", 1), "line 2:"),
+            (lambda t: t.replace("offsets=5:-1,7:-1,", "offsets=7:-1,5:-1,"), "'7:-1,5:-1,"),
+            (lambda t: t.replace("offsets=5:-1,7:-1,", "offsets=5:-1,5:-1,7:-1,"),
+             "'5:-1,5:-1,"),
+            (lambda t: t.replace("offsets=5:-1,7:-1,", "offsets=4:0,5:-1,7:-1,"), "'4:0'"),
+        ],
+        ids=["double-space", "tab", "trailing-space", "blank-in-body", "second-blank",
+             "crlf", "no-final-newline", "swapped-header", "coefficient-zero",
+             "offsets-reordered", "offsets-repeated", "offset-zero"],
+    )
+    def test_non_canonical_layout_is_invalid_input(self, tmp_path, capsys, edit, named):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        text = out_path.read_text()
+        assert SPLIT_25 in text.splitlines(keepends=True)
+        tampered = edit(text)
+        assert tampered != text
+        out_path.write_bytes(tampered.encode("ascii"))
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and not out and named in err
 
     def test_missing_certificate_is_io_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.txt")])

@@ -7,7 +7,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from basket3.baskets import (
@@ -33,6 +33,7 @@ from basket3.functionals import (
     lemma_diff_check,
     lemma_nodiff_check,
     lemma_offset,
+    lemma_offsets,
     verify_plurigenus_form,
     verify_single_basket,
     xi_bar,
@@ -160,11 +161,35 @@ class TestRepresentations:
         assert lemma_offset(2, 3, 11) is None
 
 
+@st.composite
+def coprime_lemma_vectors(draw, r_max=30):
+    """(r1, r2, ns): ns ascending, topping out below r1 + r2 or up to 3*r1*r2."""
+    r1 = draw(st.integers(2, r_max))
+    r2 = draw(st.integers(2, r_max).filter(lambda r2: gcd(r1, r2) == 1))
+    top = draw(st.one_of(st.integers(1, r1 + r2 - 1), st.integers(r1 + r2, 3 * r1 * r2)))
+    ns = draw(st.sets(st.integers(1, top), max_size=12)) | {top}
+    return r1, r2, tuple(sorted(ns))
+
+
 class TestLemmaOffset:
     @settings(max_examples=300)
     @given(coprime_lemma_inputs())
     def test_matches_search(self, args):
         assert lemma_offset(*args) == lemma_offset_by_search(*args)
+
+    # The examples pin both sides of the early return (all of ns below
+    # r1 + r2) and the n > r1*r2 where neither lemma applies (None).
+    @settings(max_examples=300)
+    @given(coprime_lemma_vectors())
+    @example((2, 3, (1, 2, 3, 4)))
+    @example((7, 5, (11,)))
+    @example((7, 5, (12,)))
+    @example((2, 3, (5, 6, 7, 11, 12, 13)))
+    @example((30, 29, (1, 58, 59, 870, 871, 2610)))
+    def test_vector_matches_search(self, args):
+        r1, r2, ns = args
+        expected = [lemma_offset_by_search(r1, r2, n) for n in ns]
+        assert list(lemma_offsets(r1, r2, ns)) == expected
 
 
 class TestLemmas:
