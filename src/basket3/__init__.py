@@ -58,14 +58,7 @@ from .geography import (
     derive_constants,
     growth_diagnostics,
 )
-from .rationals import (
-    AtomError,
-    ContinuedFraction,
-    cf_expand,
-    cf_value,
-    is_unimodular,
-    mediant_parents,
-)
+from .rationals import AtomError, is_unimodular, mediant_parents
 from .riemann_roch import (
     InconsistentInvariantsError,
     PlurigenusReport,

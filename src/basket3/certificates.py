@@ -28,8 +28,9 @@ the target as an integer; ``Fraction`` appears only in the node properties,
 the reports and the text fields.
 
 The reader takes exactly the text that ``to_text`` writes: it reads each
-node line with one match of the grammar ``_NODE_GRAMMAR`` and names the
-line and the token of anything else.
+node line with one match of the grammar ``_NODE_GRAMMAR``, whose values are
+spelled by the ``rationals`` rules, and names the line and the token of
+anything else.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import compress, islice, zip_longest
 from math import gcd
-from operator import attrgetter, sub
-from typing import Iterable, NoReturn
+from operator import sub
+from typing import Iterable, NamedTuple, NoReturn
 
 from .baskets import OrbifoldPoint
 from .functionals import (
@@ -55,7 +56,16 @@ from .functionals import (
     xi_bar_num,
     xi_lin_num,
 )
-from .rationals import format_fraction, slopes, split_slope
+from .rationals import (
+    FRACTION_RULE,
+    INT_RULE,
+    NAT_RULE,
+    format_fraction,
+    parse_int,
+    parse_ratio,
+    slopes,
+    split_slope,
+)
 
 __all__ = [
     "Certificate",
@@ -70,18 +80,13 @@ FORMAT_VERSION = 1
 _HEADER_KEYS = (
     "basket3-certificate", "coefficients", "low-slope-floor", "slope-cut", "r-max", "nodes"
 )
-# One spelling per value: no leading zeros, no "-0", no "+", ASCII digits.
-_NAT_RULE = "[1-9][0-9]*"
-_INT_RULE = f"0|-?{_NAT_RULE}"
-_INT = re.compile(_INT_RULE)
-_FRACTION_RULE = f"(?:{_INT_RULE})(?:/{_NAT_RULE})?"
-_FRACTION = re.compile(_FRACTION_RULE)
-# The values a node line is written with; an offset is j:v with v != 0.
-_OFFSET_RULE = f"(?:{_INT_RULE}):-?{_NAT_RULE}"
+# The values a node line is written with, in the one spelling of each
+# number that rationals reads; an offset is j:v with v != 0.
+_OFFSET_RULE = f"(?:{INT_RULE}):-?{NAT_RULE}"
 _NODE_VALUES = {
-    "point": f"{_NAT_RULE}/{_NAT_RULE}",
-    "int": _INT_RULE,
-    "fraction": _FRACTION_RULE,
+    "point": f"{NAT_RULE}/{NAT_RULE}",
+    "int": INT_RULE,
+    "fraction": FRACTION_RULE,
     "offsets": f"-|{_OFFSET_RULE}(?:,{_OFFSET_RULE})*",
 }
 # The node-line grammar, written once: each line kind's tokens, one space
@@ -119,11 +124,10 @@ _LEAF_GROUPS = _value_groups("leaf")
 # Every value is built of integers, points and offsets joined by ","; a
 # malformed one is named by its first piece that is none of them.  Only
 # errors use it, so it is left to re's cache rather than compiled here.
-_PIECE_RULE = f"{_INT_RULE}|{_NODE_VALUES['point']}|{_OFFSET_RULE}"
+_PIECE_RULE = f"{INT_RULE}|{_NODE_VALUES['point']}|{_OFFSET_RULE}"
 
 
-@dataclass(frozen=True, slots=True)
-class CertificateNode:
+class CertificateNode(NamedTuple):
     """One point of the sweep: either an atom or a recorded mediant split.
 
     Values are kept as integers: ``xi_num`` is xi_bar times 2r and
@@ -159,14 +163,6 @@ class CertificateNode:
     @property
     def slack(self) -> Fraction:
         return Fraction(self.slack_num, 2 * self.point.r)
-
-    def __reduce__(self):
-        # Pickle as a constructor call, as OrbifoldPoint does: workers send
-        # their nodes back to the parent process.
-        return CertificateNode, _node_fields(self)
-
-
-_node_fields = attrgetter(*CertificateNode.__slots__)
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,7 @@ class Certificate:
                 f"certificate line {head + 1}: want the blank line after the header"
             )
         written = header["coefficients"]
-        coeffs = tuple(_int(c) for c in written.split(","))
+        coeffs = tuple(parse_int(c) for c in written.split(","))
         func = Functional(coeffs)
         if func.coeffs != coeffs:
             raise ValueError(
@@ -250,13 +246,13 @@ class Certificate:
                 nodes.append(_parse_node_line(line, points))
             except ValueError as exc:
                 raise ValueError(f"certificate line {number}: {exc}") from None
-        if len(nodes) != _int(header["nodes"]):
+        if len(nodes) != parse_int(header["nodes"]):
             raise ValueError(f"node count {len(nodes)} != declared {header['nodes']}")
         return cls(
             functional=func,
-            r_max=_int(header["r-max"]),
-            low_slope_floor=_int(header["low-slope-floor"]),
-            slope_cut=Fraction(*_fraction(header["slope-cut"])),
+            r_max=parse_int(header["r-max"]),
+            low_slope_floor=parse_int(header["low-slope-floor"]),
+            slope_cut=Fraction(*parse_ratio(header["slope-cut"])),
             nodes=tuple(nodes),
         )
 
@@ -307,32 +303,9 @@ def _node_line(node: CertificateNode) -> str:
     )
 
 
-def _int(text: str) -> int:
-    """A canonical ASCII integer: ``0`` or ``-?[1-9][0-9]*``.
-
-    int() alone also takes "+1", "1_2", "01" and "-0".
-    """
-    if _INT.fullmatch(text) is None:
-        raise ValueError(f"malformed certificate integer {text!r}")
-    return int(text)
-
-
-def _fraction(text: str) -> tuple[int, int]:
-    """(p, q) of a canonical fraction: an integer, or reduced ``p/q`` with q > 1."""
-    if _FRACTION.fullmatch(text) is None:
-        raise ValueError(f"malformed certificate fraction {text!r}")
-    num, _, den = text.partition("/")
-    if not den:
-        return int(num), 1
-    num, den = int(num), int(den)
-    if den == 1 or gcd(num, den) != 1:
-        raise ValueError(f"certificate fraction {text!r} is not in lowest terms")
-    return num, den
-
-
 def _xi_num(text: str, r: int) -> int:
     """The ``xibar=`` value read as a numerator over 2r."""
-    num, den = _fraction(text)
+    num, den = parse_ratio(text)
     scale, rem = divmod(2 * r, den)
     if rem:
         raise ValueError(f"xibar {text!r} is not a fraction over 2r = {2 * r}")

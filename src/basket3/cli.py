@@ -29,7 +29,7 @@ from .functionals import (
     xi_bar,
 )
 from .geography import PUBLISHED_C_PRIME, PUBLISHED_M1, derive_constants
-from .rationals import format_fraction, parse_fraction
+from .rationals import format_fraction, parse_fraction, parse_int
 from .riemann_roch import ThreefoldInvariants, k3_from_p2, plurigenus
 
 __all__ = ["entry", "main"]
@@ -272,6 +272,11 @@ def cmd_constants(args) -> int:
 
 def cmd_lemmas(args) -> int:
     sweep = check_lemmas_exhaustive(args.r1_max, args.r2_max)
+    if not sweep.pairs:
+        raise ValueError(
+            f"--r1-max {args.r1_max} and --r2-max {args.r2_max} admit no split;"
+            " the least, 2/5 into 1/2 and 1/3, needs 2 and 3"
+        )
     _emit(
         {
             "pairs": sweep.pairs,
@@ -286,7 +291,7 @@ def cmd_lemmas(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = parse_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -301,20 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pluri", help="table of chi(mK) and plurigenera")
     p.add_argument("doc", help="invariants document (path or - for stdin)")
-    p.add_argument("--m-from", type=int, default=2)
-    p.add_argument("--m-to", type=int, default=12)
+    p.add_argument("--m-from", type=parse_int, default=2)
+    p.add_argument("--m-to", type=parse_int, default=12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_pluri)
 
     p = sub.add_parser("ineq", help="check one of the four inequalities")
     p.add_argument("doc", nargs="?", help="invariants document (forms 1 and 2)")
-    p.add_argument("--which", type=int, choices=(1, 2, 3, 4), required=True)
+    p.add_argument("--which", type=parse_int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--basket", help="inline basket JSON, e.g. [[2,5]]")
     p.set_defaults(handler=cmd_ineq)
 
     p = sub.add_parser("replay", help="build an inequality certificate")
-    p.add_argument("--which", type=int, choices=(1, 2), required=True)
-    p.add_argument("--r-max", type=int, required=True)
+    p.add_argument("--which", type=parse_int, choices=(1, 2), required=True)
+    p.add_argument("--r-max", type=parse_int, required=True)
     p.add_argument("--out", required=True, help="certificate output path")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(handler=cmd_replay)
@@ -328,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("constants", help="derive the constant chain from m0")
-    p.add_argument("m0", type=int)
+    p.add_argument("m0", type=parse_int)
     p.set_defaults(handler=cmd_constants)
 
     p = sub.add_parser("lemmas", help="exhaustive check of the two split lemmas")
-    p.add_argument("--r1-max", type=int, default=10)
-    p.add_argument("--r2-max", type=int, default=10)
+    p.add_argument("--r1-max", type=parse_int, default=10)
+    p.add_argument("--r2-max", type=parse_int, default=10)
     p.set_defaults(handler=cmd_lemmas)
 
     return parser

@@ -1,17 +1,17 @@
-"""Exact rationals, continued fractions, slopes and mediant parent splitting.
+"""Exact numbers as text, slopes and mediant parent splitting.
 
-All values are `fractions.Fraction` over Python's unbounded integers, so
-nothing here ever rounds or overflows.  Continued fractions are restricted
-to the finite expansions of rationals in (0, 1/2], which is all the slope
-calculus needs: a slope b/r with b >= 2 splits into the two Stern-Brocot
-parents whose mediant it is, and that split drives every induction in the
-inequality machinery.
+All values are integers or `fractions.Fraction`s over Python's unbounded
+integers, so nothing here ever rounds or overflows.  Every exact number
+basket3 reads or writes as text has one spelling, written here once: an
+integer is ``0`` or ``-?[1-9][0-9]*``, and a fraction is an integer or a
+reduced ``p/q`` with ``q > 1``.  A slope b/r with b >= 2 splits into the
+two Stern-Brocot parents whose mediant it is, and that split drives every
+induction in the inequality machinery.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -20,20 +20,27 @@ from .baskets import OrbifoldPoint
 
 __all__ = [
     "AtomError",
-    "ContinuedFraction",
+    "FRACTION_RULE",
+    "INT_RULE",
     "MediantSplit",
-    "cf_expand",
-    "cf_value",
+    "NAT_RULE",
     "format_fraction",
     "is_unimodular",
     "mediant_parents",
     "parse_fraction",
+    "parse_int",
+    "parse_ratio",
     "slopes",
     "split_slope",
 ]
 
-HALF = Fraction(1, 2)
-_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# One spelling per number: ASCII digits, no leading zero, no "-0", no "+",
+# no "_" and no space.  These are what format_fraction and str(int) write.
+NAT_RULE = "[1-9][0-9]*"
+INT_RULE = f"0|-?{NAT_RULE}"
+FRACTION_RULE = f"(?:{INT_RULE})(?:/{NAT_RULE})?"
+_INT = re.compile(INT_RULE)
+_FRACTION = re.compile(FRACTION_RULE)
 
 
 class AtomError(ValueError):
@@ -45,75 +52,44 @@ def format_fraction(q: Fraction | int) -> str:
     return str(Fraction(q))
 
 
-def parse_fraction(text: str | int) -> Fraction:
-    """Parse an int or an ASCII "p/q" or "p" string; a zero q raises.
+def parse_int(text: str) -> int:
+    """A canonical integer: ``0`` or ``-?[1-9][0-9]*``.
 
-    Only ``-?[0-9]+(/[0-9]+)?`` is read: no decimal point, exponent, sign
-    on q, leading "+", underscore or surrounding whitespace.
+    int() alone also takes "+1", "1_2", " 1", "01" and "-0".
+    """
+    if type(text) is not str or _INT.fullmatch(text) is None:
+        raise ValueError(f"malformed integer {text!r}; want 0 or -?[1-9][0-9]*")
+    return int(text)
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """(p, q) of a canonical fraction: an integer, or reduced ``p/q`` with q > 1."""
+    if type(text) is not str or _FRACTION.fullmatch(text) is None:
+        raise ValueError(f"malformed fraction {text!r}; want an integer or p/q")
+    num, _, den = text.partition("/")
+    if not den:
+        return int(num), 1
+    num, den = int(num), int(den)
+    if den == 1 or gcd(num, den) != 1:
+        raise ValueError(f"fraction {text!r} is not in lowest terms")
+    return num, den
+
+
+def parse_fraction(text: str | int) -> Fraction:
+    """An int, or a canonical fraction string as ``parse_ratio`` reads it.
+
+    No decimal point, exponent, sign on q, "+", "_", whitespace, leading
+    zero, "-0", zero or unit q, or unreduced p/q: each value has the one
+    spelling that ``format_fraction`` writes.
     """
     if type(text) is int:
         return Fraction(text)
-    match = _FRACTION.fullmatch(text) if type(text) is str else None
-    if match is None:
+    if type(text) is not str:
         raise ValueError(
             "fractions cross I/O as ASCII 'p/q' strings or integers, "
             f"got {type(text).__name__} {text!r}"
         )
-    num, den = match.groups()
-    return Fraction(int(num), int(den or 1))
-
-
-@dataclass(frozen=True, slots=True)
-class ContinuedFraction:
-    """Canonical expansion [0; a1, ..., at] of a rational in (0, 1/2].
-
-    a1 >= 2 because the value is at most 1/2, and at >= 2 whenever t > 1,
-    which fixes the usual [..., at] vs [..., at - 1, 1] ambiguity.
-    """
-
-    terms: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.terms:
-            raise ValueError("continued fraction needs at least one term")
-        if any(a < 1 for a in self.terms):
-            raise ValueError(f"terms must be positive integers, got {self.terms}")
-        if self.terms[0] < 2:
-            raise ValueError("first term must be >= 2 for a value in (0, 1/2]")
-        if len(self.terms) > 1 and self.terms[-1] < 2:
-            raise ValueError("canonical form requires the last term >= 2")
-
-    def value(self) -> Fraction:
-        return cf_value(self)
-
-    def __str__(self) -> str:
-        return "[0; " + ", ".join(str(a) for a in self.terms) + "]"
-
-
-def cf_expand(q: Fraction) -> ContinuedFraction:
-    """Continued fraction expansion of q in (0, 1/2].
-
-    The Euclidean algorithm already yields the canonical form: the last
-    quotient is >= 2 because remainders strictly decrease.
-    """
-    q = Fraction(q)
-    if not 0 < q <= HALF:
-        raise ValueError(f"value must lie in (0, 1/2], got {q}")
-    terms = []
-    x, y = q.denominator, q.numerator
-    while y:
-        a, rem = divmod(x, y)
-        terms.append(a)
-        x, y = y, rem
-    return ContinuedFraction(tuple(terms))
-
-
-def cf_value(cf: ContinuedFraction) -> Fraction:
-    """Exact value of [0; a1, ..., at]."""
-    value = Fraction(0)
-    for a in reversed(cf.terms):
-        value = 1 / (a + value)
-    return value
+    return Fraction(*parse_ratio(text))
 
 
 def slopes(r_lo: int, r_hi: int, b_max: int | None = None) -> Iterator[tuple[int, int]]:

@@ -253,14 +253,13 @@ class TestVerification:
         def bump(node, k):
             offsets = dict(node.offsets)
             offsets[19] = offsets.get(19, 0) + k
-            return replace(
-                node,
+            return node._replace(
                 offsets=tuple((j, v) for j, v in sorted(offsets.items()) if v),
                 net_offset=node.net_offset + k,
             )
 
         parent = bump(cert.node_for(p25), 1)
-        parent = replace(parent, xi_delta=parent.xi_delta + 1, xi_num=parent.xi_num + 10)
+        parent = parent._replace(xi_delta=parent.xi_delta + 1, xi_num=parent.xi_num + 10)
         doctored = {p25: parent, p37: bump(cert.node_for(p37), -1)}
         nodes = tuple(doctored.get(n.point, n) for n in cert.nodes)
         text = replace(cert, nodes=nodes).to_text()
@@ -308,7 +307,7 @@ class TestVerification:
         cert = proof_replay(INEQ2, 12, low_slope_floor=14)
         p25 = OrbifoldPoint(2, 5)
         node = cert.node_for(p25)
-        doctored = replace(node, offsets=edit(node.offsets))
+        doctored = node._replace(offsets=edit(node.offsets))
         nodes = tuple(doctored if n.point == p25 else n for n in cert.nodes)
         issues = verify_certificate(replace(cert, nodes=nodes)).issues
         assert any(issue.startswith("2/5: offsets") for issue in issues), issues

@@ -72,6 +72,13 @@ class TestPluri:
         code, out, err = run(capsys, ["pluri", doc])
         assert code == 2 and not out and "'0.5'" in err
 
+    # The one spelling of each value is the one the CLI writes.
+    @pytest.mark.parametrize("k3", ["04/2", "2/1", "02", "-0", "0/3"])
+    def test_non_canonical_volume_rejected(self, tmp_path, capsys, k3):
+        doc = write_json(tmp_path, "bad.json", {"chi": 1, "k3": k3, "basket": []})
+        code, out, err = run(capsys, ["pluri", doc])
+        assert code == 2 and not out and repr(k3) in err
+
     def test_float_volume_rejected(self, tmp_path, capsys):
         doc = write_json(tmp_path, "bad.json", {"chi": 1, "k3": 5.5, "basket": []})
         code, _, err = run(capsys, ["pluri", doc])
@@ -212,7 +219,7 @@ class TestReplay:
         )
         assert one.read_bytes() == two.read_bytes()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "+1", "0_1", " 1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         argv = ["replay", "--which", "1", "--r-max", "12",
                 "--out", str(tmp_path / "cert.txt"), "--jobs", jobs]
@@ -415,6 +422,13 @@ class TestEnumerate:
         code, out, err = run(capsys, ["enumerate", constraints])
         assert code == 2 and not out
         assert repr(field) in err
+
+    @pytest.mark.parametrize("k3", ["04/2", "-0", "2/1"])
+    def test_non_canonical_explicit_volume_rejected(self, tmp_path, capsys, k3):
+        data = {"chi_min": -3, "chi_max": -3, "sigma_max": 0, "k3": {"explicit": k3}}
+        constraints = write_json(tmp_path, "c.json", data)
+        code, out, err = run(capsys, ["enumerate", constraints])
+        assert code == 2 and not out and repr(k3) in err
 
     def test_missing_constraint_field_named(self, tmp_path, capsys):
         constraints = write_json(tmp_path, "c.json", {"chi_min": 0, "sigma_max": 1})
@@ -643,7 +657,41 @@ class TestConstantsAndLemmas:
         assert data["mismatch_count"] == 0
         assert data["nodiff_checked"] > 0 and data["diff_checked"] > 0
 
+    def test_lemmas_least_split(self, capsys):
+        code, out, _ = run(capsys, ["lemmas", "--r1-max", "2", "--r2-max", "3"])
+        assert code == 0 and json.loads(out)["pairs"] == 1
+
+    @pytest.mark.parametrize("bounds", [("-3", "0"), ("2", "2"), ("1", "25")])
+    def test_lemmas_empty_sweep_rejected(self, capsys, bounds):
+        code, out, err = run(capsys, ["lemmas", "--r1-max", bounds[0], "--r2-max", bounds[1]])
+        assert code == 2 and not out
+        assert f"--r1-max {bounds[0]} and --r2-max {bounds[1]}" in err
+
     def test_no_floats_anywhere(self, capsys):
         code, out, _ = run(capsys, ["constants", "120"])
         assert code == 0
         assert "." not in out
+
+
+# Every integer on the command line has the one spelling 0 or -?[1-9][0-9]*.
+@pytest.mark.parametrize(
+    ("argv", "bad"),
+    [
+        (["replay", "--which", "1", "--r-max", "0_12", "--out", "{tmp}/cert.txt"], "0_12"),
+        (["replay", "--which", "01", "--r-max", "12", "--out", "{tmp}/cert.txt"], "01"),
+        (["constants", "0120"], "0120"),
+        (["ineq", "--which", "+3", "--basket", "[[2,5]]"], "+3"),
+        (["pluri", "{tmp}/doc.json", "--m-to", " 3"], " 3"),
+        (["pluri", "{tmp}/doc.json", "--m-from", "-0"], "-0"),
+        (["lemmas", "--r1-max", "1_0"], "1_0"),
+        (["lemmas", "--r2-max", "010"], "010"),
+    ],
+)
+def test_non_canonical_argv_integer_rejected(tmp_path, capsys, argv, bad):
+    write_json(tmp_path, "doc.json", X10_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert repr(bad) in captured.err
+    assert not (tmp_path / "cert.txt").exists()

@@ -1,16 +1,15 @@
-"""Rationals, continued fractions, and mediant splitting."""
+"""Exact numbers as text, slopes and mediant splitting."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basket3.baskets import NonCoprimeError, OrbifoldPoint
 from basket3.rationals import (
     AtomError,
-    ContinuedFraction,
-    cf_expand,
-    cf_value,
     format_fraction,
     is_unimodular,
     mediant_parents,
@@ -28,63 +27,35 @@ class TestMakeRational:
         assert format_fraction(Fraction(6, 2)) == "3"
         assert parse_fraction("11/2") == Fraction(11, 2)
         assert parse_fraction(-4) == Fraction(-4)
-        with pytest.raises(ZeroDivisionError):
-            parse_fraction("2/0")
-        bad_strings = ("0.5", "1e3", " 1/2 ", "1_0/3", "+3/4", "1/-2", "3/", "")
+        bad_strings = ("0.5", "1e3", " 1/2 ", "1_0/3", "+3/4", "1/-2", "3/", "", "2/0",
+                       "02", "-0", "4/2", "3/1", "0/5", "1/01")
         for bad in (5.5, True, None, [1, 2], *bad_strings):
             with pytest.raises(ValueError):
                 parse_fraction(bad)
 
-
-class TestContinuedFractions:
-    @pytest.mark.parametrize(
-        ("q", "terms"),
-        [
-            (Fraction(2, 5), (2, 2)),
-            (Fraction(1, 7), (7,)),
-            (Fraction(5, 12), (2, 2, 2)),
-            (Fraction(1, 2), (2,)),
-        ],
-    )
-    def test_expand(self, q, terms):
-        assert cf_expand(q).terms == terms
-
-    @pytest.mark.parametrize(
-        ("terms", "q"),
-        [
-            ((2, 2), Fraction(2, 5)),
-            ((3, 3), Fraction(3, 10)),
-            ((9,), Fraction(1, 9)),
-        ],
-    )
-    def test_value(self, terms, q):
-        assert cf_value(ContinuedFraction(terms)) == q
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ContinuedFraction(())
-
-    def test_noncanonical_rejected(self):
-        with pytest.raises(ValueError):
-            ContinuedFraction((2, 1))
-        with pytest.raises(ValueError):
-            ContinuedFraction((1, 3))
-
-    @pytest.mark.parametrize("q", [Fraction(0), Fraction(3, 5), Fraction(-1, 2), Fraction(2)])
-    def test_domain(self, q):
-        with pytest.raises(ValueError):
-            cf_expand(q)
-
-    def test_round_trip_exhaustive(self):
-        # Every admissible slope with denominator up to 1000.
-        for r in range(2, 1001):
-            for b in range(1, r // 2 + 1):
-                if gcd(b, r) == 1:
-                    q = Fraction(b, r)
-                    cf = cf_expand(q)
-                    assert cf.value() == q
-                    assert cf.terms[0] >= 2
-                    assert len(cf.terms) == 1 or cf.terms[-1] >= 2
+    # Every string the reader takes must be the one spelling format_fraction
+    # writes.  Random edits of canonical strings, with the characters
+    # numbers are spelled with: most are refused, the rest must round-trip.
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(max_denominator=10**6), st.data())
+    def test_accepted_edits_round_trip(self, q, data):
+        text = format_fraction(q)
+        assert parse_fraction(text) == q
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+            i = data.draw(st.integers(0, len(text)))
+            char = data.draw(st.sampled_from("0123456789/-+_ "))
+            if op == "insert":
+                text = text[:i] + char + text[i:]
+            elif op == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + char + text[i + 1:]
+        try:
+            value = parse_fraction(text)
+        except ValueError:
+            return
+        assert format_fraction(value) == text
 
 
 class TestMediantParents:
