@@ -78,13 +78,6 @@ class OrbifoldPoint:
     def __str__(self) -> str:
         return f"{self.b}/{self.r}"
 
-    def __reduce__(self):
-        # Pickle as a constructor call.  The slots dataclass default goes
-        # through Python-level getstate/setstate that call fields() on every
-        # object, several times slower, and replay workers send back three
-        # points per certificate node.
-        return OrbifoldPoint, (self.b, self.r)
-
 
 @dataclass(frozen=True, slots=True)
 class Basket:

@@ -25,7 +25,9 @@ the support) is computed once and kept in a table, and a split reads its
 parents' vectors from that table, so its offsets are
 ``d_child - d_high - d_low``.  xi_bar is kept as its numerator over 2r and
 the target as an integer; ``Fraction`` appears only in the node properties,
-the reports and the text fields.
+the reports and the text fields.  The builder yields plain-integer records,
+which is all a replay worker sends back, and ``_nodes`` alone turns them
+into nodes, making each point object once.
 
 The reader takes exactly the text that ``to_text`` writes: it reads each
 node line with one match of the grammar ``_NODE_GRAMMAR``, whose values are
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,7 +47,7 @@ from fractions import Fraction
 from itertools import compress, islice, zip_longest
 from math import gcd
 from operator import sub
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .baskets import OrbifoldPoint
 from .functionals import (
@@ -421,54 +424,63 @@ def _contradictions(support, offs, predicted):
     ]
 
 
-def _build_node(
-    func: Functional, b: int, r: int, floor: int, table: dict
-) -> CertificateNode:
-    """The node at b/r.
+def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tuple]:
+    """One plain-integer record per slope with r_lo <= r <= r_hi, in order.
 
-    ``table`` maps (b, r) to the point and its delta vector for every point
-    built or looked up so far in this chunk, so a split reads its parents'
-    vectors, and shares their point objects, instead of recomputing them.
+    A record is ``(b, r, hi, cf_det, offsets, net, xi_delta, xi_num,
+    target)``: ``hi`` is the high parent's ``(b, r)``, or None at an atom,
+    and the low parent is the difference.  ``table`` maps (b, r) to the
+    delta vector of every point built or looked up so far, so a split reads
+    its parents' vectors instead of recomputing them; a parent below r_lo
+    is computed once, then kept.
     """
-    point = OrbifoldPoint(b, r)
-    d = delta_vector(func, b, r)
-    table[b, r] = point, d
-    xd = func.weigh(d)
-    xi = xi_bar_num(func, b, r)
-    target = point_target(floor, b, r)
-    if b == 1:
-        return CertificateNode(point, None, None, (), 0, xd, xi, target)
-    hi_key, lo_key, cf_det = split_slope(b, r)
-    hi, d_hi = _table_entry(func, table, hi_key)
-    lo, d_lo = _table_entry(func, table, lo_key)
-    offs = _observed_offsets(d, d_hi, d_lo)
-    predicted = lemma_offsets(hi.r, lo.r, func.support)
-    if offs != predicted:
-        for j, off, want in _contradictions(func.support, offs, predicted):
-            raise ArithmeticError(
-                f"offset {off} at j={j} contradicts lemma value {want} "
-                f"for split {b}/{r} -> {hi}, {lo}"
-            )
-    offsets = _nonzero(func.support, offs)
-    net = func.weigh(offs) if offsets else 0
-    return CertificateNode(point, (hi, lo), cf_det, offsets, net, xd, xi, target)
+    support = func.support
+    table: dict[tuple[int, int], tuple[int, ...]] = {}
+    for b, r in slopes(r_lo, r_hi):
+        d = table[b, r] = delta_vector(func, b, r)
+        xd = func.weigh(d)
+        xi = xi_bar_num(func, b, r)
+        target = point_target(floor, b, r)
+        if b == 1:
+            yield b, r, None, None, (), 0, xd, xi, target
+            continue
+        hi, lo, cf_det = split_slope(b, r)
+        d_hi = table.get(hi) or table.setdefault(hi, delta_vector(func, *hi))
+        d_lo = table.get(lo) or table.setdefault(lo, delta_vector(func, *lo))
+        offs = _observed_offsets(d, d_hi, d_lo)
+        predicted = lemma_offsets(hi[1], lo[1], support)
+        if offs != predicted:
+            for j, off, want in _contradictions(support, offs, predicted):
+                raise ArithmeticError(
+                    f"offset {off} at j={j} contradicts lemma value {want} "
+                    f"for split {b}/{r} -> {hi[0]}/{hi[1]}, {lo[0]}/{lo[1]}"
+                )
+        offsets = _nonzero(support, offs)
+        net = func.weigh(offs) if offsets else 0
+        yield b, r, hi, cf_det, offsets, net, xd, xi, target
 
 
-def _table_entry(func: Functional, table: dict, key: tuple[int, int]):
-    # A parent below the chunk's first r is computed once, then kept.
-    entry = table.get(key)
-    if entry is None:
-        entry = table[key] = OrbifoldPoint(*key), delta_vector(func, *key)
-    return entry
-
-
-def _build_range(args) -> list[CertificateNode]:
+def _build_range(args) -> list[tuple]:
+    """A worker's task: the records of one range of r, as plain data."""
     coeffs, floor, r_lo, r_hi = args
-    func = Functional(coeffs)
-    table: dict[tuple[int, int], tuple[OrbifoldPoint, tuple[int, ...]]] = {}
-    return [
-        _build_node(func, b, r, floor, table) for b, r in slopes(r_lo, r_hi)
-    ]
+    return list(_records(Functional(coeffs), floor, r_lo, r_hi))
+
+
+def _nodes(records: Iterable[tuple]) -> Iterator[CertificateNode]:
+    """The nodes of records in canonical order, each point object made once.
+
+    Parents have smaller r, so both are among the points already made.
+    They are found by r, then b, so that no key tuple is kept per point.
+    """
+    points: defaultdict[int, dict[int, OrbifoldPoint]] = defaultdict(dict)
+    for b, r, hi, cf_det, offsets, net, xd, xi, target in records:
+        point = points[r][b] = OrbifoldPoint(b, r)
+        if hi is None:
+            yield CertificateNode(point, None, None, (), 0, xd, xi, target)
+        else:
+            b_hi, r_hi = hi
+            parents = points[r_hi][b_hi], points[r - r_hi][b - b_hi]
+            yield CertificateNode(point, parents, cf_det, offsets, net, xd, xi, target)
 
 
 def proof_replay(
@@ -480,23 +492,24 @@ def proof_replay(
 ) -> Certificate:
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
 
-    The node list is identical for any ``jobs``: work is chunked by r and
-    merged in order.
+    The node list is identical for any ``jobs``: work is chunked by r, and
+    workers send back plain records that are turned into nodes in order, as
+    they arrive.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
-    chunk = r_max if jobs <= 1 else max(1, (r_max - 1) // (jobs * 8))
-    tasks = [
-        (func.coeffs, low_slope_floor, r, min(r + chunk - 1, r_max))
-        for r in range(2, r_max + 1, chunk)
-    ]
     if jobs <= 1:
-        parts = map(_build_range, tasks)
+        nodes = tuple(_nodes(_records(func, low_slope_floor, 2, r_max)))
     else:
+        chunk = max(1, (r_max - 1) // (jobs * 8))
+        tasks = [
+            (func.coeffs, low_slope_floor, r, min(r + chunk - 1, r_max))
+            for r in range(2, r_max + 1, chunk)
+        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_build_range, tasks))
-    nodes = [node for part in parts for node in part]
-    return Certificate(func, r_max, low_slope_floor, SLOPE_CUT, tuple(nodes))
+            parts = pool.map(_build_range, tasks)
+            nodes = tuple(_nodes(record for part in parts for record in part))
+    return Certificate(func, r_max, low_slope_floor, SLOPE_CUT, nodes)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterator
 
 from .baskets import Basket, OrbifoldPoint, scaled_l_table
-from .rationals import slopes
+from .rationals import exact_fraction, slopes
 from .riemann_roch import ThreefoldInvariants, chi_mk_row
 
 __all__ = [
@@ -56,12 +56,12 @@ def farey_stage(n: int) -> frozenset[OrbifoldPoint]:
 
 @dataclass(frozen=True)
 class ExplicitK3:
-    """Use this exact canonical volume for every candidate."""
+    """Use this exact volume, an int or a Fraction, for every candidate."""
 
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", exact_fraction(self.value))
 
 
 @dataclass(frozen=True)

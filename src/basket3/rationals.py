@@ -24,6 +24,7 @@ __all__ = [
     "INT_RULE",
     "MediantSplit",
     "NAT_RULE",
+    "exact_fraction",
     "format_fraction",
     "is_unimodular",
     "mediant_parents",
@@ -90,6 +91,20 @@ def parse_fraction(text: str | int) -> Fraction:
             f"got {type(text).__name__} {text!r}"
         )
     return Fraction(*parse_ratio(text))
+
+
+def exact_fraction(value: Fraction | int) -> Fraction:
+    """An int (not a bool) as a Fraction, or a Fraction as the same object.
+
+    Fraction() alone also reads text such as "04/2" and floats such as 0.1.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is not int:
+        raise ValueError(
+            f"want an int or a Fraction, got {type(value).__name__} {value!r}"
+        )
+    return Fraction(value)
 
 
 def slopes(r_lo: int, r_hi: int, b_max: int | None = None) -> Iterator[tuple[int, int]]:

@@ -18,6 +18,7 @@ from math import lcm
 from typing import Iterable
 
 from .baskets import EMPTY_BASKET, Basket, l_correction, sigma
+from .rationals import exact_fraction
 
 __all__ = [
     "InconsistentInvariantsError",
@@ -40,8 +41,9 @@ class InconsistentInvariantsError(ValueError):
 class ThreefoldInvariants:
     """Input data (K^3, chi(O), basket) for every formula evaluation.
 
-    K^3 may be any exact rational; integrality of the resulting chi(mK) is
-    reported downstream, not enforced here.
+    K^3 may be any exact rational, given as an int or a Fraction;
+    integrality of the resulting chi(mK) is reported downstream, not
+    enforced here.
     """
 
     k3: Fraction
@@ -49,7 +51,7 @@ class ThreefoldInvariants:
     basket: Basket = EMPTY_BASKET
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k3", Fraction(self.k3))
+        object.__setattr__(self, "k3", exact_fraction(self.k3))
 
     @property
     def chi_omega(self) -> int:

@@ -1,5 +1,6 @@
 """Basket model and the local parabola terms."""
 
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -81,6 +82,13 @@ class TestBasket:
     def test_from_pairs_rejects_non_integers(self, pair):
         with pytest.raises(BasketError, match="integers"):
             Basket.from_pairs([(1, 2), pair])
+
+    def test_pickle_round_trips(self):
+        # The default frozen-slots pickling, with no custom __reduce__.
+        point = OrbifoldPoint(2, 5)
+        basket = Basket.from_pairs([(1, 2), (2, 5), (2, 5)])
+        assert pickle.loads(pickle.dumps(point)) == point
+        assert pickle.loads(pickle.dumps(basket)) == basket
 
     def test_union(self):
         left = Basket.from_pairs([(1, 2)])

@@ -1,6 +1,9 @@
 """Certificate building, serialization, and independent verification."""
 
 import hashlib
+import io
+import multiprocessing
+import pickle
 from dataclasses import replace
 from math import gcd
 
@@ -76,11 +79,42 @@ class TestReplay:
         with pytest.raises(ValueError):
             proof_replay(INEQ1, 1)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parents_are_earlier_point_objects(self, jobs):
+        cert = proof_replay(INEQ2, 40, low_slope_floor=14, jobs=jobs)
+        position = {node.point: i for i, node in enumerate(cert.nodes)}
+        for i, node in enumerate(cert.nodes):
+            if node.is_leaf:
+                continue
+            for parent in node.parents:
+                assert parent is cert.node_for(parent).point
+                assert position[parent] < i
+
     def test_node_index_is_built_once(self):
         cert = proof_replay(INEQ1, 30)
         index = cert._index
         assert all(cert.node_for(node.point) is node for node in cert.nodes)
         assert cert._index is index
+
+
+class _NoClasses(pickle.Unpickler):
+    """An unpickler that refuses every class, so only plain data loads."""
+
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"{module}.{name} crossed the pool")
+
+
+@pytest.mark.parametrize(("func", "floor"), [(INEQ1, 0), (INEQ2, 14)])
+def test_worker_results_are_plain_data(func, floor):
+    # A worker's task is one range of r; its parents may lie below it.
+    parts = [
+        certificates._build_range((func.coeffs, floor, r_lo, r_hi))
+        for r_lo, r_hi in ((2, 19), (20, 40))
+    ]
+    for part in parts:
+        assert _NoClasses(io.BytesIO(pickle.dumps(part))).load() == part
+    nodes = proof_replay(func, 40, low_slope_floor=floor).nodes
+    assert tuple(certificates._nodes(parts[0] + parts[1])) == nodes
 
 
 # sha256 of the INEQ2 certificate at r_max 400, as pinned for the benchmark
@@ -126,9 +160,25 @@ class TestSerialization:
         assert one == two
 
     def test_jobs_do_not_change_bytes(self):
-        seq = proof_replay(INEQ2, 40, low_slope_floor=14)
-        par = proof_replay(INEQ2, 40, low_slope_floor=14, jobs=2)
-        assert seq.to_text() == par.to_text()
+        # At r_max 5 each worker task is a single r.
+        for func, floor in ((INEQ1, 0), (INEQ2, 14)):
+            for r_max in (40, 5):
+                seq = proof_replay(func, r_max, low_slope_floor=floor).to_text()
+                for jobs in (2, 3):
+                    par = proof_replay(func, r_max, low_slope_floor=floor, jobs=jobs)
+                    assert par.to_text() == seq, (func.coeffs, r_max, jobs)
+
+    # The patched rule reaches the workers only when they are forked.
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers do not inherit a patched module",
+    )
+    def test_worker_lemma_contradiction_surfaces(self, monkeypatch):
+        monkeypatch.setattr(
+            certificates, "lemma_offsets", lambda r1, r2, ns: (0,) * len(ns)
+        )
+        with pytest.raises(ArithmeticError, match="for split 2/5 -> 1/2, 1/3$"):
+            proof_replay(INEQ2, 12, low_slope_floor=14, jobs=2)
 
     # A certificate that the reader takes must be the bytes that it writes.
     # Random edits with the characters a certificate is made of: most are

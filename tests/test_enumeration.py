@@ -160,6 +160,25 @@ class TestAttachInvariants:
         )
         assert list(attach_invariants(Basket(), c)) == []
 
+    @pytest.mark.parametrize("k3", ["04/2", 0.1, True])
+    def test_explicit_volume_is_int_or_fraction(self, k3):
+        want = f"want an int or a Fraction, got {type(k3).__name__} "
+        with pytest.raises(ValueError, match=want):
+            ExplicitK3(k3)
+
+    def test_explicit_volume_values(self):
+        k3 = Fraction(11, 2)
+        assert ExplicitK3(k3).value is k3
+        assert ExplicitK3(2).value == Fraction(2)
+        assert type(ExplicitK3(2).value) is Fraction
+
+    def test_candidate_invariants_share_the_volume(self):
+        c = EnumConstraints(
+            chi_min=-3, chi_max=-3, sigma_max=0, k3_policy=ExplicitK3(2)
+        )
+        (cand,) = attach_invariants(Basket(), c)
+        assert cand.invariants().k3 is cand.k3
+
     def test_minimal_search_empty_basket(self):
         c = EnumConstraints(
             chi_min=1, chi_max=1, sigma_max=0, m_max=12,

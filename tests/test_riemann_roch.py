@@ -109,6 +109,23 @@ class TestPlurigenus:
             plurigenus(X10, 1)
 
 
+class TestVolumeInput:
+    @pytest.mark.parametrize("k3", ["04/2", " 1_0/2 ", 0.1, True, None])
+    def test_only_int_or_fraction(self, k3):
+        want = f"want an int or a Fraction, got {type(k3).__name__} "
+        with pytest.raises(ValueError, match=want):
+            ThreefoldInvariants(k3, -3, EMPTY_BASKET)
+
+    def test_int_becomes_fraction(self):
+        inv = ThreefoldInvariants(2, -3, EMPTY_BASKET)
+        assert type(inv.k3) is Fraction and inv.k3 == 2
+        assert inv == X10
+
+    def test_fraction_is_kept(self):
+        k3 = Fraction(11, 2)
+        assert ThreefoldInvariants(k3, 1, EMPTY_BASKET).k3 is k3
+
+
 class TestK3FromP2:
     def test_examples(self):
         assert k3_from_p2(1, Basket.from_pairs([(1, 2)]), 0) == Fraction(11, 2)
