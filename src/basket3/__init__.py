@@ -31,22 +31,15 @@ from .enumeration import (
     attach_invariants,
     enumerate_baskets,
     enumerate_candidates,
-    farey_stage,
     find_m0,
 )
 from .functionals import (
     Functional,
     INEQ1,
     INEQ2,
-    LemmaHypothesisError,
     check_lemmas_exhaustive,
-    lemma_diff_check,
-    lemma_nodiff_check,
     verify_plurigenus_form,
-    verify_single_basket,
     xi_bar,
-    xi_delta,
-    xi_lin,
 )
 from .geography import (
     ConstantChain,
@@ -58,7 +51,7 @@ from .geography import (
     derive_constants,
     growth_diagnostics,
 )
-from .rationals import AtomError, is_unimodular, mediant_parents
+from .rationals import AtomError, mediant_parents
 from .riemann_roch import (
     InconsistentInvariantsError,
     PlurigenusReport,

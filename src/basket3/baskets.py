@@ -119,9 +119,6 @@ class Basket:
     def pairs(self) -> list[tuple[int, int]]:
         return [(p.b, p.r) for p in self.expand()]
 
-    def __add__(self, other: "Basket") -> "Basket":
-        return Basket.from_pairs(self.pairs() + other.pairs())
-
     def __len__(self) -> int:
         return sum(mult for _, mult in self.items)
 

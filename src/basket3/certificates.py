@@ -185,12 +185,6 @@ class Certificate:
     def _index(self) -> dict[OrbifoldPoint, CertificateNode]:
         return {node.point: node for node in self.nodes}
 
-    def min_slack(self) -> Fraction | None:
-        return self.slack_summary()[0]
-
-    def min_slack_points(self) -> tuple[OrbifoldPoint, ...]:
-        return self.slack_summary()[1]
-
     def slack_summary(self) -> tuple[Fraction | None, tuple[OrbifoldPoint, ...]]:
         """The least slack and the points attaining it (None without nodes)."""
         return _least_slack(
@@ -548,17 +542,19 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     got = ((node.point.b, node.point.r) for node in cert.nodes)
     if any(g != e for g, e in zip_longest(got, slopes(2, cert.r_max))):
-        got = [(node.point.b, node.point.r) for node in cert.nodes]
-        expected = set(slopes(2, cert.r_max))
-        keys = [(r, b) for b, r in got]
-        if keys != sorted(keys) or len(set(got)) != len(got):
+        keys = [(node.point.r, node.point.b) for node in cert.nodes]
+        recorded = set(keys)
+        if keys != sorted(keys) or len(recorded) != len(keys):
             issues.append("nodes are not in canonical order or contain repeats")
-        if set(got) != expected:
-            def first(points):
-                return [f"{b}/{r}" for r, b in sorted((r, b) for b, r in points)[:5]]
-
-            missing = first(expected - set(got))
-            extra = first(set(got) - expected)
+        # Every point is a valid slope, so the extra ones are those above
+        # r_max; the walk for missing ones reads at most nodes + 5 slopes.
+        unrecorded = (
+            (b, r) for b, r in slopes(2, cert.r_max) if (r, b) not in recorded
+        )
+        missing = [f"{b}/{r}" for b, r in islice(unrecorded, 5)]
+        above = sorted(key for key in recorded if key[0] > cert.r_max)
+        extra = [f"{b}/{r}" for r, b in above[:5]]
+        if missing or extra:
             issues.append(f"coverage mismatch: missing {missing}, extra {extra}")
 
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}

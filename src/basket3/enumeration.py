@@ -1,7 +1,6 @@
-"""Slope filtrations and exhaustive basket/candidate enumeration.
+"""Exhaustive basket/candidate enumeration.
 
-``farey_stage(n)`` is the set of admissible slopes with denominator up to
-n.  ``enumerate_baskets`` walks every multiset of admissible points whose
+``enumerate_baskets`` walks every multiset of admissible points whose
 multiplicity sum stays within a budget; with the "no slope at or below
 1/12" restriction this is a finite set, which is what makes a smallest
 working plurigenus exponent ``m0`` computable at all.
@@ -34,24 +33,12 @@ __all__ = [
     "attach_invariants",
     "enumerate_baskets",
     "enumerate_candidates",
-    "farey_stage",
     "find_m0",
 ]
 
 
 class NoCandidatesError(ValueError):
     """The constraint set admits no candidate at all."""
-
-
-def farey_stage(n: int) -> frozenset[OrbifoldPoint]:
-    """All coprime (b, r) with r <= n and b/r <= 1/2.
-
-    Unit fractions are present for every r <= n; each stage adds only
-    denominator-n points over the previous one.
-    """
-    if n < 2:
-        raise ValueError(f"stage must be at least 2, got {n}")
-    return frozenset(OrbifoldPoint(b, r) for b, r in slopes(2, n))
 
 
 @dataclass(frozen=True)

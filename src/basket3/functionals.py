@@ -35,25 +35,17 @@ __all__ = [
     "INEQ2",
     "INEQUALITIES",
     "Inequality",
-    "LemmaHypothesisError",
     "LemmaSweep",
     "PlurigenusFormReport",
-    "SingleBasketCheck",
     "check_lemmas_exhaustive",
     "delta_vector",
-    "lemma_diff_check",
-    "lemma_nodiff_check",
-    "lemma_offset",
     "lemma_offsets",
     "point_target",
     "split_offset",
     "verify_plurigenus_form",
-    "verify_single_basket",
     "xi_bar",
     "xi_bar_num",
     "xi_bar_pair",
-    "xi_delta",
-    "xi_lin",
     "xi_lin_num",
 ]
 
@@ -181,11 +173,6 @@ def xi_lin_num(func: Functional, b: int, r: int) -> int:
     return num
 
 
-def xi_lin(func: Functional, p: OrbifoldPoint) -> Fraction:
-    """Sum of c_j * m_lin^j at a single point."""
-    return Fraction(xi_lin_num(func, p.b, p.r), 2 * p.r)
-
-
 def delta_vector(func: Functional, b: int, r: int) -> tuple[int, ...]:
     """delta^j at b/r for each j in the functional's support, in order."""
     return tuple([delta_pair(j, b, r) for j in func.support])
@@ -194,15 +181,6 @@ def delta_vector(func: Functional, b: int, r: int) -> tuple[int, ...]:
 def xi_delta_pair(func: Functional, b: int, r: int) -> int:
     """xi_delta on a raw point: sum of c_j * delta^j, an exact integer."""
     return func.weigh(delta_vector(func, b, r))
-
-
-def xi_delta(func: Functional, p: OrbifoldPoint) -> int:
-    """Sum of c_j * delta^j at a point; equals xi_bar - xi_lin exactly."""
-    return xi_delta_pair(func, p.b, p.r)
-
-
-class LemmaHypothesisError(ValueError):
-    """A lemma was invoked outside its hypotheses."""
 
 
 def lemma_offsets(r1: int, r2: int, ns) -> tuple[int | None, ...]:
@@ -227,11 +205,6 @@ def lemma_offsets(r1: int, r2: int, ns) -> tuple[int | None, ...]:
     return tuple(offsets)
 
 
-def lemma_offset(r1: int, r2: int, n: int) -> int | None:
-    """``lemma_offsets`` at the single n."""
-    return lemma_offsets(r1, r2, (n,))[0]
-
-
 def split_offset(n: int, hi: OrbifoldPoint, lo: OrbifoldPoint) -> int:
     """delta^n of the mediant of hi and lo minus delta^n of each of them."""
     return (
@@ -245,51 +218,6 @@ def _no_slope_between(hi: OrbifoldPoint, lo: OrbifoldPoint, n: int) -> bool:
     # The smallest integer strictly above b_lo*n/r_lo is not below b_hi*n/r_hi.
     k = lo.b * n // lo.r + 1
     return k * hi.r >= hi.b * n
-
-
-def _lemma_value(p1: OrbifoldPoint, p2: OrbifoldPoint, n: int) -> int | None:
-    if n < 1:
-        raise LemmaHypothesisError(f"n must be positive, got {n}")
-    det = p1.b * p2.r - p2.b * p1.r
-    if det != 1:
-        raise LemmaHypothesisError(
-            f"need b1*r2 - b2*r1 = 1, got {det} for {p1}, {p2}"
-        )
-    return lemma_offset(p1.r, p2.r, n)
-
-
-def lemma_nodiff_check(p1: OrbifoldPoint, p2: OrbifoldPoint, n: int) -> bool:
-    """Check delta^n additivity when n is not x*r1 + y*r2 with x, y > 0.
-
-    Also confirms the interval emptiness the lemma asserts: no rational b/n
-    lies strictly between the two slopes.  Returns True when both hold
-    (they must); raises LemmaHypothesisError when a hypothesis fails.
-    """
-    if _lemma_value(p1, p2, n) != 0:
-        raise LemmaHypothesisError(
-            f"n={n} is representable as x*{p1.r} + y*{p2.r} with x, y > 0"
-        )
-    return split_offset(n, p1, p2) == 0 and _no_slope_between(p1, p2, n)
-
-
-def lemma_diff_check(p1: OrbifoldPoint, p2: OrbifoldPoint, n: int) -> int:
-    """Offset of delta^n under the split when n = x*r1 + y*r2 in the box.
-
-    Returns delta^n(b1+b2, r1+r2) - delta^n(b1, r1) - delta^n(b2, r2) and
-    confirms it equals -min(x, y).
-    """
-    expected = _lemma_value(p1, p2, n)
-    if not expected:
-        raise LemmaHypothesisError(
-            f"n={n} has no representation x*{p1.r} + y*{p2.r} "
-            f"with 0 < x <= {p2.r}, 0 < y <= {p1.r}"
-        )
-    offset = split_offset(n, p1, p2)
-    if offset != expected:
-        raise ArithmeticError(
-            f"offset {offset} != lemma value {expected} for {p1}, {p2}, n={n}"
-        )
-    return offset
 
 
 @dataclass(frozen=True)
@@ -351,33 +279,6 @@ def check_lemmas_exhaustive(r1_max: int, r2_max: int) -> LemmaSweep:
     return LemmaSweep(
         pairs, nodiff_checked, diff_checked, uncovered, tuple(mismatches)
     )
-
-
-@dataclass(frozen=True)
-class SingleBasketCheck:
-    """xi_bar at one point against a target value."""
-
-    point: OrbifoldPoint
-    value: Fraction
-    target: Fraction
-
-    @property
-    def slack(self) -> Fraction:
-        return self.value - self.target
-
-    @property
-    def ok(self) -> bool:
-        return self.value >= self.target
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_single_basket(
-    func: Functional, p: OrbifoldPoint, target: Fraction | int
-) -> SingleBasketCheck:
-    """Check xi_bar(func, {p}) >= target and report the exact slack."""
-    return SingleBasketCheck(p, xi_bar_pair(func, p.b, p.r), Fraction(target))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "NAT_RULE",
     "exact_fraction",
     "format_fraction",
-    "is_unimodular",
     "mediant_parents",
     "parse_fraction",
     "parse_int",
@@ -160,8 +159,3 @@ def mediant_parents(b: int, n: int) -> MediantSplit:
         raise AtomError(f"1/{n} is an atom; unit fractions have no mediant parents")
     high, low, cf_det = split_slope(b, n)
     return MediantSplit(OrbifoldPoint(*high), OrbifoldPoint(*low), cf_det)
-
-
-def is_unimodular(p1: OrbifoldPoint, p2: OrbifoldPoint) -> bool:
-    """True when b1*r2 - b2*r1 is +1 or -1."""
-    return abs(p1.b * p2.r - p2.b * p1.r) == 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import multiprocessing
 import pickle
 from dataclasses import replace
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basket3 import certificates, functionals
+from basket3 import certificates
 from basket3.baskets import OrbifoldPoint
 from basket3.certificates import Certificate, proof_replay, verify_certificate
+from basket3.cli import main
 from basket3.functionals import (
     INEQ1,
     INEQ2,
@@ -61,15 +63,18 @@ class TestReplay:
 
     def test_ineq1_equality_set(self):
         cert = proof_replay(INEQ1, 12)
-        assert cert.min_slack() == 0
-        attained = {(p.b, p.r) for p in cert.min_slack_points()}
+        least, points = cert.slack_summary()
+        assert least == 0
+        attained = {(p.b, p.r) for p in points}
         assert attained == INEQ1_EQUALITY_R12
         assert {(1, 2), (1, 3), (1, 4), (2, 5)} <= attained
 
     def test_slack_summary_is_min_and_attaining_points(self):
         for func in (INEQ1, INEQ2):
             cert = proof_replay(func, 30)
-            assert cert.slack_summary() == (cert.min_slack(), cert.min_slack_points())
+            least = min(n.slack for n in cert.nodes)
+            attaining = tuple(n.point for n in cert.nodes if n.slack == least)
+            assert cert.slack_summary() == (least, attaining)
 
     def test_node_counts_cover_all_slopes(self):
         cert = proof_replay(INEQ1, 30)
@@ -252,6 +257,42 @@ class TestVerification:
         assert not report.ok
         assert any("coverage" in issue for issue in report.issues)
 
+    # The header's r-max moved away from the 23 nodes of the INEQ2 r_max 12
+    # certificate.  Raised, the report names the first slopes above 12 and
+    # reads only about nodes + 5 of them, not all slopes up to r-max;
+    # lowered, it names the recorded points above r-max in (r, b) order.
+    @pytest.mark.parametrize(
+        ("r_max", "missing", "extra"),
+        [
+            (100000, ["1/13", "2/13", "3/13", "4/13", "5/13"], []),
+            (10, [], ["1/11", "2/11", "3/11", "4/11", "5/11"]),
+        ],
+        ids=["raised", "lowered"],
+    )
+    def test_coverage_report_is_bounded_by_the_nodes(
+        self, r_max, missing, extra, tmp_path, capsys, monkeypatch
+    ):
+        walk, read = certificates.slopes, 0
+
+        def bounded_slopes(*args):
+            nonlocal read
+            for slope in walk(*args):
+                read += 1
+                if read > 1000:
+                    raise AssertionError(f"coverage check read {read} slopes")
+                yield slope
+
+        monkeypatch.setattr(certificates, "slopes", bounded_slopes)
+        text = proof_replay(INEQ2, 12, low_slope_floor=14).to_text()
+        path = tmp_path / "cert.txt"
+        path.write_text(text.replace("r-max: 12\n", f"r-max: {r_max}\n", 1))
+        code = main(["verify", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["issues"] == [
+            f"coverage mismatch: missing {missing}, extra {extra}"
+        ]
+
     def test_unsorted_nodes_detected(self):
         cert = proof_replay(INEQ1, 8)
         shuffled = Certificate(
@@ -298,7 +339,7 @@ class TestVerification:
         cert = proof_replay(func, 8)
         p25, p37 = OrbifoldPoint(2, 5), OrbifoldPoint(3, 7)
         assert cert.node_for(p37).parents == (OrbifoldPoint(1, 2), p25)
-        assert functionals.lemma_offset(2, 5, 19) is None
+        assert lemma_offsets(2, 5, (19,)) == (None,)
 
         def bump(node, k):
             offsets = dict(node.offsets)

@@ -15,10 +15,9 @@ from basket3.enumeration import (
     attach_invariants,
     enumerate_baskets,
     enumerate_candidates,
-    farey_stage,
     find_m0,
 )
-from basket3.rationals import mediant_parents
+from basket3.rationals import mediant_parents, slopes
 from oracles import admissible_points_by_definition, brute_force_baskets
 
 
@@ -26,20 +25,21 @@ def non_units(stage):
     return {p for p in stage if p.b >= 2}
 
 
+def slopes_up_to(n):
+    """The slopes with denominator up to n, as a set of points."""
+    return {OrbifoldPoint(b, r) for b, r in slopes(2, n)}
+
+
 class TestFareyStage:
     def test_stage_five_adds_only_two_fifths(self):
-        assert non_units(farey_stage(5)) == {OrbifoldPoint(2, 5)}
+        assert non_units(slopes_up_to(5)) == {OrbifoldPoint(2, 5)}
 
     def test_stage_six_adds_no_new_slope_beyond_the_unit(self):
-        assert farey_stage(6) - farey_stage(5) == {OrbifoldPoint(1, 6)}
+        assert slopes_up_to(6) - slopes_up_to(5) == {OrbifoldPoint(1, 6)}
 
     def test_stage_seven_additions(self):
-        added = non_units(farey_stage(7)) - non_units(farey_stage(6))
+        added = non_units(slopes_up_to(7)) - non_units(slopes_up_to(6))
         assert added == {OrbifoldPoint(2, 7), OrbifoldPoint(3, 7)}
-
-    def test_rejects_below_two(self):
-        with pytest.raises(ValueError):
-            farey_stage(1)
 
     def test_matches_definition(self):
         for n in range(2, 40):
@@ -49,12 +49,12 @@ class TestFareyStage:
                 for b in range(1, r // 2 + 1)
                 if gcd(b, r) == 1
             }
-            assert farey_stage(n) == expected
+            assert slopes_up_to(n) == expected
 
     def test_filtration_and_parent_closure(self):
-        previous = farey_stage(2)
+        previous = slopes_up_to(2)
         for n in range(3, 101):
-            stage = farey_stage(n)
+            stage = slopes_up_to(n)
             assert stage >= previous
             assert all(p.r == n for p in stage - previous)
             for p in stage - previous:

@@ -26,21 +26,16 @@ from basket3.functionals import (
     INEQ2,
     INEQUALITIES,
     Inequality,
-    LemmaHypothesisError,
     PlurigenusFormReport,
     check_lemmas_exhaustive,
     delta_vector,
-    lemma_diff_check,
-    lemma_nodiff_check,
-    lemma_offset,
     lemma_offsets,
+    split_offset,
     verify_plurigenus_form,
-    verify_single_basket,
     xi_bar,
     xi_bar_num,
     xi_bar_pair,
-    xi_delta,
-    xi_lin,
+    xi_delta_pair,
     xi_lin_num,
 )
 from basket3.riemann_roch import InconsistentInvariantsError, ThreefoldInvariants
@@ -110,14 +105,16 @@ class TestXiEvaluations:
         assert xi_bar(INEQ1, Basket.from_pairs([(1, 9)])) == 2
 
     def test_xi_lin_single_coefficient(self):
-        assert xi_lin(Functional((1,)), OrbifoldPoint(1, 2)) == Fraction(1, 4)
+        # m_lin^1 is 1/4 at 1/2, and 2r = 4.
+        assert xi_lin_num(Functional((1,)), 1, 2) == 1
 
     @given(points())
     def test_balanced_closed_form(self, p):
-        assert xi_lin(INEQ1, p) == 2 * p.b
-        assert xi_lin(INEQ2, p) == 14 * p.b
+        # Balanced, the linear part is b * M1/2 (M1 = 4 and 28), over 2r.
+        assert xi_lin_num(INEQ1, p.b, p.r) == 2 * p.r * 2 * p.b
+        assert xi_lin_num(INEQ2, p.b, p.r) == 2 * p.r * 14 * p.b
         # A small balanced functional beyond the built-ins.
-        assert xi_lin(Functional((-4, 1)), p) == -p.b
+        assert xi_lin_num(Functional((-4, 1)), p.b, p.r) == 2 * p.r * -p.b
 
     @settings(max_examples=150)
     @given(functionals, points())
@@ -129,16 +126,15 @@ class TestXiEvaluations:
         assert delta_vector(func, p.b, p.r) == tuple(delta(j, p) for j, _ in terms)
 
     def test_xi_delta_examples(self):
-        assert xi_delta(INEQ1, OrbifoldPoint(1, 2)) == -2
-        assert xi_delta(INEQ1, OrbifoldPoint(2, 5)) == -4
-        assert xi_delta(INEQ1, OrbifoldPoint(1, 5)) == -1
+        assert xi_delta_pair(INEQ1, 1, 2) == -2
+        assert xi_delta_pair(INEQ1, 2, 5) == -4
+        assert xi_delta_pair(INEQ1, 1, 5) == -1
 
     @settings(max_examples=150)
     @given(functionals, points())
     def test_xi_delta_is_the_gap(self, func, p):
-        assert xi_delta(func, p) == xi_bar(func, Basket.from_points([p])) - xi_lin(
-            func, p
-        )
+        lin = Fraction(xi_lin_num(func, p.b, p.r), 2 * p.r)
+        assert xi_delta_pair(func, p.b, p.r) == xi_bar(func, Basket.from_points([p])) - lin
 
 
 @st.composite
@@ -152,13 +148,11 @@ class TestRepresentations:
     def test_box_cases(self):
         # 5 = 1*2 + 1*3 and 12 = 3*2 + 2*3 lie in the box 0 < y <= r1, so the
         # offset is -min(x, y); 6 has no representation with x, y > 0.
-        assert lemma_offset(2, 3, 5) == -1
-        assert lemma_offset(2, 3, 12) == -2
-        assert lemma_offset(2, 3, 6) == 0
+        assert lemma_offsets(2, 3, (5, 6, 12)) == (-1, 0, -2)
 
     def test_positive_but_no_box(self):
         # 11 = 4*2 + 1*3 has positive representations but none in the box.
-        assert lemma_offset(2, 3, 11) is None
+        assert lemma_offsets(2, 3, (11,)) == (None,)
 
 
 @st.composite
@@ -175,7 +169,8 @@ class TestLemmaOffset:
     @settings(max_examples=300)
     @given(coprime_lemma_inputs())
     def test_matches_search(self, args):
-        assert lemma_offset(*args) == lemma_offset_by_search(*args)
+        r1, r2, n = args
+        assert lemma_offsets(r1, r2, (n,))[0] == lemma_offset_by_search(r1, r2, n)
 
     # The examples pin both sides of the early return (all of ns below
     # r1 + r2) and the n > r1*r2 where neither lemma applies (None).
@@ -193,29 +188,25 @@ class TestLemmaOffset:
 
 
 class TestLemmas:
+    # The split of 2/5: predicted offsets against the observed gaps.
     P12, P13 = OrbifoldPoint(1, 2), OrbifoldPoint(1, 3)
 
-    def test_nodiff_holds(self):
-        assert lemma_nodiff_check(self.P12, self.P13, 3)
-        assert lemma_nodiff_check(self.P12, self.P13, 4)
+    def gaps(self, ns):
+        return tuple(split_offset(n, self.P12, self.P13) for n in ns)
 
-    def test_nodiff_hypothesis_failures(self):
-        with pytest.raises(LemmaHypothesisError, match="representable"):
-            lemma_nodiff_check(self.P12, self.P13, 5)
-        with pytest.raises(LemmaHypothesisError, match="b1\\*r2 - b2\\*r1"):
-            lemma_nodiff_check(self.P13, self.P12, 3)
-        with pytest.raises(LemmaHypothesisError):
-            lemma_nodiff_check(self.P12, self.P12, 3)
+    def test_nodiff_holds(self):
+        assert lemma_offsets(2, 3, (3, 4)) == (0, 0)
+        assert self.gaps((3, 4)) == (0, 0)
 
     def test_diff_offsets(self):
-        offsets = [lemma_diff_check(self.P12, self.P13, n) for n in (5, 7, 10, 12)]
-        assert offsets == [-1, -1, -2, -2]
+        ns = (5, 7, 10, 12)
+        assert lemma_offsets(2, 3, ns) == (-1, -1, -2, -2)
+        assert self.gaps(ns) == (-1, -1, -2, -2)
 
     def test_diff_hypothesis_failures(self):
-        with pytest.raises(LemmaHypothesisError, match="no representation"):
-            lemma_diff_check(self.P12, self.P13, 3)
-        with pytest.raises(LemmaHypothesisError, match="no representation"):
-            lemma_diff_check(self.P12, self.P13, 11)
+        # 3 has no representation with x, y > 0 (the no-difference lemma
+        # applies); 11 has one, but not in the box, so neither lemma does.
+        assert lemma_offsets(2, 3, (3, 11)) == (0, None)
 
     def test_small_sweep_clean(self):
         sweep = check_lemmas_exhaustive(12, 12)
@@ -226,14 +217,13 @@ class TestLemmas:
 
 class TestSingleBasket:
     def test_examples(self):
-        check = verify_single_basket(INEQ1, OrbifoldPoint(2, 5), 0)
-        assert check.ok and check.value == 0
-
-        check = verify_single_basket(INEQ2, OrbifoldPoint(1, 12), 14)
-        assert check.ok and check.slack == 0
-
-        check = verify_single_basket(INEQ2, OrbifoldPoint(3, 10), 0)
-        assert check.ok and check.value == 1
+        # xi_bar of a one-point basket against its inequality's target.
+        cases = [(1, (2, 5), 0, 0), (2, (1, 12), 14, 0), (2, (3, 10), 1, 1)]
+        for which, (b, r), value, slack in cases:
+            ineq = INEQUALITIES[which]
+            got = xi_bar_pair(ineq.functional, b, r)
+            assert got == value
+            assert got - ineq.target(Basket.from_pairs([(b, r)])) == slack
 
 
 class TestPlurigenusForms:

@@ -11,7 +11,6 @@ from basket3.baskets import NonCoprimeError, OrbifoldPoint
 from basket3.rationals import (
     AtomError,
     format_fraction,
-    is_unimodular,
     mediant_parents,
     parse_fraction,
     slopes,
@@ -117,9 +116,12 @@ class TestSlopes:
 
 class TestIsUnimodular:
     def test_examples(self):
-        assert is_unimodular(OrbifoldPoint(1, 2), OrbifoldPoint(1, 3))
-        assert not is_unimodular(OrbifoldPoint(1, 2), OrbifoldPoint(1, 2))
-        assert is_unimodular(OrbifoldPoint(2, 5), OrbifoldPoint(1, 3))
+        # The splits of 2/5 and 3/8 are the pairs (1/2, 1/3) and (2/5, 1/3),
+        # each with determinant b_high*r_low - b_low*r_high = 1.
+        for (b, r), pair in (((2, 5), ((1, 2), (1, 3))), ((3, 8), ((2, 5), (1, 3)))):
+            hi, lo, _ = mediant_parents(b, r)
+            assert ((hi.b, hi.r), (lo.b, lo.r)) == pair
+            assert hi.b * lo.r - lo.b * hi.r == 1
 
     def test_validation_flows_through(self):
         with pytest.raises(NonCoprimeError):
