@@ -26,6 +26,7 @@ __all__ = [
     "SlopeError",
     "delta",
     "delta_pair",
+    "delta_row",
     "l_correction",
     "l_table",
     "m_lin",
@@ -144,14 +145,18 @@ def m_lin(j: int, p: OrbifoldPoint) -> Fraction:
     return Fraction(t * (p.r - t), 2 * p.r)
 
 
-def delta_pair(n: int, b: int, r: int) -> int:
-    """Integer gap mbar - m_lin for raw (b, r), n >= 0.
+def delta_row(b: int, r: int, ns) -> tuple[int, ...]:
+    """Integer gaps mbar - m_lin for raw (b, r) at each n in ns, n >= 0.
 
-    Equals i*b*n - (i^2 + i)/2 * r with i = floor(bn/r); (i^2 + i) is even,
-    so the division is exact.
+    Each is i*b*n - (i^2 + i)/2 * r with i = floor(bn/r); (i^2 + i) is
+    even, so the division is exact.
     """
-    i = (b * n) // r
-    return i * b * n - ((i * i + i) // 2) * r
+    return tuple([(i := b * n // r) * b * n - (i * i + i) // 2 * r for n in ns])
+
+
+def delta_pair(n: int, b: int, r: int) -> int:
+    """Integer gap mbar - m_lin for raw (b, r): the one-index ``delta_row``."""
+    return delta_row(b, r, (n,))[0]
 
 
 def delta(n: int, p: OrbifoldPoint) -> int:

@@ -25,9 +25,12 @@ the support) is computed once and kept in a table, and a split reads its
 parents' vectors from that table, so its offsets are
 ``d_child - d_high - d_low``.  xi_bar is kept as its numerator over 2r and
 the target as an integer; ``Fraction`` appears only in the node properties,
-the reports and the text fields.  The builder yields plain-integer records,
-which is all a replay worker sends back, and ``_nodes`` alone turns them
-into nodes, making each point object once.
+the reports and the text fields.  The builder takes xi_bar from the
+identity xi_bar = xi_delta + xi_lin, with xi_lin in closed form; the
+verifier evaluates xi_bar from its definition and checks the identity, so
+every recorded xi_bar is checked against the definition.  The builder
+yields plain-integer records, which is all a replay worker sends back, and
+``_nodes`` alone turns them into nodes, making each point object once.
 
 The reader takes exactly the text that ``to_text`` writes: it reads each
 node line with one match of the grammar ``_NODE_GRAMMAR``, whose values are
@@ -402,7 +405,7 @@ def _observed_offsets(d, d_hi, d_lo) -> tuple[int, ...]:
 
 def _nonzero(support, offs) -> tuple[tuple[int, int], ...]:
     """The (j, offset) pairs with a nonzero offset, in ascending j."""
-    return tuple(compress(zip(support, offs), offs))
+    return tuple(compress(zip(support, offs), offs)) if any(offs) else ()
 
 
 def _contradictions(support, offs, predicted):
@@ -428,12 +431,13 @@ def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tup
     its parents' vectors instead of recomputing them; a parent below r_lo
     is computed once, then kept.
     """
-    support = func.support
+    support, weigh = func.support, func.weigh
     table: dict[tuple[int, int], tuple[int, ...]] = {}
     for b, r in slopes(r_lo, r_hi):
         d = table[b, r] = delta_vector(func, b, r)
-        xd = func.weigh(d)
-        xi = xi_bar_num(func, b, r)
+        xd = weigh(d)
+        # xi_bar = xi_delta + xi_lin; the verifier evaluates it by definition.
+        xi = 2 * r * xd + xi_lin_num(func, b, r)
         target = point_target(floor, b, r)
         if b == 1:
             yield b, r, None, None, (), 0, xd, xi, target
@@ -450,7 +454,7 @@ def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tup
                     f"for split {b}/{r} -> {hi[0]}/{hi[1]}, {lo[0]}/{lo[1]}"
                 )
         offsets = _nonzero(support, offs)
-        net = func.weigh(offs) if offsets else 0
+        net = weigh(offs) if offsets else 0
         yield b, r, hi, cf_det, offsets, net, xd, xi, target
 
 
@@ -488,7 +492,7 @@ def proof_replay(
 
     The node list is identical for any ``jobs``: work is chunked by r, and
     workers send back plain records that are turned into nodes in order, as
-    they arrive.
+    they arrive.  No more workers start than there are tasks or CPUs.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
@@ -500,7 +504,8 @@ def proof_replay(
             (func.coeffs, low_slope_floor, r, min(r + chunk - 1, r_max))
             for r in range(2, r_max + 1, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_build_range, tasks)
             nodes = tuple(_nodes(record for part in parts for record in part))
     return Certificate(func, r_max, low_slope_floor, SLOPE_CUT, nodes)
@@ -557,56 +562,63 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if missing or extra:
             issues.append(f"coverage mismatch: missing {missing}, extra {extra}")
 
+    support, weigh = func.support, func.weigh
+    floor, cut = cert.low_slope_floor, cert.slope_cut.as_integer_ratio()
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}
     slacks = []
     for node in cert.nodes:
-        p = node.point
+        # The names ending in _rec are the node's recorded fields, which are
+        # only ever compared with recomputed values.
+        p, parents, cf_det_rec, offsets_rec, net_rec, xd_rec, xi_rec, target_rec = node
         b, r = p.b, p.r
+        two_r = 2 * r
         d = vectors[b, r] = delta_vector(func, b, r)
-        xd = func.weigh(d)
+        xd = weigh(d)
         xi = xi_bar_num(func, b, r)
-        if node.xi_num != xi:
+        if xi_rec != xi:
             issues.append(
-                f"{p}: recorded xibar {node.xi_bar} != {Fraction(xi, 2 * r)}"
+                f"{p}: recorded xibar {Fraction(xi_rec, two_r)}"
+                f" != {Fraction(xi, two_r)}"
             )
-        if node.xi_delta != xd:
-            issues.append(f"{p}: recorded xidelta {node.xi_delta} != {xd}")
-        if xi != 2 * r * xd + xi_lin_num(func, b, r):
+        if xd_rec != xd:
+            issues.append(f"{p}: recorded xidelta {xd_rec} != {xd}")
+        if xi != two_r * xd + xi_lin_num(func, b, r):
             issues.append(f"{p}: xi_bar != xi_delta + xi_lin")
-        target = point_target(cert.low_slope_floor, b, r, cert.slope_cut)
-        slack = xi - 2 * r * target
+        target = point_target(floor, b, r, cut)
+        slack = xi - two_r * target
         slacks.append(slack)
-        if node.target_int != target:
-            issues.append(f"{p}: recorded target {node.target_int} != {target}")
+        if target_rec != target:
+            issues.append(f"{p}: recorded target {target_rec} != {target}")
         if slack < 0:
             issues.append(
-                f"{p}: violation, xibar {Fraction(xi, 2 * r)} < target {target}"
+                f"{p}: violation, xibar {Fraction(xi, two_r)} < target {target}"
             )
-        if node.parents is None:
+        if parents is None:
             if b != 1:
                 issues.append(f"{p}: non-atom recorded as leaf")
             continue
-        hi, lo = node.parents
-        if hi.b + lo.b != b or hi.r + lo.r != r:
+        hi, lo = parents
+        b_hi, r_hi, b_lo, r_lo = hi.b, hi.r, lo.b, lo.r
+        if b_hi + b_lo != b or r_hi + r_lo != r:
             issues.append(f"{p}: parents {hi}, {lo} do not sum to the point")
             continue
-        unimodular = hi.b * lo.r - lo.b * hi.r == 1
+        unimodular = b_hi * r_lo - b_lo * r_hi == 1
         if not unimodular:
             issues.append(f"{p}: parents are not unimodular in (high, low) order")
-        cf_det = 1 if 2 * hi.r < r else -1
-        if node.cf_det != cf_det:
-            issues.append(f"{p}: recorded cfdet {node.cf_det} != {cf_det}")
-        d_hi = vectors.get((hi.b, hi.r))
-        d_lo = vectors.get((lo.b, lo.r))
+        cf_det = 1 if 2 * r_hi < r else -1
+        if cf_det_rec != cf_det:
+            issues.append(f"{p}: recorded cfdet {cf_det_rec} != {cf_det}")
+        d_hi = vectors.get((b_hi, r_hi))
+        d_lo = vectors.get((b_lo, r_lo))
         if d_hi is None or d_lo is None:
             issues.append(f"{p}: parents missing from the certificate before it")
             continue
         offs = _observed_offsets(d, d_hi, d_lo)
-        nonzero = _nonzero(func.support, offs)
-        if node.offsets != nonzero:
+        nonzero = _nonzero(support, offs)
+        if offsets_rec != nonzero:
             found = len(issues)
-            recorded = dict(node.offsets)
-            for j, off in zip(func.support, offs):
+            recorded = dict(offsets_rec)
+            for j, off in zip(support, offs):
                 if recorded.pop(j, 0) != off:
                     issues.append(f"{p}: offset at j={j} should be {off}")
             if recorded:
@@ -614,14 +626,14 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             if len(issues) == found:
                 issues.append(f"{p}: offsets are not nonzero and in ascending j")
         # The lemmas speak only of unimodular splits, whose indices are coprime.
-        predicted = lemma_offsets(hi.r, lo.r, func.support) if unimodular else offs
+        predicted = lemma_offsets(r_hi, r_lo, support) if unimodular else offs
         if offs != predicted:
-            for j, _, want in _contradictions(func.support, offs, predicted):
+            for j, _, want in _contradictions(support, offs, predicted):
                 rule = "additivity" if want == 0 else "the offset lemma"
                 issues.append(f"{p}: j={j} contradicts {rule}")
-        net = func.weigh(offs) if nonzero else 0
-        if node.net_offset != net:
-            issues.append(f"{p}: recorded net offset {node.net_offset} != {net}")
+        net = weigh(offs) if nonzero else 0
+        if net_rec != net:
+            issues.append(f"{p}: recorded net offset {net_rec} != {net}")
 
     min_slack, attained = _least_slack((n.point for n in cert.nodes), slacks)
     return VerificationReport(len(cert.nodes), min_slack, attained, tuple(issues))

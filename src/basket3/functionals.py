@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
-from .baskets import Basket, OrbifoldPoint, delta_pair, scaled_l_table, sigma12
+from .baskets import Basket, OrbifoldPoint, delta_row, scaled_l_table, sigma12
 from .rationals import mediant_parents, slopes
 from .riemann_roch import InconsistentInvariantsError, ThreefoldInvariants, chi_mk_row
 
@@ -41,7 +41,7 @@ __all__ = [
     "delta_vector",
     "lemma_offsets",
     "point_target",
-    "split_offset",
+    "split_offsets",
     "verify_plurigenus_form",
     "xi_bar",
     "xi_bar_num",
@@ -54,18 +54,26 @@ __all__ = [
 class Functional:
     """Integer coefficients (c_1, ..., c_N) on mbar^1, ..., mbar^N.
 
-    Trailing zeros are canonicalized away; at least one coefficient must
-    survive.
+    Every coefficient must be an int (not a bool).  Trailing zeros are
+    canonicalized away; at least one coefficient must survive.
     """
 
     coeffs: tuple[int, ...]
-    # Indices j with c_j != 0, ascending, and their c_j; derived, so not
-    # part of eq or repr.
+    # Indices j with c_j != 0, ascending, their c_j, and the moments
+    # m1 = sum c_j * j, m2 = sum c_j * j^2; derived, so not part of eq or
+    # repr.
     support: tuple[int, ...] = field(init=False, compare=False, repr=False)
     weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    m1: int = field(init=False, compare=False, repr=False)
+    m2: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        for c in coeffs:
+            if type(c) is not int:  # no bool, no truncation
+                raise ValueError(
+                    f"coefficients must be ints, got {type(c).__name__} {c!r}"
+                )
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if not coeffs:
@@ -74,32 +82,38 @@ class Functional:
         support = tuple(j for j, c in enumerate(coeffs, start=1) if c)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", tuple(coeffs[j - 1] for j in support))
+        object.__setattr__(self, "m1", sum(c * j for j, c in enumerate(coeffs, 1)))
+        object.__setattr__(self, "m2", sum(c * j * j for j, c in enumerate(coeffs, 1)))
 
     def weigh(self, values) -> int:
         """sum of c_j * v_j for per-j values v_j listed over the support."""
         return sum(map(mul, self.weights, values))
 
     def moments(self) -> tuple[int, int]:
-        """(sum c_j * j, sum c_j * j^2).
+        """(m1, m2) = (sum c_j * j, sum c_j * j^2).
 
         A zero second moment makes the functional balanced: xi_lin is then
-        b * (first moment)/2, independent of r.
+        b * m1/2, independent of r.
         """
-        first = sum(c * j for j, c in enumerate(self.coeffs, start=1))
-        second = sum(c * j * j for j, c in enumerate(self.coeffs, start=1))
-        return first, second
+        return self.m1, self.m2
 
     @property
     def is_balanced(self) -> bool:
-        return self.moments()[1] == 0
+        return self.m2 == 0
 
 
 SLOPE_CUT = Fraction(1, 12)
 
 
-def point_target(floor: int, b: int, r: int, cut: Fraction = SLOPE_CUT) -> int:
-    """Target for xi_bar at the single point b/r: floor * b when b/r <= cut."""
-    return floor * b if b * cut.denominator <= cut.numerator * r else 0
+def point_target(
+    floor: int, b: int, r: int, cut: tuple[int, int] = SLOPE_CUT.as_integer_ratio()
+) -> int:
+    """Target for xi_bar at the single point b/r: floor * b when b/r <= cut.
+
+    ``cut`` is the slope cut as its integer ratio (p, q).
+    """
+    p, q = cut
+    return floor * b if b * q <= p * r else 0
 
 
 @dataclass(frozen=True)
@@ -165,17 +179,16 @@ def xi_bar(func: Functional, basket: Basket) -> Fraction:
 
 
 def xi_lin_num(func: Functional, b: int, r: int) -> int:
-    """2r * xi_lin at b/r: sum of c_j * t(r - t) with t = jb."""
-    num = 0
-    for j, c in zip(func.support, func.weights):
-        t = j * b
-        num += c * t * (r - t)
-    return num
+    """2r * xi_lin at b/r: sum of c_j * t(r - t) with t = jb.
+
+    In closed form, b*r*m1 - b^2*m2 with the functional's moments.
+    """
+    return b * (r * func.m1 - b * func.m2)
 
 
 def delta_vector(func: Functional, b: int, r: int) -> tuple[int, ...]:
     """delta^j at b/r for each j in the functional's support, in order."""
-    return tuple([delta_pair(j, b, r) for j in func.support])
+    return delta_row(b, r, func.support)
 
 
 def xi_delta_pair(func: Functional, b: int, r: int) -> int:
@@ -205,12 +218,11 @@ def lemma_offsets(r1: int, r2: int, ns) -> tuple[int | None, ...]:
     return tuple(offsets)
 
 
-def split_offset(n: int, hi: OrbifoldPoint, lo: OrbifoldPoint) -> int:
-    """delta^n of the mediant of hi and lo minus delta^n of each of them."""
-    return (
-        delta_pair(n, hi.b + lo.b, hi.r + lo.r)
-        - delta_pair(n, hi.b, hi.r)
-        - delta_pair(n, lo.b, lo.r)
+def split_offsets(hi: OrbifoldPoint, lo: OrbifoldPoint, ns) -> tuple[int, ...]:
+    """delta^n of the mediant of hi and lo minus delta^n of each, for n in ns."""
+    child = delta_row(hi.b + lo.b, hi.r + lo.r, ns)
+    return tuple(
+        map(sub, map(sub, child, delta_row(hi.b, hi.r, ns)), delta_row(lo.b, lo.r, ns))
     )
 
 
@@ -258,8 +270,8 @@ def check_lemmas_exhaustive(r1_max: int, r2_max: int) -> LemmaSweep:
             continue
         pairs += 1
         ns = range(1, 2 * r1 * r2 + 1)
-        for n, expected in zip(ns, lemma_offsets(r1, r2, ns)):
-            gap = split_offset(n, p1, p2)
+        gaps = split_offsets(p1, p2, ns)
+        for n, expected, gap in zip(ns, lemma_offsets(r1, r2, ns), gaps):
             if expected == 0:
                 nodiff_checked += 1
                 if gap != 0 or not _no_slope_between(p1, p2, n):

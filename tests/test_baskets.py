@@ -17,6 +17,8 @@ from basket3.baskets import (
     OrbifoldPoint,
     SlopeError,
     delta,
+    delta_pair,
+    delta_row,
     l_correction,
     l_table,
     m_lin,
@@ -128,6 +130,16 @@ class TestLocalTerms:
                     gap = delta(n, p)
                     assert gap == mbar(n, p) - m_lin(n, p)
                     assert gap >= 0
+
+    @given(points(2000), st.lists(st.integers(0, 5000), max_size=20))
+    def test_delta_row_is_the_gap(self, p, ns):
+        # The row against its one-index view and against the definition
+        # 2r * delta = s(r - s) - t(r - t), with s = nb mod r and t = nb.
+        row = delta_row(p.b, p.r, ns)
+        assert row == tuple(delta_pair(n, p.b, p.r) for n in ns)
+        for n, value in zip(ns, row):
+            s, t = n * p.b % p.r, n * p.b
+            assert 2 * p.r * value == s * (p.r - s) - t * (p.r - t)
 
     @given(points())
     def test_mbar_periodicity(self, p):

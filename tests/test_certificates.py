@@ -173,6 +173,36 @@ class TestSerialization:
                     par = proof_replay(func, r_max, low_slope_floor=floor, jobs=jobs)
                     assert par.to_text() == seq, (func.coeffs, r_max, jobs)
 
+    @pytest.mark.parametrize(("cpus", "workers"), [(64, 11), (2, 2), (None, 1)])
+    def test_worker_count_is_bounded(self, cpus, workers, tmp_path, monkeypatch):
+        # At r_max 12 the replay has 11 one-index tasks, so --jobs 10000 may
+        # start no more workers than that, nor more than the CPUs.  The
+        # stand-in pool records its size and runs the tasks in this process.
+        sizes, tasks = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                tasks.extend(iterable)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(certificates, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(certificates.os, "cpu_count", lambda: cpus)
+        path = tmp_path / "cert.txt"
+        args = ["replay", "--which", "2", "--r-max", "12", "--jobs", "10000"]
+        assert main([*args, "--out", str(path)]) == 0
+        assert sizes == [workers]
+        assert [task[2:] for task in tasks] == [(r, r) for r in range(2, 13)]
+        assert path.read_text() == proof_replay(INEQ2, 12, low_slope_floor=14).to_text()
+
     # The patched rule reaches the workers only when they are forked.
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -292,6 +322,25 @@ class TestVerification:
         assert report["issues"] == [
             f"coverage mismatch: missing {missing}, extra {extra}"
         ]
+
+    def test_builder_xi_bar_is_checked_by_definition(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The builder takes xi_bar from xi_delta + xi_lin; with an xi_lin
+        # that is off by one, every node it writes is wrong, and the
+        # verifier, which evaluates xi_bar from its definition, says so.
+        xi_lin_num = certificates.xi_lin_num
+        monkeypatch.setattr(
+            certificates, "xi_lin_num", lambda func, b, r: xi_lin_num(func, b, r) + 1
+        )
+        cert = proof_replay(INEQ2, 12, low_slope_floor=14)
+        monkeypatch.undo()
+        path = tmp_path / "cert.txt"
+        cert.write(path)
+        code = main(["verify", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["issues"][0] == "1/2: recorded xibar 1/4 != 0"
 
     def test_unsorted_nodes_detected(self):
         cert = proof_replay(INEQ1, 8)

@@ -1,5 +1,6 @@
 """Functionals, the split lemmas, and the inequality forms."""
 
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -7,7 +8,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from basket3.baskets import (
@@ -30,7 +31,7 @@ from basket3.functionals import (
     check_lemmas_exhaustive,
     delta_vector,
     lemma_offsets,
-    split_offset,
+    split_offsets,
     verify_plurigenus_form,
     xi_bar,
     xi_bar_num,
@@ -58,6 +59,28 @@ functionals = st.builds(
 )
 
 
+@st.composite
+def balanced_coeffs(draw, bound=20, max_len=15):
+    """Coefficients in [-bound, bound] with sum c_j * j^2 = 0, not all zero.
+
+    Drawn from c_N down to c_1, each within reach of the rest: after c_j
+    the running sum of c_k * k^2 stays within what c_1 .. c_{j-1} can
+    still cancel, so c_1 closes it exactly.
+    """
+    size = draw(st.integers(2, max_len))
+    coeffs = [0] * size
+    total = 0
+    for j in range(size, 0, -1):
+        reach = bound * sum(k * k for k in range(1, j))
+        lo = max(-bound, -((reach + total) // (j * j)))
+        hi = min(bound, (reach - total) // (j * j))
+        coeffs[j - 1] = draw(st.integers(lo, hi))
+        total += coeffs[j - 1] * j * j
+    assert total == 0
+    assume(any(coeffs))
+    return tuple(coeffs)
+
+
 class TestFunctional:
     def test_built_in_coefficients(self):
         assert INEQ1.coeffs == (-2, 1, 2, 1, 0, -1)
@@ -69,6 +92,16 @@ class TestFunctional:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             Functional((0, 0))
+
+    @pytest.mark.parametrize(
+        ("coeffs", "bad"),
+        [((1.9, -2.5), "1.9"), (("3", True), "'3'"), ((1, True), "True"),
+         ((2, 0.0), "0.0"), ((Fraction(4, 2),), "Fraction(2, 1)")],
+    )
+    def test_non_int_coefficients_rejected(self, coeffs, bad):
+        # Nothing is truncated or coerced: the first non-int is named.
+        with pytest.raises(ValueError, match=f"got \\w+ {re.escape(bad)}$"):
+            Functional(coeffs)
 
     def test_support(self):
         assert INEQ1.support == (1, 2, 3, 4, 6)
@@ -124,6 +157,26 @@ class TestXiEvaluations:
         assert xi_bar_num(func, p.b, p.r) == 2 * p.r * sum(c * mbar(j, p) for j, c in terms)
         assert xi_lin_num(func, p.b, p.r) == 2 * p.r * sum(c * m_lin(j, p) for j, c in terms)
         assert delta_vector(func, p.b, p.r) == tuple(delta(j, p) for j, _ in terms)
+
+    @settings(max_examples=150)
+    @given(
+        st.one_of(
+            balanced_coeffs(),
+            st.lists(st.integers(-20, 20), min_size=1, max_size=15)
+            .filter(any)
+            .map(tuple),
+        ),
+        points(2000),
+    )
+    def test_xi_lin_closed_form(self, coeffs, p):
+        # b*r*m1 - b^2*m2 against 2r times the sum of the m_lin terms.
+        func = Functional(coeffs)
+        terms = zip(func.support, func.weights)
+        assert xi_lin_num(func, p.b, p.r) == 2 * p.r * sum(
+            c * m_lin(j, p) for j, c in terms
+        )
+        if func.is_balanced:
+            assert xi_lin_num(func, p.b, p.r) == p.b * p.r * func.moments()[0]
 
     def test_xi_delta_examples(self):
         assert xi_delta_pair(INEQ1, 1, 2) == -2
@@ -192,7 +245,7 @@ class TestLemmas:
     P12, P13 = OrbifoldPoint(1, 2), OrbifoldPoint(1, 3)
 
     def gaps(self, ns):
-        return tuple(split_offset(n, self.P12, self.P13) for n in ns)
+        return split_offsets(self.P12, self.P13, ns)
 
     def test_nodiff_holds(self):
         assert lemma_offsets(2, 3, (3, 4)) == (0, 0)
