@@ -24,6 +24,7 @@ __all__ = [
     "NonCoprimeError",
     "OrbifoldPoint",
     "SlopeError",
+    "check_point",
     "delta",
     "delta_pair",
     "delta_row",
@@ -53,6 +54,19 @@ class NonCoprimeError(BasketError):
     """b and r share a common factor."""
 
 
+def check_point(b: int, r: int) -> None:
+    """Refuse (b, r) unless it is a basket point: r >= 2, 0 < b <= r/2, coprime.
+
+    The one statement of the rule, for points, splits and certificates.
+    """
+    if r < 2:
+        raise LocalIndexError(f"local index must be >= 2, got r={r}")
+    if not 0 < 2 * b <= r:
+        raise SlopeError(f"need 0 < b <= r/2, got (b, r)=({b}, {r})")
+    if gcd(b, r) != 1:
+        raise NonCoprimeError(f"b and r must be coprime, got ({b}, {r})")
+
+
 @dataclass(frozen=True, slots=True)
 class OrbifoldPoint:
     """A single basket point (b, r): local multiplicity b, local index r."""
@@ -61,12 +75,7 @@ class OrbifoldPoint:
     r: int
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise LocalIndexError(f"local index must be >= 2, got r={self.r}")
-        if not 0 < 2 * self.b <= self.r:
-            raise SlopeError(f"need 0 < b <= r/2, got (b, r)=({self.b}, {self.r})")
-        if gcd(self.b, self.r) != 1:
-            raise NonCoprimeError(f"b and r must be coprime, got ({self.b}, {self.r})")
+        check_point(self.b, self.r)
 
     @property
     def slope(self) -> Fraction:

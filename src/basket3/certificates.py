@@ -24,13 +24,13 @@ The kernel is integer-only.  Each point's delta vector (delta^j for j in
 the support) is computed once and kept in a table, and a split reads its
 parents' vectors from that table, so its offsets are
 ``d_child - d_high - d_low``.  xi_bar is kept as its numerator over 2r and
-the target as an integer; ``Fraction`` appears only in the node properties,
-the reports and the text fields.  The builder takes xi_bar from the
-identity xi_bar = xi_delta + xi_lin, with xi_lin in closed form; the
-verifier evaluates xi_bar from its definition and checks the identity, so
-every recorded xi_bar is checked against the definition.  The builder
-yields plain-integer records, which is all a replay worker sends back, and
-``_nodes`` alone turns them into nodes, making each point object once.
+the target as an integer; ``Fraction`` appears only in the reports and the
+text fields.  The builder takes xi_bar from the identity xi_bar = xi_delta
++ xi_lin, with xi_lin in closed form; the verifier evaluates xi_bar from
+its definition and checks the identity, so every recorded xi_bar is
+checked against the definition.  A node is one flat record of plain
+values; the builder yields such records, which is all a replay worker
+sends back, and they become nodes as they are, with no point objects.
 
 The reader takes exactly the text that ``to_text`` writes: it reads each
 node line with one match of the grammar ``_NODE_GRAMMAR``, whose values are
@@ -42,17 +42,15 @@ from __future__ import annotations
 
 import os
 import re
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from itertools import compress, islice, zip_longest
+from itertools import chain, compress, islice, zip_longest
 from math import gcd
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
-from .baskets import OrbifoldPoint
+from .baskets import BasketError, check_point
 from .functionals import (
     SLOPE_CUT,
     Functional,
@@ -134,41 +132,26 @@ _PIECE_RULE = f"{INT_RULE}|{_NODE_VALUES['point']}|{_OFFSET_RULE}"
 
 
 class CertificateNode(NamedTuple):
-    """One point of the sweep: either an atom or a recorded mediant split.
+    """One point b/r of the sweep: either an atom or a recorded mediant split.
 
-    Values are kept as integers: ``xi_num`` is xi_bar times 2r and
-    ``target_int`` the integer target; the ``Fraction`` views are properties.
+    Every field is a plain value.  ``b_hi/r_hi`` and ``b_lo/r_lo`` are the
+    high and low parents of a split; they and ``cf_det`` are None at an
+    atom.  ``xi_num`` is xi_bar times 2r and ``target_int`` the integer
+    target.
     """
 
-    point: OrbifoldPoint
-    parents: tuple[OrbifoldPoint, OrbifoldPoint] | None
+    b: int
+    r: int
+    b_hi: int | None
+    r_hi: int | None
+    b_lo: int | None
+    r_lo: int | None
     cf_det: int | None
     offsets: tuple[tuple[int, int], ...]
     net_offset: int
     xi_delta: int
     xi_num: int
     target_int: int
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.parents is None
-
-    @property
-    def xi_bar(self) -> Fraction:
-        return Fraction(self.xi_num, 2 * self.point.r)
-
-    @property
-    def target(self) -> Fraction:
-        return Fraction(self.target_int)
-
-    @property
-    def slack_num(self) -> int:
-        """The slack times 2r."""
-        return self.xi_num - 2 * self.point.r * self.target_int
-
-    @property
-    def slack(self) -> Fraction:
-        return Fraction(self.slack_num, 2 * self.point.r)
 
 
 @dataclass(frozen=True)
@@ -181,17 +164,10 @@ class Certificate:
     slope_cut: Fraction
     nodes: tuple[CertificateNode, ...]
 
-    def node_for(self, point: OrbifoldPoint) -> CertificateNode:
-        return self._index[point]
-
-    @cached_property
-    def _index(self) -> dict[OrbifoldPoint, CertificateNode]:
-        return {node.point: node for node in self.nodes}
-
-    def slack_summary(self) -> tuple[Fraction | None, tuple[OrbifoldPoint, ...]]:
-        """The least slack and the points attaining it (None without nodes)."""
+    def slack_summary(self) -> tuple[Fraction | None, tuple[CertificateNode, ...]]:
+        """The least slack and the nodes attaining it (None without nodes)."""
         return _least_slack(
-            (n.point for n in self.nodes), [n.slack_num for n in self.nodes]
+            self.nodes, [n.xi_num - 2 * n.r * n.target_int for n in self.nodes]
         )
 
     def to_text(self) -> str:
@@ -239,18 +215,22 @@ class Certificate:
             raise ValueError(
                 f"certificate line 2: coefficients {written!r} end in a zero"
             )
-        points: dict[str, OrbifoldPoint] = {}
+        r_max = parse_int(header["r-max"])
+        if r_max < 2:
+            raise ValueError(
+                f"certificate line 5: r-max {header['r-max']!r} is below 2"
+            )
         nodes = []
         for number, line in enumerate(islice(lines, head + 1, None), start=head + 2):
             try:
-                nodes.append(_parse_node_line(line, points))
+                nodes.append(_parse_node_line(line))
             except ValueError as exc:
                 raise ValueError(f"certificate line {number}: {exc}") from None
         if len(nodes) != parse_int(header["nodes"]):
             raise ValueError(f"node count {len(nodes)} != declared {header['nodes']}")
         return cls(
             functional=func,
-            r_max=parse_int(header["r-max"]),
+            r_max=r_max,
             low_slope_floor=parse_int(header["low-slope-floor"]),
             slope_cut=Fraction(*parse_ratio(header["slope-cut"])),
             nodes=tuple(nodes),
@@ -268,38 +248,38 @@ class Certificate:
 
 
 def _least_slack(
-    points: Iterable[OrbifoldPoint], slacks: list[int]
-) -> tuple[Fraction | None, tuple[OrbifoldPoint, ...]]:
-    """The least slack and the points attaining it; each slack is over 2r.
+    nodes: Iterable[CertificateNode], slacks: list[int]
+) -> tuple[Fraction | None, tuple[CertificateNode, ...]]:
+    """The least slack and the nodes attaining it; each slack is over 2r.
 
     Slacks are compared by cross-multiplication, so only the result is a
-    ``Fraction``; no points give ``(None, ())``.
+    ``Fraction``; no nodes give ``(None, ())``.
     """
     best_num, best_den = 0, 0
-    attained: list[OrbifoldPoint] = []
-    for p, num in zip(points, slacks):
-        den = 2 * p.r
+    attained: list[CertificateNode] = []
+    for node, num in zip(nodes, slacks):
+        den = 2 * node.r
         if not attained or num * best_den < best_num * den:
-            best_num, best_den, attained = num, den, [p]
+            best_num, best_den, attained = num, den, [node]
         elif num * best_den == best_num * den:
-            attained.append(p)
+            attained.append(node)
     if not attained:
         return None, ()
     return Fraction(best_num, best_den), tuple(attained)
 
 
 def _node_line(node: CertificateNode) -> str:
-    den = 2 * node.point.r
-    g = gcd(node.xi_num, den)
-    xibar = f"{node.xi_num // g}" if g == den else f"{node.xi_num // g}/{den // g}"
-    tail = f"xidelta={node.xi_delta} xibar={xibar} target={node.target_int}"
-    if node.is_leaf:
-        return f"{node.point} leaf {tail}"
-    hi, lo = node.parents
-    offs = ",".join(f"{j}:{v}" for j, v in node.offsets) or "-"
+    b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offsets, net, xd, xi, target = node
+    den = 2 * r
+    g = gcd(xi, den)
+    xibar = f"{xi // g}" if g == den else f"{xi // g}/{den // g}"
+    tail = f"xidelta={xd} xibar={xibar} target={target}"
+    if b_hi is None:
+        return f"{b}/{r} leaf {tail}"
+    offs = ",".join(f"{j}:{v}" for j, v in offsets) or "-"
     return (
-        f"{node.point} split {hi},{lo} cfdet={node.cf_det}"
-        f" offsets={offs} net={node.net_offset} {tail}"
+        f"{b}/{r} split {b_hi}/{r_hi},{b_lo}/{r_lo} cfdet={cf_det}"
+        f" offsets={offs} net={net} {tail}"
     )
 
 
@@ -312,11 +292,23 @@ def _xi_num(text: str, r: int) -> int:
     return num * scale
 
 
-def _point(text: str, points: dict[str, OrbifoldPoint]) -> OrbifoldPoint:
-    """The point written ``b/r``, kept in ``points`` for later mentions."""
+def _read_point(text: str) -> tuple[int, int]:
+    """The basket point written ``b/r``, as ``(b, r)``."""
     b, _, r = text.partition("/")
-    point = points[text] = OrbifoldPoint(int(b), int(r))
-    return point
+    b, r = int(b), int(r)
+    try:
+        check_point(b, r)
+    except BasketError as exc:
+        raise ValueError(f"{text!r} is not a basket point: {exc}") from None
+    return b, r
+
+
+def _is_point(b: int, r: int) -> bool:
+    try:
+        check_point(b, r)
+    except BasketError:
+        return False
+    return True
 
 
 def _offsets(text: str) -> tuple[tuple[int, int], ...]:
@@ -331,12 +323,8 @@ def _offsets(text: str) -> tuple[tuple[int, int], ...]:
     return offsets
 
 
-def _parse_node_line(line: str, points: dict[str, OrbifoldPoint]) -> CertificateNode:
-    """One node line, read with one match of the grammar.
-
-    ``points`` maps the text of every point read so far to its object, so a
-    split's parents reuse those objects instead of being parsed again.
-    """
+def _parse_node_line(line: str) -> CertificateNode:
+    """One node line, read with one match of the grammar."""
     match = _NODE_LINE.fullmatch(line)
     if match is None:
         _reject_node_line(line)
@@ -344,18 +332,18 @@ def _parse_node_line(line: str, points: dict[str, OrbifoldPoint]) -> Certificate
         point, hi, lo, cf_det, offsets, net, xd, xibar, target = match.group(
             *_SPLIT_GROUPS
         )
-        point = _point(point, points)
-        parents = (
-            points.get(hi) or _point(hi, points), points.get(lo) or _point(lo, points)
-        )
+        b, r = _read_point(point)
+        b_hi, r_hi = _read_point(hi)
+        b_lo, r_lo = _read_point(lo)
         cf_det, offsets, net = int(cf_det), _offsets(offsets), int(net)
     else:
         point, xd, xibar, target = match.group(*_LEAF_GROUPS)
-        point = _point(point, points)
-        parents, cf_det, offsets, net = None, None, (), 0
-    xi_num = _xi_num(xibar, point.r)
+        b, r = _read_point(point)
+        b_hi = r_hi = b_lo = r_lo = cf_det = None
+        offsets, net = (), 0
     return CertificateNode(
-        point, parents, cf_det, offsets, net, int(xd), xi_num, int(target)
+        b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offsets, net,
+        int(xd), _xi_num(xibar, r), int(target),
     )
 
 
@@ -422,14 +410,13 @@ def _contradictions(support, offs, predicted):
 
 
 def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tuple]:
-    """One plain-integer record per slope with r_lo <= r <= r_hi, in order.
+    """One plain record per slope with r_lo <= r <= r_hi, in order.
 
-    A record is ``(b, r, hi, cf_det, offsets, net, xi_delta, xi_num,
-    target)``: ``hi`` is the high parent's ``(b, r)``, or None at an atom,
-    and the low parent is the difference.  ``table`` maps (b, r) to the
-    delta vector of every point built or looked up so far, so a split reads
-    its parents' vectors instead of recomputing them; a parent below r_lo
-    is computed once, then kept.
+    A record holds the fields of a ``CertificateNode``, in its order, with
+    both parents as ``split_slope`` gives them.  ``table`` maps (b, r) to
+    the delta vector of every point built or looked up so far, so a split
+    reads its parents' vectors instead of recomputing them; a parent below
+    r_lo is computed once, then kept.
     """
     support, weigh = func.support, func.weigh
     table: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -440,7 +427,7 @@ def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tup
         xi = 2 * r * xd + xi_lin_num(func, b, r)
         target = point_target(floor, b, r)
         if b == 1:
-            yield b, r, None, None, (), 0, xd, xi, target
+            yield b, r, None, None, None, None, None, (), 0, xd, xi, target
             continue
         hi, lo, cf_det = split_slope(b, r)
         d_hi = table.get(hi) or table.setdefault(hi, delta_vector(func, *hi))
@@ -455,30 +442,13 @@ def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tup
                 )
         offsets = _nonzero(support, offs)
         net = weigh(offs) if offsets else 0
-        yield b, r, hi, cf_det, offsets, net, xd, xi, target
+        yield b, r, *hi, *lo, cf_det, offsets, net, xd, xi, target
 
 
 def _build_range(args) -> list[tuple]:
     """A worker's task: the records of one range of r, as plain data."""
     coeffs, floor, r_lo, r_hi = args
     return list(_records(Functional(coeffs), floor, r_lo, r_hi))
-
-
-def _nodes(records: Iterable[tuple]) -> Iterator[CertificateNode]:
-    """The nodes of records in canonical order, each point object made once.
-
-    Parents have smaller r, so both are among the points already made.
-    They are found by r, then b, so that no key tuple is kept per point.
-    """
-    points: defaultdict[int, dict[int, OrbifoldPoint]] = defaultdict(dict)
-    for b, r, hi, cf_det, offsets, net, xd, xi, target in records:
-        point = points[r][b] = OrbifoldPoint(b, r)
-        if hi is None:
-            yield CertificateNode(point, None, None, (), 0, xd, xi, target)
-        else:
-            b_hi, r_hi = hi
-            parents = points[r_hi][b_hi], points[r - r_hi][b - b_hi]
-            yield CertificateNode(point, parents, cf_det, offsets, net, xd, xi, target)
 
 
 def proof_replay(
@@ -491,13 +461,14 @@ def proof_replay(
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
 
     The node list is identical for any ``jobs``: work is chunked by r, and
-    workers send back plain records that are turned into nodes in order, as
-    they arrive.  No more workers start than there are tasks or CPUs.
+    workers send back plain records that become nodes in order, as they
+    arrive.  No more workers start than there are tasks or CPUs.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
     if jobs <= 1:
-        nodes = tuple(_nodes(_records(func, low_slope_floor, 2, r_max)))
+        records = _records(func, low_slope_floor, 2, r_max)
+        nodes = tuple(map(CertificateNode._make, records))
     else:
         chunk = max(1, (r_max - 1) // (jobs * 8))
         tasks = [
@@ -507,7 +478,7 @@ def proof_replay(
         workers = min(jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_build_range, tasks)
-            nodes = tuple(_nodes(record for part in parts for record in part))
+            nodes = tuple(map(CertificateNode._make, chain.from_iterable(parts)))
     return Certificate(func, r_max, low_slope_floor, SLOPE_CUT, nodes)
 
 
@@ -517,7 +488,7 @@ class VerificationReport:
 
     nodes: int
     min_slack: Fraction | None
-    min_slack_points: tuple[OrbifoldPoint, ...]
+    min_slack_points: tuple[CertificateNode, ...]
     issues: tuple[str, ...]
 
     @property
@@ -545,22 +516,27 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     func = cert.functional
     issues: list[str] = []
 
-    got = ((node.point.b, node.point.r) for node in cert.nodes)
+    got = ((node.b, node.r) for node in cert.nodes)
     if any(g != e for g, e in zip_longest(got, slopes(2, cert.r_max))):
-        keys = [(node.point.r, node.point.b) for node in cert.nodes]
+        keys = [(node.r, node.b) for node in cert.nodes]
         recorded = set(keys)
         if keys != sorted(keys) or len(recorded) != len(keys):
             issues.append("nodes are not in canonical order or contain repeats")
-        # Every point is a valid slope, so the extra ones are those above
-        # r_max; the walk for missing ones reads at most nodes + 5 slopes.
+        # The extra points are those above r_max and, in a certificate made
+        # in code rather than read, any that is not a basket point; the walk
+        # for missing ones reads at most nodes + 5 slopes.
         unrecorded = (
             (b, r) for b, r in slopes(2, cert.r_max) if (r, b) not in recorded
         )
         missing = [f"{b}/{r}" for b, r in islice(unrecorded, 5)]
-        above = sorted(key for key in recorded if key[0] > cert.r_max)
-        extra = [f"{b}/{r}" for r, b in above[:5]]
+        strays = {(r, b) for r, b in recorded if not _is_point(b, r)}
+        extras = sorted(strays.union(k for k in recorded if k[0] > cert.r_max))
+        extra = [f"{b}/{r}" for r, b in extras[:5]]
         if missing or extra:
             issues.append(f"coverage mismatch: missing {missing}, extra {extra}")
+        if strays:
+            # The arithmetic below is defined on basket points only.
+            return VerificationReport(len(cert.nodes), None, (), tuple(issues))
 
     support, weigh = func.support, func.weigh
     floor, cut = cert.low_slope_floor, cert.slope_cut.as_integer_ratio()
@@ -569,49 +545,49 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     for node in cert.nodes:
         # The names ending in _rec are the node's recorded fields, which are
         # only ever compared with recomputed values.
-        p, parents, cf_det_rec, offsets_rec, net_rec, xd_rec, xi_rec, target_rec = node
-        b, r = p.b, p.r
+        (b, r, b_hi, r_hi, b_lo, r_lo, cf_det_rec, offsets_rec, net_rec,
+         xd_rec, xi_rec, target_rec) = node
         two_r = 2 * r
         d = vectors[b, r] = delta_vector(func, b, r)
         xd = weigh(d)
         xi = xi_bar_num(func, b, r)
         if xi_rec != xi:
             issues.append(
-                f"{p}: recorded xibar {Fraction(xi_rec, two_r)}"
+                f"{b}/{r}: recorded xibar {Fraction(xi_rec, two_r)}"
                 f" != {Fraction(xi, two_r)}"
             )
         if xd_rec != xd:
-            issues.append(f"{p}: recorded xidelta {xd_rec} != {xd}")
+            issues.append(f"{b}/{r}: recorded xidelta {xd_rec} != {xd}")
         if xi != two_r * xd + xi_lin_num(func, b, r):
-            issues.append(f"{p}: xi_bar != xi_delta + xi_lin")
+            issues.append(f"{b}/{r}: xi_bar != xi_delta + xi_lin")
         target = point_target(floor, b, r, cut)
         slack = xi - two_r * target
         slacks.append(slack)
         if target_rec != target:
-            issues.append(f"{p}: recorded target {target_rec} != {target}")
+            issues.append(f"{b}/{r}: recorded target {target_rec} != {target}")
         if slack < 0:
             issues.append(
-                f"{p}: violation, xibar {Fraction(xi, two_r)} < target {target}"
+                f"{b}/{r}: violation, xibar {Fraction(xi, two_r)} < target {target}"
             )
-        if parents is None:
+        if b_hi is None:
             if b != 1:
-                issues.append(f"{p}: non-atom recorded as leaf")
+                issues.append(f"{b}/{r}: non-atom recorded as leaf")
             continue
-        hi, lo = parents
-        b_hi, r_hi, b_lo, r_lo = hi.b, hi.r, lo.b, lo.r
         if b_hi + b_lo != b or r_hi + r_lo != r:
-            issues.append(f"{p}: parents {hi}, {lo} do not sum to the point")
+            issues.append(
+                f"{b}/{r}: parents {b_hi}/{r_hi}, {b_lo}/{r_lo} do not sum to the point"
+            )
             continue
         unimodular = b_hi * r_lo - b_lo * r_hi == 1
         if not unimodular:
-            issues.append(f"{p}: parents are not unimodular in (high, low) order")
+            issues.append(f"{b}/{r}: parents are not unimodular in (high, low) order")
         cf_det = 1 if 2 * r_hi < r else -1
         if cf_det_rec != cf_det:
-            issues.append(f"{p}: recorded cfdet {cf_det_rec} != {cf_det}")
+            issues.append(f"{b}/{r}: recorded cfdet {cf_det_rec} != {cf_det}")
         d_hi = vectors.get((b_hi, r_hi))
         d_lo = vectors.get((b_lo, r_lo))
         if d_hi is None or d_lo is None:
-            issues.append(f"{p}: parents missing from the certificate before it")
+            issues.append(f"{b}/{r}: parents missing from the certificate before it")
             continue
         offs = _observed_offsets(d, d_hi, d_lo)
         nonzero = _nonzero(support, offs)
@@ -620,20 +596,22 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             recorded = dict(offsets_rec)
             for j, off in zip(support, offs):
                 if recorded.pop(j, 0) != off:
-                    issues.append(f"{p}: offset at j={j} should be {off}")
+                    issues.append(f"{b}/{r}: offset at j={j} should be {off}")
             if recorded:
-                issues.append(f"{p}: offsets outside the support: {sorted(recorded)}")
+                issues.append(
+                    f"{b}/{r}: offsets outside the support: {sorted(recorded)}"
+                )
             if len(issues) == found:
-                issues.append(f"{p}: offsets are not nonzero and in ascending j")
+                issues.append(f"{b}/{r}: offsets are not nonzero and in ascending j")
         # The lemmas speak only of unimodular splits, whose indices are coprime.
         predicted = lemma_offsets(r_hi, r_lo, support) if unimodular else offs
         if offs != predicted:
             for j, _, want in _contradictions(support, offs, predicted):
                 rule = "additivity" if want == 0 else "the offset lemma"
-                issues.append(f"{p}: j={j} contradicts {rule}")
+                issues.append(f"{b}/{r}: j={j} contradicts {rule}")
         net = weigh(offs) if nonzero else 0
         if net_rec != net:
-            issues.append(f"{p}: recorded net offset {net_rec} != {net}")
+            issues.append(f"{b}/{r}: recorded net offset {net_rec} != {net}")
 
-    min_slack, attained = _least_slack((n.point for n in cert.nodes), slacks)
+    min_slack, attained = _least_slack(cert.nodes, slacks)
     return VerificationReport(len(cert.nodes), min_slack, attained, tuple(issues))

@@ -183,7 +183,7 @@ def cmd_replay(args) -> int:
             "nodes": len(cert.nodes),
             "min_slack": format_fraction(min_slack),
             "attained_count": len(attained),
-            "attained": [str(p) for p in attained[:16]],
+            "attained": [f"{n.b}/{n.r}" for n in attained[:16]],
             "pass": min_slack >= 0,
         }
     )

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .baskets import OrbifoldPoint
+from .baskets import OrbifoldPoint, check_point
 
 __all__ = [
     "AtomError",
@@ -151,10 +151,7 @@ def mediant_parents(b: int, n: int) -> MediantSplit:
     both denominators below n, and the returned (high, low) pair always has
     determinant b_high*r_low - b_low*r_high = +1.
     """
-    if n < 2 or not 0 < 2 * b <= n:
-        raise ValueError(f"need 0 < b <= n/2 with n >= 2, got (b, n)=({b}, {n})")
-    if gcd(b, n) != 1:
-        raise ValueError(f"b and n must be coprime, got ({b}, {n})")
+    check_point(b, n)
     if b == 1:
         raise AtomError(f"1/{n} is an atom; unit fractions have no mediant parents")
     high, low, cf_det = split_slope(b, n)

@@ -71,19 +71,19 @@ def test_criterion_3_proof_replay_at_500():
         assert report.ok, report.issues[:5]
 
         # Direct evaluation agrees with every recorded node value.
-        index = {(n.point.b, n.point.r): n for n in cert.nodes}
+        index = {(n.b, n.r): n for n in cert.nodes}
         for (b, r), node in index.items():
             value = xi_bar_pair(func, b, r)
-            assert node.xi_bar == value
+            assert Fraction(node.xi_num, 2 * r) == value
             target = Fraction(floor * b) if 12 * b <= r else Fraction(0)
-            assert node.target == target
+            assert node.target_int == target
             assert value >= target
 
         if func is INEQ2:
             sporadic = {
-                (n.point.b, n.point.r): n.net_offset
+                (n.b, n.r): n.net_offset
                 for n in cert.nodes
-                if n.point.r <= 12 and not n.is_leaf and n.net_offset != 0
+                if n.r <= 12 and n.b_hi is not None and n.net_offset != 0
             }
             assert sporadic == {(3, 10): 1, (5, 12): 1}
 

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import pickle
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -13,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basket3 import certificates
-from basket3.baskets import OrbifoldPoint
-from basket3.certificates import Certificate, proof_replay, verify_certificate
+from basket3.certificates import (
+    Certificate,
+    CertificateNode,
+    proof_replay,
+    verify_certificate,
+)
 from basket3.cli import main
 from basket3.functionals import (
     INEQ1,
@@ -35,6 +40,14 @@ INEQ1_EQUALITY_R12 = {
 }
 
 
+def by_point(cert):
+    return {(n.b, n.r): n for n in cert.nodes}
+
+
+def slack(node):
+    return Fraction(node.xi_num - 2 * node.r * node.target_int, 2 * node.r)
+
+
 def expected_count(r_max):
     return sum(
         1
@@ -47,17 +60,17 @@ def expected_count(r_max):
 class TestReplay:
     def test_two_five_node(self):
         cert = proof_replay(INEQ1, 5)
-        node = cert.node_for(OrbifoldPoint(2, 5))
-        assert node.parents == (OrbifoldPoint(1, 2), OrbifoldPoint(1, 3))
+        node = by_point(cert)[2, 5]
+        assert (node.b_hi, node.r_hi, node.b_lo, node.r_lo) == (1, 2, 1, 3)
         assert node.xi_delta == -4
         assert node.net_offset == 0
 
     def test_ineq2_sporadic_offsets(self):
         cert = proof_replay(INEQ2, 12, low_slope_floor=14)
         nonzero = {
-            (n.point.b, n.point.r): n.net_offset
+            (n.b, n.r): n.net_offset
             for n in cert.nodes
-            if not n.is_leaf and n.net_offset
+            if n.b_hi is not None and n.net_offset
         }
         assert nonzero == {(3, 10): 1, (5, 12): 1}
 
@@ -72,8 +85,8 @@ class TestReplay:
     def test_slack_summary_is_min_and_attaining_points(self):
         for func in (INEQ1, INEQ2):
             cert = proof_replay(func, 30)
-            least = min(n.slack for n in cert.nodes)
-            attaining = tuple(n.point for n in cert.nodes if n.slack == least)
+            least = min(slack(n) for n in cert.nodes)
+            attaining = tuple(n for n in cert.nodes if slack(n) == least)
             assert cert.slack_summary() == (least, attaining)
 
     def test_node_counts_cover_all_slopes(self):
@@ -85,21 +98,15 @@ class TestReplay:
             proof_replay(INEQ1, 1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_parents_are_earlier_point_objects(self, jobs):
+    def test_parents_are_earlier_nodes(self, jobs):
         cert = proof_replay(INEQ2, 40, low_slope_floor=14, jobs=jobs)
-        position = {node.point: i for i, node in enumerate(cert.nodes)}
-        for i, node in enumerate(cert.nodes):
-            if node.is_leaf:
+        position = {(n.b, n.r): i for i, n in enumerate(cert.nodes)}
+        for i, n in enumerate(cert.nodes):
+            if n.b_hi is None:
+                assert n.b == 1
                 continue
-            for parent in node.parents:
-                assert parent is cert.node_for(parent).point
-                assert position[parent] < i
-
-    def test_node_index_is_built_once(self):
-        cert = proof_replay(INEQ1, 30)
-        index = cert._index
-        assert all(cert.node_for(node.point) is node for node in cert.nodes)
-        assert cert._index is index
+            assert position[n.b_hi, n.r_hi] < i
+            assert position[n.b_lo, n.r_lo] < i
 
 
 class _NoClasses(pickle.Unpickler):
@@ -119,7 +126,7 @@ def test_worker_results_are_plain_data(func, floor):
     for part in parts:
         assert _NoClasses(io.BytesIO(pickle.dumps(part))).load() == part
     nodes = proof_replay(func, 40, low_slope_floor=floor).nodes
-    assert tuple(certificates._nodes(parts[0] + parts[1])) == nodes
+    assert tuple(parts[0] + parts[1]) == nodes
 
 
 # sha256 of the INEQ2 certificate at r_max 400, as pinned for the benchmark
@@ -133,9 +140,9 @@ def test_nodes_match_definitions_and_round_trip(r_max, which):
     ineq = INEQUALITIES[which]
     cert = proof_replay(ineq.functional, r_max, low_slope_floor=ineq.floor)
     for node in cert.nodes:
-        b, r = node.point.b, node.point.r
-        assert node.xi_bar == xi_bar_pair(ineq.functional, b, r)
-        assert node.target == point_target(ineq.floor, b, r)
+        b, r = node.b, node.r
+        assert Fraction(node.xi_num, 2 * r) == xi_bar_pair(ineq.functional, b, r)
+        assert node.target_int == point_target(ineq.floor, b, r)
     assert Certificate.from_text(cert.to_text()) == cert
 
 
@@ -258,7 +265,8 @@ class TestVerification:
     def test_agrees_with_direct_evaluation(self):
         cert = proof_replay(INEQ1, 40)
         for node in cert.nodes:
-            assert node.xi_bar == xi_bar_pair(INEQ1, node.point.b, node.point.r)
+            xi_bar = Fraction(node.xi_num, 2 * node.r)
+            assert xi_bar == xi_bar_pair(INEQ1, node.b, node.r)
 
     def test_tampered_value_detected(self):
         cert = proof_replay(INEQ1, 12)
@@ -342,6 +350,33 @@ class TestVerification:
         assert code == 1
         assert report["issues"][0] == "1/2: recorded xibar 1/4 != 0"
 
+    def test_missing_parent_names_the_split(self, tmp_path, capsys):
+        # Without the atom 1/3, both the coverage and the first split that
+        # names it as a parent are reported.
+        text = proof_replay(INEQ2, 12, low_slope_floor=14).to_text()
+        doctored = text.replace("nodes: 23\n", "nodes: 22\n", 1).replace(
+            "1/3 leaf xidelta=-14 xibar=0 target=0\n", "", 1
+        )
+        path = tmp_path / "cert.txt"
+        path.write_text(doctored)
+        code = main(["verify", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["issues"][:2] == [
+            "coverage mismatch: missing ['1/3'], extra []",
+            "2/5: parents missing from the certificate before it",
+        ]
+
+    # The reader refuses these points, so only a certificate built in code
+    # holds them.  The coverage check names them, and the arithmetic, which
+    # 1/0 would divide by zero, is not run.
+    @pytest.mark.parametrize("r", [1, 0])
+    def test_non_point_made_in_code_is_extra(self, r):
+        cert = proof_replay(INEQ2, 12, low_slope_floor=14)
+        atom = CertificateNode(1, r, None, None, None, None, None, (), 0, 0, 0, 0)
+        report = verify_certificate(replace(cert, nodes=(atom, *cert.nodes)))
+        assert report.issues == (f"coverage mismatch: missing [], extra ['1/{r}']",)
+
     def test_unsorted_nodes_detected(self):
         cert = proof_replay(INEQ1, 8)
         shuffled = Certificate(
@@ -386,8 +421,10 @@ class TestVerification:
         # only a verifier that recomputes the parent's vector sees the child.
         func = Functional((0,) * 18 + (1,))
         cert = proof_replay(func, 8)
-        p25, p37 = OrbifoldPoint(2, 5), OrbifoldPoint(3, 7)
-        assert cert.node_for(p37).parents == (OrbifoldPoint(1, 2), p25)
+        index = by_point(cert)
+        p25, p37 = (2, 5), (3, 7)
+        n37 = index[p37]
+        assert (n37.b_hi, n37.r_hi, n37.b_lo, n37.r_lo) == (1, 2, *p25)
         assert lemma_offsets(2, 5, (19,)) == (None,)
 
         def bump(node, k):
@@ -398,10 +435,10 @@ class TestVerification:
                 net_offset=node.net_offset + k,
             )
 
-        parent = bump(cert.node_for(p25), 1)
+        parent = bump(index[p25], 1)
         parent = parent._replace(xi_delta=parent.xi_delta + 1, xi_num=parent.xi_num + 10)
-        doctored = {p25: parent, p37: bump(cert.node_for(p37), -1)}
-        nodes = tuple(doctored.get(n.point, n) for n in cert.nodes)
+        doctored = {p25: parent, p37: bump(n37, -1)}
+        nodes = tuple(doctored.get((n.b, n.r), n) for n in cert.nodes)
         text = replace(cert, nodes=nodes).to_text()
         issues = verify_certificate(Certificate.from_text(text)).issues
         assert any(issue.startswith("2/5: recorded xidelta") for issue in issues)
@@ -425,8 +462,10 @@ class TestVerification:
              "2/9: parents are not unimodular"),
             ("offsets=5:-1,7:-1,10:-2,12:-2 ", "offsets=5:-1,7:-1,10:-2,12:-2,13:1 ",
              "2/5: offsets outside the support: [13]"),
+            ("2/5 split 1/2,1/3 ", "2/5 split 1/2,1/4 ",
+             "2/5: parents 1/2, 1/4 do not sum to the point"),
         ],
-        ids=["target", "leaf", "unimodular", "non-coprime-indices", "support"],
+        ids=["target", "leaf", "unimodular", "non-coprime-indices", "support", "sum"],
     )
     def test_doctored_line_names_the_issue(self, old, new, issue):
         text = proof_replay(INEQ2, 12, low_slope_floor=14).to_text()
@@ -445,10 +484,9 @@ class TestVerification:
         # The reader refuses these spellings, so only a certificate built in
         # code carries them; the verifier must still name the point.
         cert = proof_replay(INEQ2, 12, low_slope_floor=14)
-        p25 = OrbifoldPoint(2, 5)
-        node = cert.node_for(p25)
+        node = by_point(cert)[2, 5]
         doctored = node._replace(offsets=edit(node.offsets))
-        nodes = tuple(doctored if n.point == p25 else n for n in cert.nodes)
+        nodes = tuple(doctored if n is node else n for n in cert.nodes)
         issues = verify_certificate(replace(cert, nodes=nodes)).issues
         assert any(issue.startswith("2/5: offsets") for issue in issues), issues
 

@@ -372,6 +372,33 @@ class TestReplay:
         code, out, err = run(capsys, ["verify", str(out_path)])
         assert code == 2 and not out and named in err
 
+    # Each point or parent is spelled canonically but is no basket point.
+    @pytest.mark.parametrize(
+        ("new", "named"),
+        [("2/5 split 1/2,2/6 ", "2/6"), ("4/10 split 1/2,1/3 ", "4/10")],
+        ids=["parent", "point"],
+    )
+    def test_non_basket_point_is_invalid_input(self, tmp_path, capsys, new, named):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        text = out_path.read_text()
+        tampered = text.replace("2/5 split 1/2,1/3 ", new, 1)
+        assert tampered != text
+        out_path.write_text(tampered)
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and not out and repr(named) in err
+
+    # No replay has r_max below 2, so a header that says so is refused,
+    # even with no nodes to check against it.
+    @pytest.mark.parametrize("r_max", ["1", "-5"])
+    def test_r_max_below_two_is_invalid_input(self, tmp_path, capsys, r_max):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "1", "--r-max", "12", "--out", str(out_path)])
+        header = out_path.read_text().split("\n")[:4]
+        out_path.write_text("\n".join(header + [f"r-max: {r_max}", "nodes: 0", ""]) + "\n")
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and not out and f"r-max {r_max!r}" in err
+
     def test_missing_certificate_is_io_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.txt")])
         assert code == 3 and err
