@@ -30,6 +30,7 @@ __all__ = [
     "delta_row",
     "l_correction",
     "l_table",
+    "low_slope",
     "m_lin",
     "mbar",
     "scaled_l_table",
@@ -223,6 +224,11 @@ def sigma(basket: Basket) -> int:
     return sum(mult * p.b for p, mult in basket.items)
 
 
+def low_slope(b: int, r: int) -> bool:
+    """Whether b/r is at or below 1/12: the paper's fixed slope cut, stated once."""
+    return 12 * b <= r
+
+
 def sigma12(basket: Basket) -> int:
     """Sum of b over points with slope at most 1/12 (inclusive)."""
-    return sum(mult * p.b for p, mult in basket.items if 12 * p.b <= p.r)
+    return sum(mult * p.b for p, mult in basket.items if low_slope(p.b, p.r))

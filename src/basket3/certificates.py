@@ -32,10 +32,10 @@ checked against the definition.  A node is one flat record of plain
 values; the builder yields such records, which is all a replay worker
 sends back, and they become nodes as they are, with no point objects.
 
-The reader takes exactly the text that ``to_text`` writes: it reads each
-node line with one match of the grammar ``_NODE_GRAMMAR``, whose values are
-spelled by the ``rationals`` rules, and names the line and the token of
-anything else.
+``to_text`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
+exactly that text: it reads each node line with one match of the same
+grammar, whose values are spelled by the ``rationals`` rules, and names the
+line and the token of anything else.
 """
 
 from __future__ import annotations
@@ -47,16 +47,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, zip_longest
 from math import gcd
-from operator import sub
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .baskets import BasketError, check_point
 from .functionals import (
-    SLOPE_CUT,
     Functional,
     delta_vector,
     lemma_offsets,
     point_target,
+    split_offsets,
     xi_bar_num,
     xi_lin_num,
 )
@@ -64,7 +63,6 @@ from .rationals import (
     FRACTION_RULE,
     INT_RULE,
     NAT_RULE,
-    format_fraction,
     parse_int,
     parse_ratio,
     slopes,
@@ -84,6 +82,10 @@ FORMAT_VERSION = 1
 _HEADER_KEYS = (
     "basket3-certificate", "coefficients", "low-slope-floor", "slope-cut", "r-max", "nodes"
 )
+_HEADER_LINE = "{}: {}"  # key, value
+# The header values every certificate has: its format and the slope cut of
+# baskets.low_slope, which is fixed, not a parameter.
+_FIXED_HEADER = {"basket3-certificate": str(FORMAT_VERSION), "slope-cut": "1/12"}
 # The values a node line is written with, in the one spelling of each
 # number that rationals reads; an offset is j:v with v != 0.
 _OFFSET_RULE = f"(?:{INT_RULE}):-?{NAT_RULE}"
@@ -125,6 +127,13 @@ def _value_groups(kind: str) -> tuple[int, ...]:
 
 _SPLIT_GROUPS = _value_groups("split")
 _LEAF_GROUPS = _value_groups("leaf")
+# The writer fills the same templates as %-formats: a point from its two
+# integers, every other value as it is.
+_VALUE_FORMATS = {"point": "%d/%d", "int": "%d", "fraction": "%s", "offsets": "%s"}
+_SPLIT_FORMAT, _LEAF_FORMAT = (
+    re.sub(r"\{(\w+)\}", lambda m: _VALUE_FORMATS[m[1]], _NODE_GRAMMAR[kind])
+    for kind in ("split", "leaf")
+)
 # Every value is built of integers, points and offsets joined by ","; a
 # malformed one is named by its first piece that is none of them.  Only
 # errors use it, so it is left to re's cache rather than compiled here.
@@ -161,7 +170,6 @@ class Certificate:
     functional: Functional
     r_max: int
     low_slope_floor: int
-    slope_cut: Fraction
     nodes: tuple[CertificateNode, ...]
 
     def slack_summary(self) -> tuple[Fraction | None, tuple[CertificateNode, ...]]:
@@ -171,16 +179,16 @@ class Certificate:
         )
 
     def to_text(self) -> str:
-        lines = [
-            f"basket3-certificate: {FORMAT_VERSION}",
-            "coefficients: " + ",".join(str(c) for c in self.functional.coeffs),
-            f"low-slope-floor: {self.low_slope_floor}",
-            f"slope-cut: {format_fraction(self.slope_cut)}",
-            f"r-max: {self.r_max}",
-            f"nodes: {len(self.nodes)}",
-            "",
-        ]
-        lines.extend(_node_line(node) for node in self.nodes)
+        header = {
+            **_FIXED_HEADER,
+            "coefficients": ",".join(map(str, self.functional.coeffs)),
+            "low-slope-floor": self.low_slope_floor,
+            "r-max": self.r_max,
+            "nodes": len(self.nodes),
+        }
+        lines = [_HEADER_LINE.format(key, header[key]) for key in _HEADER_KEYS]
+        lines.append("")
+        lines.extend(map(_node_line, self.nodes))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -195,15 +203,16 @@ class Certificate:
         header: dict[str, str] = {}
         for number, key in enumerate(_HEADER_KEYS, start=1):
             line = lines[number - 1] if number <= len(lines) else ""
-            name, sep, value = line.partition(": ")
-            if name != key or not sep:
+            prefix = _HEADER_LINE.format(key, "")
+            if not line.startswith(prefix):
                 raise ValueError(
                     f"certificate line {number}: want the {key!r} header, got {line!r}"
                 )
-            header[key] = value
-        version = header["basket3-certificate"]
-        if version != str(FORMAT_VERSION):
-            raise ValueError(f"certificate line 1: unsupported format {version!r}")
+            value = header[key] = line[len(prefix):]
+            if value != _FIXED_HEADER.get(key, value):
+                raise ValueError(
+                    f"certificate line {number}: unsupported {key} {value!r}"
+                )
         if len(lines) == head or lines[head]:
             raise ValueError(
                 f"certificate line {head + 1}: want the blank line after the header"
@@ -232,7 +241,6 @@ class Certificate:
             functional=func,
             r_max=r_max,
             low_slope_floor=parse_int(header["low-slope-floor"]),
-            slope_cut=Fraction(*parse_ratio(header["slope-cut"])),
             nodes=tuple(nodes),
         )
 
@@ -273,13 +281,11 @@ def _node_line(node: CertificateNode) -> str:
     den = 2 * r
     g = gcd(xi, den)
     xibar = f"{xi // g}" if g == den else f"{xi // g}/{den // g}"
-    tail = f"xidelta={xd} xibar={xibar} target={target}"
     if b_hi is None:
-        return f"{b}/{r} leaf {tail}"
+        return _LEAF_FORMAT % (b, r, xd, xibar, target)
     offs = ",".join(f"{j}:{v}" for j, v in offsets) or "-"
-    return (
-        f"{b}/{r} split {b_hi}/{r_hi},{b_lo}/{r_lo} cfdet={cf_det}"
-        f" offsets={offs} net={net} {tail}"
+    return _SPLIT_FORMAT % (
+        b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offs, net, xd, xibar, target
     )
 
 
@@ -386,11 +392,6 @@ def _reject_node_line(line: str) -> NoReturn:
     raise ValueError(f"malformed node line {line!r}")
 
 
-def _observed_offsets(d, d_hi, d_lo) -> tuple[int, ...]:
-    """delta^j(child) - delta^j(hi) - delta^j(lo), from the three delta vectors."""
-    return tuple(map(sub, map(sub, d, d_hi), d_lo))
-
-
 def _nonzero(support, offs) -> tuple[tuple[int, int], ...]:
     """The (j, offset) pairs with a nonzero offset, in ascending j."""
     return tuple(compress(zip(support, offs), offs)) if any(offs) else ()
@@ -432,7 +433,7 @@ def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tup
         hi, lo, cf_det = split_slope(b, r)
         d_hi = table.get(hi) or table.setdefault(hi, delta_vector(func, *hi))
         d_lo = table.get(lo) or table.setdefault(lo, delta_vector(func, *lo))
-        offs = _observed_offsets(d, d_hi, d_lo)
+        offs = split_offsets(d, d_hi, d_lo)
         predicted = lemma_offsets(hi[1], lo[1], support)
         if offs != predicted:
             for j, off, want in _contradictions(support, offs, predicted):
@@ -479,7 +480,7 @@ def proof_replay(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_build_range, tasks)
             nodes = tuple(map(CertificateNode._make, chain.from_iterable(parts)))
-    return Certificate(func, r_max, low_slope_floor, SLOPE_CUT, nodes)
+    return Certificate(func, r_max, low_slope_floor, nodes)
 
 
 @dataclass(frozen=True)
@@ -539,7 +540,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             return VerificationReport(len(cert.nodes), None, (), tuple(issues))
 
     support, weigh = func.support, func.weigh
-    floor, cut = cert.low_slope_floor, cert.slope_cut.as_integer_ratio()
+    floor = cert.low_slope_floor
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}
     slacks = []
     for node in cert.nodes:
@@ -560,7 +561,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             issues.append(f"{b}/{r}: recorded xidelta {xd_rec} != {xd}")
         if xi != two_r * xd + xi_lin_num(func, b, r):
             issues.append(f"{b}/{r}: xi_bar != xi_delta + xi_lin")
-        target = point_target(floor, b, r, cut)
+        target = point_target(floor, b, r)
         slack = xi - two_r * target
         slacks.append(slack)
         if target_rec != target:
@@ -589,7 +590,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if d_hi is None or d_lo is None:
             issues.append(f"{b}/{r}: parents missing from the certificate before it")
             continue
-        offs = _observed_offsets(d, d_hi, d_lo)
+        offs = split_offsets(d, d_hi, d_lo)
         nonzero = _nonzero(support, offs)
         if offsets_rec != nonzero:
             found = len(issues)

@@ -138,6 +138,10 @@ def cmd_pluri(args) -> int:
 
 
 def cmd_ineq(args) -> int:
+    if args.doc is not None and args.basket is not None:
+        raise ValueError(
+            f"give the document {args.doc!r} or --basket {args.basket!r}, not both"
+        )
     if args.which in (1, 2):
         if args.doc is None:
             raise ValueError(f"form {args.which} needs a full invariants document")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
 
-from .baskets import Basket, OrbifoldPoint, scaled_l_table
+from .baskets import Basket, OrbifoldPoint, low_slope, scaled_l_table
 from .rationals import exact_fraction, slopes
 from .riemann_roch import ThreefoldInvariants, chi_mk_row
 
@@ -110,9 +110,9 @@ class Candidate:
 def admissible_points(constraints: EnumConstraints) -> tuple[OrbifoldPoint, ...]:
     """Points usable in a basket under the constraints, in canonical order.
 
-    With require_sigma12_zero every point must have slope strictly above
-    1/12, forcing r < 12b; otherwise max_index must bound r to keep the
-    set finite.
+    With require_sigma12_zero no point may have a ``low_slope``, which
+    forces r < 12b; otherwise max_index must bound r to keep the set
+    finite.
     """
     sigma_max, sigma12_zero = constraints.sigma_max, constraints.require_sigma12_zero
     r_max = 12 * sigma_max - 1 if sigma12_zero else constraints.max_index
@@ -124,7 +124,7 @@ def admissible_points(constraints: EnumConstraints) -> tuple[OrbifoldPoint, ...]
     return tuple(
         OrbifoldPoint(b, r)
         for b, r in slopes(2, r_max or 0, sigma_max)
-        if not sigma12_zero or r < 12 * b
+        if not (sigma12_zero and low_slope(b, r))
     )
 
 

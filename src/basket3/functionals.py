@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul, sub
 
-from .baskets import Basket, OrbifoldPoint, delta_row, scaled_l_table, sigma12
-from .rationals import mediant_parents, slopes
+from .baskets import Basket, delta_row, low_slope, scaled_l_table, sigma12
+from .rationals import slopes, split_slope
 from .riemann_roch import InconsistentInvariantsError, ThreefoldInvariants, chi_mk_row
 
 __all__ = [
@@ -102,18 +102,9 @@ class Functional:
         return self.m2 == 0
 
 
-SLOPE_CUT = Fraction(1, 12)
-
-
-def point_target(
-    floor: int, b: int, r: int, cut: tuple[int, int] = SLOPE_CUT.as_integer_ratio()
-) -> int:
-    """Target for xi_bar at the single point b/r: floor * b when b/r <= cut.
-
-    ``cut`` is the slope cut as its integer ratio (p, q).
-    """
-    p, q = cut
-    return floor * b if b * q <= p * r else 0
+def point_target(floor: int, b: int, r: int) -> int:
+    """Target for xi_bar at the single point b/r: floor * b at a ``low_slope``."""
+    return floor * b if low_slope(b, r) else 0
 
 
 @dataclass(frozen=True)
@@ -218,18 +209,15 @@ def lemma_offsets(r1: int, r2: int, ns) -> tuple[int | None, ...]:
     return tuple(offsets)
 
 
-def split_offsets(hi: OrbifoldPoint, lo: OrbifoldPoint, ns) -> tuple[int, ...]:
-    """delta^n of the mediant of hi and lo minus delta^n of each, for n in ns."""
-    child = delta_row(hi.b + lo.b, hi.r + lo.r, ns)
-    return tuple(
-        map(sub, map(sub, child, delta_row(hi.b, hi.r, ns)), delta_row(lo.b, lo.r, ns))
-    )
+def split_offsets(d, d_hi, d_lo) -> tuple[int, ...]:
+    """delta^n(child) - delta^n(hi) - delta^n(lo), from their delta rows over one ns."""
+    return tuple(map(sub, map(sub, d, d_hi), d_lo))
 
 
-def _no_slope_between(hi: OrbifoldPoint, lo: OrbifoldPoint, n: int) -> bool:
+def _no_slope_between(b_hi: int, r_hi: int, b_lo: int, r_lo: int, n: int) -> bool:
     # The smallest integer strictly above b_lo*n/r_lo is not below b_hi*n/r_hi.
-    k = lo.b * n // lo.r + 1
-    return k * hi.r >= hi.b * n
+    k = b_lo * n // r_lo + 1
+    return k * r_hi >= b_hi * n
 
 
 @dataclass(frozen=True)
@@ -264,30 +252,30 @@ def check_lemmas_exhaustive(r1_max: int, r2_max: int) -> LemmaSweep:
     for b, r in slopes(5, r1_max + r2_max):
         if b == 1:
             continue
-        p1, p2, _ = mediant_parents(b, r)
-        r1, r2 = p1.r, p2.r
+        (b1, r1), (b2, r2), _ = split_slope(b, r)
         if r1 > r1_max or r2 > r2_max:
             continue
         pairs += 1
+        split = f"{b1}/{r1} {b2}/{r2}"
         ns = range(1, 2 * r1 * r2 + 1)
-        gaps = split_offsets(p1, p2, ns)
+        gaps = split_offsets(
+            delta_row(b, r, ns), delta_row(b1, r1, ns), delta_row(b2, r2, ns)
+        )
         for n, expected, gap in zip(ns, lemma_offsets(r1, r2, ns), gaps):
             if expected == 0:
                 nodiff_checked += 1
-                if gap != 0 or not _no_slope_between(p1, p2, n):
-                    mismatches.append(f"nodiff {p1} {p2} n={n} gap={gap}")
+                if gap != 0 or not _no_slope_between(b1, r1, b2, r2, n):
+                    mismatches.append(f"nodiff {split} n={n} gap={gap}")
             elif expected is not None:
                 diff_checked += 1
                 if gap != expected:
-                    mismatches.append(
-                        f"diff {p1} {p2} n={n} gap={gap} lemma={expected}"
-                    )
+                    mismatches.append(f"diff {split} n={n} gap={gap} lemma={expected}")
             else:
                 # Positive representation without a box one; possible
                 # only for n > r1*r2, where neither lemma applies.
                 uncovered += 1
                 if n <= r1 * r2:
-                    mismatches.append(f"uncovered {p1} {p2} n={n}")
+                    mismatches.append(f"uncovered {split} n={n}")
     return LemmaSweep(
         pairs, nodiff_checked, diff_checked, uncovered, tuple(mismatches)
     )

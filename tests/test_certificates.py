@@ -383,7 +383,6 @@ class TestVerification:
             cert.functional,
             cert.r_max,
             cert.low_slope_floor,
-            cert.slope_cut,
             tuple(reversed(cert.nodes)),
         )
         report = verify_certificate(shuffled)

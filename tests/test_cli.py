@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -162,6 +163,14 @@ class TestIneq:
     def test_form_one_needs_document(self, capsys):
         code, _, err = run(capsys, ["ineq", "--which", "1", "--basket", "[[2,5]]"])
         assert code == 2 and "document" in err
+
+    # A document and --basket together are refused, not one of them dropped.
+    @pytest.mark.parametrize("which", ["1", "2", "3", "4"])
+    def test_document_and_basket_together_rejected(self, tmp_path, capsys, which):
+        doc = write_json(tmp_path, "doc.json", {"chi": 1, "k3": "1", "basket": [[2, 5]]})
+        code, out, err = run(capsys, ["ineq", "--which", which, doc, "--basket", "[[1,13]]"])
+        assert code == 2 and not out
+        assert repr(doc) in err and "--basket '[[1,13]]'" in err
 
 
 class TestReplay:
@@ -398,6 +407,27 @@ class TestReplay:
         out_path.write_text("\n".join(header + [f"r-max: {r_max}", "nodes: 0", ""]) + "\n")
         code, out, err = run(capsys, ["verify", str(out_path)])
         assert code == 2 and not out and f"r-max {r_max!r}" in err
+
+    # The format and the slope cut are fixed, so a header that gives another
+    # one is refused, even where the nodes agree with it: with the cut at
+    # 1/1000 no target is nonzero, and every other value stays right.
+    @pytest.mark.parametrize(
+        ("old", "new", "named"),
+        [
+            ("slope-cut: 1/12\n", "slope-cut: 1/1000\n", "'1/1000'"),
+            ("basket3-certificate: 1\n", "basket3-certificate: 2\n", "'2'"),
+        ],
+        ids=["slope-cut", "format"],
+    )
+    def test_other_fixed_header_is_invalid_input(self, tmp_path, capsys, old, new, named):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "30", "--out", str(out_path)])
+        text = out_path.read_text()
+        zeroed = re.subn(r"target=[1-9][0-9]*$", "target=0", text, flags=re.M)
+        assert zeroed[1] == 22
+        out_path.write_text(zeroed[0].replace(old, new, 1))
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and not out and named in err
 
     def test_missing_certificate_is_io_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.txt")])
@@ -683,6 +713,13 @@ class TestConstantsAndLemmas:
         data = json.loads(out)
         assert data["mismatch_count"] == 0
         assert data["nodiff_checked"] > 0 and data["diff_checked"] > 0
+
+    def test_lemmas_default_stdout_is_pinned(self, capsys):
+        code, out, _ = run(capsys, ["lemmas"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4be0c9fac7532ead44e84c6b88c8777b57a109b48ec5ebcb1b5c7ef9d0cfd49b"
+        )
 
     def test_lemmas_least_split(self, capsys):
         code, out, _ = run(capsys, ["lemmas", "--r1-max", "2", "--r2-max", "3"])

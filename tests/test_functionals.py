@@ -16,6 +16,7 @@ from basket3.baskets import (
     Basket,
     OrbifoldPoint,
     delta,
+    delta_row,
     l_correction,
     m_lin,
     mbar,
@@ -241,11 +242,10 @@ class TestLemmaOffset:
 
 
 class TestLemmas:
-    # The split of 2/5: predicted offsets against the observed gaps.
-    P12, P13 = OrbifoldPoint(1, 2), OrbifoldPoint(1, 3)
-
+    # The split of 2/5 into 1/2 and 1/3: predicted offsets against the
+    # observed gaps, from the three delta rows.
     def gaps(self, ns):
-        return split_offsets(self.P12, self.P13, ns)
+        return split_offsets(delta_row(2, 5, ns), delta_row(1, 2, ns), delta_row(1, 3, ns))
 
     def test_nodiff_holds(self):
         assert lemma_offsets(2, 3, (3, 4)) == (0, 0)
@@ -266,6 +266,25 @@ class TestLemmas:
         assert sweep.ok
         counts = (sweep.pairs, sweep.nodiff_checked, sweep.diff_checked, sweep.uncovered)
         assert counts == (34, 1043, 1647, 604)
+
+    def test_sweep_names_each_mismatch(self, monkeypatch):
+        # A lemma vector shifted by one n gives a mismatch of every kind; each
+        # names the split by its parents, the n and the values compared.
+        monkeypatch.setattr(
+            "basket3.functionals.lemma_offsets",
+            lambda r1, r2, ns: (None, *lemma_offsets(r1, r2, ns)[:-1]),
+        )
+        sweep = check_lemmas_exhaustive(2, 3)
+        assert (sweep.pairs, sweep.nodiff_checked, sweep.diff_checked, sweep.uncovered) == (
+            1, 5, 5, 2
+        )
+        assert sweep.mismatches == (
+            "uncovered 1/2 1/3 n=1",
+            "nodiff 1/2 1/3 n=5 gap=-1",
+            "diff 1/2 1/3 n=6 gap=0 lemma=-1",
+            "nodiff 1/2 1/3 n=7 gap=-1",
+            "diff 1/2 1/3 n=10 gap=-2 lemma=-1",
+        )
 
 
 class TestSingleBasket:
