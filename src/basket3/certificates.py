@@ -45,6 +45,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain, compress, islice, zip_longest
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, NoReturn
@@ -63,6 +64,7 @@ from .rationals import (
     FRACTION_RULE,
     INT_RULE,
     NAT_RULE,
+    SLOPE_RANGE,
     parse_int,
     parse_ratio,
     slopes,
@@ -410,18 +412,22 @@ def _contradictions(support, offs, predicted):
     ]
 
 
-def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tuple]:
-    """One plain record per slope with r_lo <= r <= r_hi, in order.
+def _records(
+    func: Functional, floor: int, r_max: int, interval=SLOPE_RANGE
+) -> Iterator[tuple]:
+    """One plain record per slope of ``interval`` with r <= r_max, by (r, b).
 
     A record holds the fields of a ``CertificateNode``, in its order, with
     both parents as ``split_slope`` gives them.  ``table`` maps (b, r) to
     the delta vector of every point built or looked up so far, so a split
-    reads its parents' vectors instead of recomputing them; a parent below
-    r_lo is computed once, then kept.
+    reads its parents' vectors instead of recomputing them.  When the
+    interval's ends are Farey neighbours, the parents of every slope inside
+    it lie in its closure, and only the left end and the right end's two
+    parents are looked up from outside: each is computed once, then kept.
     """
     support, weigh = func.support, func.weigh
     table: dict[tuple[int, int], tuple[int, ...]] = {}
-    for b, r in slopes(r_lo, r_hi):
+    for b, r in slopes(2, r_max, None, interval):
         d = table[b, r] = delta_vector(func, b, r)
         xd = weigh(d)
         # xi_bar = xi_delta + xi_lin; the verifier evaluates it by definition.
@@ -446,10 +452,35 @@ def _records(func: Functional, floor: int, r_lo: int, r_hi: int) -> Iterator[tup
         yield b, r, *hi, *lo, cf_det, offsets, net, xd, xi, target
 
 
+def _intervals(r_max: int, count: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Intervals (lo, hi] that tile (0/1, 1/2], widest first.
+
+    Each is a ``((b, r), (b, r))`` pair of Farey neighbours.  Starting from
+    the whole range, the widest interval, that of the least product of its
+    ends' indices, is split at its mediant, unless the mediant's index is
+    above r_max.  Splitting stops at ``count`` intervals, or at r_max - 1,
+    since every task walks all r and starts with up to three vectors from
+    outside it; the result depends on r_max and count alone.
+    """
+    count = min(count, r_max - 1)
+    lo, hi = SLOPE_RANGE
+    splittable = [(lo[1] * hi[1], lo, hi)]
+    final = []
+    while splittable and len(splittable) + len(final) < count:
+        width, lo, hi = heappop(splittable)
+        mid = (lo[0] + hi[0], lo[1] + hi[1])
+        if mid[1] > r_max:
+            final.append((width, lo, hi))
+            continue
+        heappush(splittable, (lo[1] * mid[1], lo, mid))
+        heappush(splittable, (mid[1] * hi[1], mid, hi))
+    return [(lo, hi) for _, lo, hi in sorted(splittable + final)]
+
+
 def _build_range(args) -> list[tuple]:
-    """A worker's task: the records of one range of r, as plain data."""
-    coeffs, floor, r_lo, r_hi = args
-    return list(_records(Functional(coeffs), floor, r_lo, r_hi))
+    """A worker's task: the records of one slope interval, as plain data."""
+    coeffs, floor, r_max, lo, hi = args
+    return list(_records(Functional(coeffs), floor, r_max, (lo, hi)))
 
 
 def proof_replay(
@@ -461,25 +492,34 @@ def proof_replay(
 ) -> Certificate:
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
 
-    The node list is identical for any ``jobs``: work is chunked by r, and
-    workers send back plain records that become nodes in order, as they
-    arrive.  No more workers start than there are tasks or CPUs.
+    The node list is identical for any ``jobs``.  Work is cut into up to
+    ``jobs * 8`` Farey intervals of slopes (and at most r_max - 1), sent
+    widest first, so no task needs a parent that another task builds.
+    Workers send back plain records; the parent drops each into the row
+    of its r, taking the intervals in slope order, so the rows join in
+    canonical order.  No more workers start than there are tasks or CPUs,
+    and with one worker the whole range is built in this process.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
-    if jobs <= 1:
-        records = _records(func, low_slope_floor, 2, r_max)
-        nodes = tuple(map(CertificateNode._make, records))
+    intervals = _intervals(r_max, jobs * 8)
+    workers = min(jobs, len(intervals), os.cpu_count() or 1)
+    if workers == 1:
+        records = _records(func, low_slope_floor, r_max)
     else:
-        chunk = max(1, (r_max - 1) // (jobs * 8))
-        tasks = [
-            (func.coeffs, low_slope_floor, r, min(r + chunk - 1, r_max))
-            for r in range(2, r_max + 1, chunk)
-        ]
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        tasks = [(func.coeffs, low_slope_floor, r_max, lo, hi) for lo, hi in intervals]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_build_range, tasks)
-            nodes = tuple(map(CertificateNode._make, chain.from_iterable(parts)))
+            after = {lo: (hi, part) for (lo, hi), part in zip(intervals, parts)}
+        # The intervals tile the slope range: each one's hi is the next one's lo.
+        rows: list[list[tuple]] = [[] for _ in range(r_max + 1)]
+        lo = SLOPE_RANGE[0]
+        while lo in after:
+            lo, part = after[lo]
+            for record in part:
+                rows[record[1]].append(record)
+        records = chain.from_iterable(rows)
+    nodes = tuple(map(CertificateNode._make, records))
     return Certificate(func, r_max, low_slope_floor, nodes)
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import signal
 import sys
+from fractions import Fraction
 
 from .baskets import Basket
 from .certificates import Certificate, proof_replay, verify_certificate
@@ -93,18 +94,31 @@ def _basket(pairs) -> Basket:
     return Basket.from_pairs((_field(f, "b"), _field(f, "r")) for f in fields)
 
 
-def _doc_invariants(data) -> ThreefoldInvariants:
+def _doc_fields(data) -> tuple[int | None, Fraction | None, int | None, Basket]:
+    """``(chi, k3, p2, basket)`` of a document, None where a field is absent.
+
+    Every field given must be valid: ``chi`` and ``p2`` JSON ints, ``k3`` a
+    canonical fraction and ``basket`` an array of pairs, and ``k3`` and
+    ``p2`` are not both given.  An absent basket is empty.
+    """
     data = _object(data, "document", _DOC_KEYS)
-    chi = _field(data, "chi")
+    chi = _field(data, "chi") if "chi" in data else None
     basket = _basket(data.get("basket", []))
-    has_k3 = "k3" in data
-    has_p2 = "p2" in data
-    if has_k3 == has_p2:
-        raise ValueError("exactly one of 'k3' or 'p2' is required")
-    if has_k3:
-        k3 = parse_fraction(data["k3"])
-    else:
-        k3 = k3_from_p2(chi, basket, _field(data, "p2"))
+    if "k3" in data and "p2" in data:
+        raise ValueError("give one of 'k3' or 'p2', not both")
+    k3 = parse_fraction(data["k3"]) if "k3" in data else None
+    p2 = _field(data, "p2") if "p2" in data else None
+    return chi, k3, p2, basket
+
+
+def _doc_invariants(data) -> ThreefoldInvariants:
+    chi, k3, p2, basket = _doc_fields(data)
+    if chi is None:
+        raise ValueError("field 'chi' is required")
+    if k3 is None:
+        if p2 is None:
+            raise ValueError("exactly one of 'k3' or 'p2' is required")
+        k3 = k3_from_p2(chi, basket, p2)
     return ThreefoldInvariants(k3, chi, basket)
 
 
@@ -151,13 +165,11 @@ def cmd_ineq(args) -> int:
     else:
         # Forms 3 and 4 are the per-basket statements of forms 1 and 2.
         if args.basket is not None:
-            pairs = json.loads(args.basket)
+            basket = _basket(json.loads(args.basket))
         elif args.doc is not None:
-            doc = _object(_read_json(args.doc), "document", _DOC_KEYS)
-            pairs = doc.get("basket", [])
+            *_, basket = _doc_fields(_read_json(args.doc))
         else:
             raise ValueError("forms 3 and 4 need --basket or a document")
-        basket = _basket(pairs)
         ineq = INEQUALITIES[args.which - 2]
         value, target = xi_bar(ineq.functional, basket), ineq.target(basket)
     ok = value >= target

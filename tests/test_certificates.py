@@ -7,6 +7,7 @@ import multiprocessing
 import pickle
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -30,6 +31,7 @@ from basket3.functionals import (
     point_target,
     xi_bar_pair,
 )
+from basket3.rationals import slopes, split_slope
 
 # Equality set of the first inequality for r <= 12, computed by direct
 # evaluation of xi_bar: exactly the points whose repeated mediant splits
@@ -118,20 +120,94 @@ class _NoClasses(pickle.Unpickler):
 
 @pytest.mark.parametrize(("func", "floor"), [(INEQ1, 0), (INEQ2, 14)])
 def test_worker_results_are_plain_data(func, floor):
-    # A worker's task is one range of r; its parents may lie below it.
+    # A worker's task is one Farey interval of slopes; its parts, merged in
+    # (r, b) order, are the serial nodes.
     parts = [
-        certificates._build_range((func.coeffs, floor, r_lo, r_hi))
-        for r_lo, r_hi in ((2, 19), (20, 40))
+        certificates._build_range((func.coeffs, floor, 40, lo, hi))
+        for lo, hi in certificates._intervals(40, 4)
     ]
+    assert len(parts) == 4
     for part in parts:
         assert _NoClasses(io.BytesIO(pickle.dumps(part))).load() == part
     nodes = proof_replay(func, 40, low_slope_floor=floor).nodes
-    assert tuple(parts[0] + parts[1]) == nodes
+    merged = sorted(chain.from_iterable(parts), key=lambda record: record[1::-1])
+    assert tuple(merged) == nodes
 
 
 # sha256 of the INEQ2 certificate at r_max 400, as pinned for the benchmark
 # (bench/expected.json, full.certify.cert_sha256).
 FULL_SIZE_SHA256 = "f60dda8830296c8708e4fbdeab6ef060f574eeacbc948d2c1ea12fdcebe212e1"
+
+
+def _inside(point, lo, hi):
+    """Whether lo <= point <= hi, as slopes, by cross-multiplication."""
+    (b, r), (b_lo, r_lo), (b_hi, r_hi) = point, lo, hi
+    return b_lo * r <= b * r_lo and b * r_hi <= b_hi * r
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 64))
+def test_intervals_own_their_parents(r_max, count):
+    intervals = certificates._intervals(r_max, count)
+    assert 1 <= len(intervals) <= min(count, r_max - 1)
+    widths = [lo[1] * hi[1] for lo, hi in intervals]
+    assert widths == sorted(widths)  # widest first
+    walked = []
+    for lo, hi in intervals:
+        assert hi[0] * lo[1] - lo[0] * hi[1] == 1  # Farey neighbours
+        for b, r in slopes(2, r_max, interval=(lo, hi)):
+            walked.append((b, r))
+            if b == 1 or (b, r) == hi:
+                continue
+            parent_hi, parent_lo, _ = split_slope(b, r)
+            assert _inside(parent_hi, lo, hi) and _inside(parent_lo, lo, hi)
+    assert sorted(walked, key=lambda point: point[::-1]) == list(slopes(2, r_max))
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """A stand-in worker pool: it logs its sizes and tasks and runs the
+    tasks in this process."""
+    log = {"sizes": [], "tasks": []}
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            log["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            tasks = list(iterable)
+            log["tasks"] += tasks
+            return map(fn, tasks)
+
+    monkeypatch.setattr(certificates, "ProcessPoolExecutor", InProcessPool)
+    return log
+
+
+def test_interval_tasks_compute_no_parent_twice(pool_log, monkeypatch):
+    # A task computes the vector of each of its own slopes and, besides
+    # them, at most those of its left end and of its right end's parents.
+    # At r_max 400 with --jobs 2 that is at most two per task on the whole.
+    calls = 0
+    delta_vector = certificates.delta_vector
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return delta_vector(*args)
+
+    monkeypatch.setattr(certificates, "delta_vector", counting)
+    monkeypatch.setattr(certificates.os, "cpu_count", lambda: 2)
+    cert = proof_replay(INEQ2, 400, low_slope_floor=14, jobs=2)
+    tasks = len(pool_log["tasks"])
+    assert pool_log["sizes"] == [2] and tasks == 16
+    assert calls <= len(cert.nodes) + 2 * tasks
+    assert hashlib.sha256(cert.to_text().encode()).hexdigest() == FULL_SIZE_SHA256
 
 
 @settings(max_examples=50, deadline=None)
@@ -172,7 +248,7 @@ class TestSerialization:
         assert one == two
 
     def test_jobs_do_not_change_bytes(self):
-        # At r_max 5 each worker task is a single r.
+        # At r_max 5 the split stops at its cap of r_max - 1 = 4 tasks.
         for func, floor in ((INEQ1, 0), (INEQ2, 14)):
             for r_max in (40, 5):
                 seq = proof_replay(func, r_max, low_slope_floor=floor).to_text()
@@ -181,33 +257,19 @@ class TestSerialization:
                     assert par.to_text() == seq, (func.coeffs, r_max, jobs)
 
     @pytest.mark.parametrize(("cpus", "workers"), [(64, 11), (2, 2), (None, 1)])
-    def test_worker_count_is_bounded(self, cpus, workers, tmp_path, monkeypatch):
-        # At r_max 12 the replay has 11 one-index tasks, so --jobs 10000 may
-        # start no more workers than that, nor more than the CPUs.  The
-        # stand-in pool records its size and runs the tasks in this process.
-        sizes, tasks = [], []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                tasks.extend(iterable)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(certificates, "ProcessPoolExecutor", RecordingPool)
+    def test_worker_count_is_bounded(self, cpus, workers, tmp_path, monkeypatch, pool_log):
+        # At r_max 12 the replay has at most 11 tasks, so --jobs 10000 may
+        # start no more workers than that, nor more than the CPUs; one
+        # worker is this process, with no pool.
         monkeypatch.setattr(certificates.os, "cpu_count", lambda: cpus)
         path = tmp_path / "cert.txt"
         args = ["replay", "--which", "2", "--r-max", "12", "--jobs", "10000"]
         assert main([*args, "--out", str(path)]) == 0
-        assert sizes == [workers]
-        assert [task[2:] for task in tasks] == [(r, r) for r in range(2, 13)]
+        if workers == 1:
+            assert pool_log == {"sizes": [], "tasks": []}
+        else:
+            assert pool_log["sizes"] == [workers]
+            assert len(pool_log["tasks"]) == 11
         assert path.read_text() == proof_replay(INEQ2, 12, low_slope_floor=14).to_text()
 
     # The patched rule reaches the workers only when they are forked.
@@ -219,7 +281,8 @@ class TestSerialization:
         monkeypatch.setattr(
             certificates, "lemma_offsets", lambda r1, r2, ns: (0,) * len(ns)
         )
-        with pytest.raises(ArithmeticError, match="for split 2/5 -> 1/2, 1/3$"):
+        # The widest task, (2/5, 1/2], is sent first and fails at its first split.
+        with pytest.raises(ArithmeticError, match="for split 3/7 -> 1/2, 2/5$"):
             proof_replay(INEQ2, 12, low_slope_floor=14, jobs=2)
 
     # A certificate that the reader takes must be the bytes that it writes.

@@ -172,6 +172,38 @@ class TestIneq:
         assert code == 2 and not out
         assert repr(doc) in err and "--basket '[[1,13]]'" in err
 
+    # Forms 3 and 4 read only the basket of a document, but each other field
+    # that is given must pass the rules of forms 1 and 2.
+    @pytest.mark.parametrize("which", ["3", "4"])
+    @pytest.mark.parametrize(
+        ("payload", "named"),
+        [
+            ({"chi": 1.5, "k3": "0.5", "p2": 3, "basket": [[2, 5]]}, "'chi'"),
+            ({"k3": "0.5", "basket": [[2, 5]]}, "'0.5'"),
+            ({"p2": True, "basket": [[2, 5]]}, "'p2'"),
+            ({"k3": "2", "p2": 3, "basket": [[2, 5]]}, "'p2'"),
+        ],
+    )
+    def test_per_basket_document_fields_checked(
+        self, tmp_path, capsys, which, payload, named
+    ):
+        doc = write_json(tmp_path, "doc.json", payload)
+        code, out, err = run(capsys, ["ineq", doc, "--which", which])
+        assert code == 2 and not out
+        assert named in err
+
+    @pytest.mark.parametrize(
+        ("which", "stdout"),
+        [
+            ("3", '{"pass": true, "slack": "0", "target": "0", "value": "0", "which": 3}\n'),
+            ("4", '{"pass": true, "slack": "0", "target": "0", "value": "0", "which": 4}\n'),
+        ],
+    )
+    def test_basket_only_document_passes(self, tmp_path, capsys, which, stdout):
+        doc = write_json(tmp_path, "doc.json", {"basket": [[2, 5]]})
+        assert run(capsys, ["ineq", doc, "--which", which]) == (0, stdout, "")
+        assert run(capsys, ["ineq", "--which", which, "--basket", "[[2,5]]"])[1] == stdout
+
 
 class TestReplay:
     def test_summary_and_certificate(self, tmp_path, capsys):
