@@ -492,18 +492,20 @@ def proof_replay(
 ) -> Certificate:
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
 
-    The node list is identical for any ``jobs``.  Work is cut into up to
-    ``jobs * 8`` Farey intervals of slopes (and at most r_max - 1), sent
-    widest first, so no task needs a parent that another task builds.
-    Workers send back plain records; the parent drops each into the row
-    of its r, taking the intervals in slope order, so the rows join in
-    canonical order.  No more workers start than there are tasks or CPUs,
-    and with one worker the whole range is built in this process.
+    The node list is identical for any ``jobs``.  At most min(jobs, CPUs)
+    workers run, and work is cut into up to eight Farey intervals of
+    slopes per worker (and at most r_max - 1), sent widest first, so no
+    task needs a parent that another task builds.  Workers send back plain
+    records; the parent drops each into the row of its r, taking the
+    intervals in slope order, so the rows join in canonical order.  No
+    more workers start than there are tasks, and with one worker the
+    whole range is built in this process.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
-    intervals = _intervals(r_max, jobs * 8)
-    workers = min(jobs, len(intervals), os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1)
+    intervals = _intervals(r_max, workers * 8)
+    workers = min(workers, len(intervals))
     if workers == 1:
         records = _records(func, low_slope_floor, r_max)
     else:

@@ -8,8 +8,13 @@ working plurigenus exponent ``m0`` computable at all.
 Formal candidates attach an Euler characteristic and a canonical volume to
 a basket.  The volume policy is explicit input or a minimal-admissible
 search over K^3 in (1/D) * Z requiring every P_m up to the horizon to be
-an integer (and nonnegative when asked); the search solves the integrality
-congruences exactly instead of stepping k, since D can be huge.
+an integer (and nonnegative when asked).  chi enters P_m only through the
+integer shift -(2m - 1) * chi, so integrality is settled once per basket.
+The search solves the integrality congruences exactly instead of stepping
+k, since D can be huge: the admissible k form a grid k = rem + mod * t, on
+which every P_m is an integer line base_m + t * step_m - (2m - 1) * chi.
+Two ``chi_mk_row`` rows per basket, at k = rem and k = rem + mod, give base
+and step; each chi then takes the least t that keeps every P_m >= 0.
 """
 
 from __future__ import annotations
@@ -162,24 +167,6 @@ def _merge_progressions(
     return (ra + ma * t) % m, m
 
 
-def _pm_table(
-    ells: tuple[int, list[int]],
-    chi: int,
-    k3: Fraction,
-    m_max: int,
-    require_nonneg: bool,
-) -> tuple[int, ...] | None:
-    # ``ells`` is the scaled table (den, den * l(m)) of ``scaled_l_table``.
-    w, row = chi_mk_row(k3, chi, *ells, range(2, m_max + 1))
-    table = []
-    for value in row:
-        p_m, rest = divmod(value, w)
-        if rest:
-            return None
-        table.append(p_m)
-    return None if require_nonneg and min(table) < 0 else tuple(table)
-
-
 def _integrality_progression(
     ells: tuple[int, list[int]], m_max: int, denominator: int
 ) -> tuple[int, int] | None:
@@ -208,26 +195,15 @@ def _integrality_progression(
     return progression
 
 
-def _smallest_admissible_k(
-    progression: tuple[int, int],
-    ells: tuple[int, list[int]],
-    chi: int,
-    constraints: EnumConstraints,
-    denominator: int,
-) -> int:
-    den, nums = ells
-    k_low = 1
-    if constraints.require_nonneg_pm and chi > 0:
-        # P_m >= 0 gives k >= ((2m-1) chi - l(m)) * 2D / n_m; for chi <= 0
-        # the right side is never positive.
-        for m in range(2, constraints.m_max + 1):
-            n_m = m * (m - 1) * (2 * m - 1) // 6
-            bound = ((2 * m - 1) * chi * den - nums[m]) * 2 * denominator
-            k_low = max(k_low, -(-bound // (n_m * den)))
-    rem, mod = progression
-    k = rem + mod * -((rem - k_low) // mod)
-    assert k >= k_low and (k - rem) % mod == 0
-    return k
+def _plurigenera(
+    ells: tuple[int, list[int]], k3: Fraction, ms: range
+) -> list[int] | None:
+    # P_m at chi = 0 for each m in ``ms``, or None if one is not an integer.
+    # ``ells`` is the scaled table (den, den * l(m)) of ``scaled_l_table``.
+    w, row = chi_mk_row(k3, 0, *ells, ms)
+    if any(value % w for value in row):
+        return None
+    return [value // w for value in row]
 
 
 def attach_invariants(
@@ -237,32 +213,50 @@ def attach_invariants(
 
     With an explicit volume, a (basket, chi) pair yields at most one
     candidate; the minimal search yields the smallest admissible volume or
-    nothing.
+    nothing.  chi enters P_m only as -(2m - 1) * chi, so the integrality
+    test is made once per basket, at chi = 0.
     """
     policy = constraints.k3_policy
-    ells = scaled_l_table(basket, constraints.m_max)
+    m_max, nonneg = constraints.m_max, constraints.require_nonneg_pm
+    ms = range(2, m_max + 1)
+    odd = [2 * m - 1 for m in ms]
+    chis = range(constraints.chi_min, constraints.chi_max + 1)
+    ells = scaled_l_table(basket, m_max)
     if isinstance(policy, ExplicitK3):
-        if policy.value <= 0:
+        k3 = policy.value
+        base = _plurigenera(ells, k3, ms) if k3 > 0 else None
+        if base is None:
             return
-    else:
-        denominator = policy.denominator
-        if denominator is None:
-            denominator = lcm(*(p.r for p, _ in basket.items)) ** 3
-        progression = _integrality_progression(ells, constraints.m_max, denominator)
-        if progression is None:
-            return
-    for chi in range(constraints.chi_min, constraints.chi_max + 1):
-        if isinstance(policy, ExplicitK3):
-            k3 = policy.value
-        else:
-            k = _smallest_admissible_k(progression, ells, chi, constraints, denominator)
-            k3 = Fraction(k, denominator)
-        table = _pm_table(
-            ells, chi, k3, constraints.m_max, constraints.require_nonneg_pm
+        for chi in chis:
+            table = tuple([p - o * chi for p, o in zip(base, odd)])
+            if not (nonneg and min(table) < 0):
+                yield Candidate(basket, chi, k3, table, m_max)
+        return
+    denominator = policy.denominator
+    if denominator is None:
+        denominator = lcm(*(p.r for p, _ in basket.items)) ** 3
+    progression = _integrality_progression(ells, m_max, denominator)
+    if progression is None:
+        return
+    # On the grid k = rem + mod * t every P_m is an integer line in t:
+    # P_m = base_m + t * step_m - (2m - 1) * chi, with step_m = n_m mod / 2D > 0.
+    rem, mod = progression
+    base = _plurigenera(ells, Fraction(rem, denominator), ms)
+    top = _plurigenera(ells, Fraction(rem + mod, denominator), ms)
+    assert base is not None and top is not None
+    step = [b - a for a, b in zip(base, top)]
+    t_first = 0 if rem else 1  # the search starts at k = 1
+    for chi in chis:
+        t = t_first
+        if nonneg and chi > 0:
+            # P_m >= 0 from t >= ((2m - 1) chi - base_m) / step_m; for
+            # chi <= 0 it holds at every k >= 1, since l(m) >= 0.
+            bounds = [-((p - o * chi) // s) for p, o, s in zip(base, odd, step)]
+            t = max(t, max(bounds))
+        table = tuple([p + t * s - o * chi for p, o, s in zip(base, odd, step)])
+        yield Candidate(
+            basket, chi, Fraction(rem + mod * t, denominator), table, m_max
         )
-        if table is None:
-            continue
-        yield Candidate(basket, chi, k3, table, constraints.m_max)
 
 
 def enumerate_candidates(constraints: EnumConstraints) -> Iterator[Candidate]:
@@ -287,23 +281,22 @@ class M0Report:
 def find_m0(constraints: EnumConstraints) -> M0Report:
     """Scan the candidate set for the smallest uniformly working m.
 
-    Raises NoCandidatesError when the constraints admit no candidate; an
-    exhausted horizon is reported, not raised.
+    One pass over the stream, in memory linear in m_max.  Raises
+    NoCandidatesError when the constraints admit no candidate; an exhausted
+    horizon is reported, not raised.
     """
-    candidates = list(enumerate_candidates(constraints))
-    if not candidates:
+    m_max = constraints.m_max
+    # uniform[m - 2]: every candidate so far has P_m >= 2.  The witness is
+    # the first candidate whose first such m is the largest.
+    uniform = [True] * (m_max - 1)
+    witness, latest, count = None, 1, 0
+    for cand in enumerate_candidates(constraints):
+        count += 1
+        uniform = [u and p >= 2 for u, p in zip(uniform, cand.pm)]
+        first = next((m for m, p in enumerate(cand.pm, 2) if p >= 2), m_max + 1)
+        if first > latest:
+            witness, latest = cand, first
+    if not count:
         raise NoCandidatesError("no candidates under the given constraints")
-    m0 = None
-    for m in range(2, constraints.m_max + 1):
-        if all(c.p(m) >= 2 for c in candidates):
-            m0 = m
-            break
-
-    def first_success(c: Candidate) -> int:
-        for m in range(2, constraints.m_max + 1):
-            if c.p(m) >= 2:
-                return m
-        return constraints.m_max + 1
-
-    witness = max(candidates, key=first_success)
-    return M0Report(m0, witness, len(candidates), constraints.m_max)
+    m0 = next((m for m, u in enumerate(uniform, 2) if u), None)
+    return M0Report(m0, witness, count, m_max)

@@ -8,10 +8,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import floor, gcd, lcm
 from random import Random
 
 from basket3.baskets import Basket, OrbifoldPoint
+from basket3.enumeration import (
+    EnumConstraints,
+    ExplicitK3,
+    M0Report,
+    NoCandidatesError,
+    enumerate_candidates,
+)
+from basket3.riemann_roch import ThreefoldInvariants, plurigenus
 
 X10_WEIGHTS = (1, 1, 1, 1, 5)
 X10_DEGREE = 10
@@ -115,6 +123,84 @@ def brute_force_baskets(
             if sum(p.b for p in combo) <= sigma_max:
                 found.add(Basket.from_points(combo))
     return found
+
+
+def plurigenera_by_definition(
+    basket: Basket, chi: int, k3: Fraction, m_max: int, nonneg: bool
+) -> tuple[int, ...] | None:
+    """(P_2, ..., P_m_max) from ``plurigenus``, or None if one is not an
+    integer, or is negative when ``nonneg`` asks."""
+    inv = ThreefoldInvariants(k3, chi, basket)
+    table = []
+    for m in range(2, m_max + 1):
+        report = plurigenus(inv, m)
+        if not report.is_integral or (nonneg and report.p_m < 0):
+            return None
+        table.append(report.p_m)
+    return tuple(table)
+
+
+# Volumes above this are not searched.  Every P_m >= 0 once
+# K^3 >= 12 chi / (m(m - 1)), which is at most 6 chi, so with chi <= 12 a
+# least admissible volume on a grid of step 2 is at most 74.
+K3_HORIZON = 128
+
+
+def candidates_by_definition(
+    basket: Basket, constraints: EnumConstraints
+) -> list[tuple[int, Fraction, tuple[int, ...]]]:
+    """(chi, K^3, P table) for each candidate of one basket, by trial.
+
+    An explicit positive volume is tried as given.  The minimal search
+    walks volumes in increasing order: an admissible volume has an integral
+    P_2, so it is 2(P_2 + 3 chi - l(2)) for an integer P_2, and those
+    volumes step by 2.  The walk starts at the least P_2 giving K^3 > 0 and
+    takes the first volume in (1/D) * Z whose table passes, or none up to
+    ``K3_HORIZON``.
+    """
+    m_max, nonneg = constraints.m_max, constraints.require_nonneg_pm
+    policy = constraints.k3_policy
+    found = []
+    for chi in range(constraints.chi_min, constraints.chi_max + 1):
+        if isinstance(policy, ExplicitK3):
+            volumes = [policy.value] if policy.value > 0 else []
+        else:
+            denominator = policy.denominator
+            if denominator is None:
+                denominator = lcm(*(r for _, r in basket.pairs())) ** 3
+            ell = l_by_definition(basket, 2)
+            p2 = floor(ell - 3 * chi) + 1
+            volumes = []
+            while (k3 := 2 * (p2 + 3 * chi - ell)) <= K3_HORIZON:
+                if (k3 * denominator).denominator == 1:
+                    volumes.append(k3)
+                p2 += 1
+        for k3 in volumes:
+            table = plurigenera_by_definition(basket, chi, k3, m_max, nonneg)
+            if table is not None:
+                found.append((chi, k3, table))
+                break
+    return found
+
+
+def find_m0_by_list(constraints: EnumConstraints) -> M0Report:
+    """``find_m0`` over the whole candidate list: the first m with every
+    P_m >= 2, and as witness the first candidate, by ``max``, whose least
+    m with P_m >= 2 is the largest."""
+    candidates = list(enumerate_candidates(constraints))
+    if not candidates:
+        raise NoCandidatesError("no candidates under the given constraints")
+    m_max = constraints.m_max
+    m0 = next(
+        (m for m in range(2, m_max + 1) if all(c.p(m) >= 2 for c in candidates)),
+        None,
+    )
+
+    def first_success(c):
+        return next((m for m in range(2, m_max + 1) if c.p(m) >= 2), m_max + 1)
+
+    witness = max(candidates, key=first_success)
+    return M0Report(m0, witness, len(candidates), m_max)
 
 
 def random_point(rng: Random, r_max: int = 40) -> OrbifoldPoint:

@@ -210,6 +210,19 @@ def test_interval_tasks_compute_no_parent_twice(pool_log, monkeypatch):
     assert hashlib.sha256(cert.to_text().encode()).hexdigest() == FULL_SIZE_SHA256
 
 
+def test_tasks_are_sized_from_the_workers(pool_log, monkeypatch):
+    # On 2 CPUs --jobs 64 runs 2 workers, so it cuts the same tasks as
+    # --jobs 2, not 64 * 8 of them.
+    monkeypatch.setattr(certificates.os, "cpu_count", lambda: 2)
+    texts = []
+    for jobs in (2, 64):
+        texts.append(proof_replay(INEQ2, 400, low_slope_floor=14, jobs=jobs).to_text())
+    tasks = pool_log["tasks"]
+    assert pool_log["sizes"] == [2, 2] and len(tasks) == 32
+    assert tasks[:16] == tasks[16:]
+    assert texts[0] == texts[1]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 60), st.sampled_from(sorted(INEQUALITIES)))
 def test_nodes_match_definitions_and_round_trip(r_max, which):

@@ -572,6 +572,22 @@ class TestEnumerate:
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # The same digests check the installed console script in CI.
+    PINNED = Path(__file__).parent / "data" / "enumerate"
+
+    @pytest.mark.parametrize(
+        ("digest", "out"),
+        [
+            pytest.param(*line.split(), id=line.split()[1])
+            for line in (PINNED / "SHA256SUMS").read_text().splitlines()
+        ],
+    )
+    def test_stream_file_is_pinned(self, capsys, digest, out):
+        constraints = self.PINNED / out.replace(".out", ".json")
+        code, out, _ = run(capsys, ["enumerate", str(constraints)])
+        assert code == 0 and out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_no_jobs_flag(self, tmp_path, capsys):
         constraints = write_json(
             tmp_path, "c.json", {"chi_min": 0, "chi_max": 0, "sigma_max": 0}

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basket3.baskets import Basket, OrbifoldPoint
 from basket3.enumeration import (
@@ -18,7 +20,15 @@ from basket3.enumeration import (
     find_m0,
 )
 from basket3.rationals import mediant_parents, slopes
-from oracles import admissible_points_by_definition, brute_force_baskets
+from basket3.riemann_roch import ThreefoldInvariants, plurigenus
+from oracles import (
+    admissible_points_by_definition,
+    brute_force_baskets,
+    candidates_by_definition,
+    find_m0_by_list,
+    l_by_definition,
+    plurigenera_by_definition,
+)
 
 
 def non_units(stage):
@@ -196,18 +206,65 @@ class TestAttachInvariants:
             MinimalK3Search(denominator)
 
     def test_minimal_search_is_minimal(self):
+        basket = Basket.from_pairs([(1, 2)])
         c = EnumConstraints(chi_min=0, chi_max=0, sigma_max=1, m_max=12)
-        (cand,) = attach_invariants(Basket.from_pairs([(1, 2)]), c)
-        denominator = 8
+        (cand,) = attach_invariants(basket, c)
+        denominator = 8  # lcm(2)^3
         k = cand.k3 * denominator
         assert k.denominator == 1
-        # Nothing smaller on the same grid is admissible.
-        from basket3.enumeration import _pm_table
-        from basket3.baskets import scaled_l_table
-
-        ells = scaled_l_table(Basket.from_pairs([(1, 2)]), 12)
+        assert plurigenera_by_definition(basket, 0, cand.k3, 12, True) == cand.pm
+        # At every smaller k on the grid some P_m is non-integral or negative.
         for smaller in range(1, int(k)):
-            assert _pm_table(ells, 0, Fraction(smaller, denominator), 12, True) is None
+            inv = ThreefoldInvariants(Fraction(smaller, denominator), 0, basket)
+            reports = [plurigenus(inv, m) for m in range(2, 13)]
+            assert any(not rep.is_integral or rep.p_m < 0 for rep in reports)
+
+
+def _points(r):
+    return [(b, r) for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
+
+
+small_baskets = st.lists(
+    st.integers(2, 24).flatmap(lambda r: st.sampled_from(_points(r))), max_size=3
+).map(Basket.from_pairs)
+k3_policies = st.one_of(
+    st.sampled_from([None, 1, 2, 8, 36, 1000]).map(MinimalK3Search),
+    st.fractions(-2, 60, max_denominator=24).map(ExplicitK3),
+)
+
+
+def k3_policies_for(basket):
+    # Besides any fraction, explicit volumes with an integral P_2 at chi = 0:
+    # K^3 = 2(P_2 - l(2)), which the other P_m may or may not keep integral.
+    ell = l_by_definition(basket, 2)
+    p2_volumes = st.integers(-2, 30).map(lambda p2: ExplicitK3(2 * (p2 - ell)))
+    return st.one_of(k3_policies, p2_volumes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small_baskets,
+    st.integers(-10, 8),
+    st.integers(0, 4),
+    st.integers(2, 20),
+    st.booleans(),
+    st.data(),
+)
+def test_attach_matches_definition(basket, chi_min, width, m_max, nonneg, data):
+    policy = data.draw(k3_policies_for(basket))
+    c = EnumConstraints(
+        chi_min=chi_min,
+        chi_max=chi_min + width,
+        sigma_max=0,
+        k3_policy=policy,
+        m_max=m_max,
+        require_nonneg_pm=nonneg,
+    )
+    got = list(attach_invariants(basket, c))
+    assert all(cand.basket == basket and cand.m_max == m_max for cand in got)
+    assert [(cand.chi, cand.k3, cand.pm) for cand in got] == candidates_by_definition(
+        basket, c
+    )
 
 
 class TestFindM0:
@@ -256,3 +313,32 @@ class TestFindM0:
         assert basket_keys == sorted(
             basket_keys, key=lambda pairs: [(r, b) for b, r in pairs]
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(-6, 4),
+    st.integers(0, 3),
+    st.integers(2, 12),
+    st.booleans(),
+    k3_policies,
+)
+def test_find_m0_matches_list_reference(
+    sigma_max, chi_min, width, m_max, nonneg, policy
+):
+    c = EnumConstraints(
+        chi_min=chi_min,
+        chi_max=chi_min + width,
+        sigma_max=sigma_max,
+        k3_policy=policy,
+        m_max=m_max,
+        require_nonneg_pm=nonneg,
+    )
+    try:
+        expected = find_m0_by_list(c)
+    except NoCandidatesError:
+        with pytest.raises(NoCandidatesError):
+            find_m0(c)
+        return
+    assert find_m0(c) == expected
