@@ -285,7 +285,8 @@ def _node_line(node: CertificateNode) -> str:
     xibar = f"{xi // g}" if g == den else f"{xi // g}/{den // g}"
     if b_hi is None:
         return _LEAF_FORMAT % (b, r, xd, xibar, target)
-    offs = ",".join(f"{j}:{v}" for j, v in offsets) or "-"
+    # Nearly every split has no offsets; skip the join for those.
+    offs = ",".join([f"{j}:{v}" for j, v in offsets]) if offsets else "-"
     return _SPLIT_FORMAT % (
         b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offs, net, xd, xibar, target
     )

@@ -288,6 +288,7 @@ class PlurigenusFormReport:
     p_form is the P-side LHS - RHS (including the -chi term of form 2 but
     not the sigma12 target), l_form the same thing written in correction
     terms, xi_form the basket functional; the three are equal exactly.
+    ``ok`` (p_form >= target) is decided once, when the report is made.
     """
 
     which: int
@@ -296,14 +297,14 @@ class PlurigenusFormReport:
     xi_form: Fraction
     target: Fraction
     integral: bool
+    ok: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ok", self.p_form >= self.target)
 
     @property
     def slack(self) -> Fraction:
         return self.p_form - self.target
-
-    @property
-    def ok(self) -> bool:
-        return self.p_form >= self.target
 
     def __bool__(self) -> bool:
         return self.ok
@@ -312,20 +313,35 @@ class PlurigenusFormReport:
 @lru_cache(maxsize=4)
 def _basket_half(
     basket: Basket, which: int
-) -> tuple[int, tuple[int, ...], int, Fraction, Fraction, Fraction]:
-    """What a form check needs of the basket alone, computed once per basket.
+) -> tuple[int, tuple[int, ...], int, tuple[PlurigenusFormReport, ...]]:
+    """Everything a form check needs of the basket alone, once per basket.
 
-    Returns (D, (D*l(0), ..., D*l(top)), D*l_form, l_form, xi_form, target)
-    with D = 2*lcm(r_i) and top the form's largest m.  The memo is keyed by
-    (basket, which) and bounded: the sweep checks both forms on every chi
-    of one basket before it moves on.  Every value is immutable, so the
-    callers share them.
+    Returns (D, (D*l(0), ..., D*l(top)), D*l_form, reports) with
+    D = 2*lcm(r_i) and top the form's largest m, after checking the
+    per-basket identity l_form == xi_bar (ArithmeticError otherwise; a
+    raise is not memoized, so every call on that basket raises).  For one
+    basket every (K^3, chi) has p_form = l_form, the same xi_form and the
+    same target, so the form has only two possible reports;
+    ``reports[integral]`` is the one with that ``integral`` flag.  The
+    memo is keyed by (basket, which) and bounded: the sweep checks both
+    forms on every chi of one basket before it moves on.  Every value is
+    immutable, so the callers share them.
     """
     ineq = INEQUALITIES[which]
     den, ells = scaled_l_table(basket, max(ineq.p_coeffs))
     l_num = sum(c * ells[m] for m, c in ineq.p_coeffs.items())
+    l_form = Fraction(l_num, den)
     xi_form = xi_bar(ineq.functional, basket)
-    return den, tuple(ells), l_num, Fraction(l_num, den), xi_form, ineq.target(basket)
+    if l_form != xi_form:
+        raise ArithmeticError(
+            f"form {which} evaluations disagree: {l_form}, {xi_form}"
+        )
+    target = ineq.target(basket)
+    reports = tuple(
+        PlurigenusFormReport(which, l_form, l_form, xi_form, target, integral)
+        for integral in (False, True)
+    )
+    return den, tuple(ells), l_num, reports
 
 
 def verify_plurigenus_form(
@@ -336,26 +352,32 @@ def verify_plurigenus_form(
     The K^3 and chi terms cancel between the plurigenera, so the P-form
     equals the l-form equals xi_bar of the basket for *any* exact rational
     K^3 and integer chi.  With strict=True, non-integral plurigenera in the
-    form's support raise InconsistentInvariantsError instead.  The basket
-    half (l table, l-form, xi_bar, target) comes from ``_basket_half``;
-    only the P-form depends on K^3 and chi.
+    form's support raise InconsistentInvariantsError instead.
+
+    The work is split by what it depends on.  Per basket, in
+    ``_basket_half``: the scaled l table, the l-form, xi_bar, the target,
+    the l-form = xi_bar identity and the form's two possible reports.  Per
+    call: one ``chi_mk_row`` on (K^3, chi), the integrality list (and the
+    strict raise), and the P-form = l-form identity as scaled integers,
+    so every candidate is checked against its own row.  The returned
+    report is the basket's shared, immutable one.
     """
     ineq = INEQUALITIES.get(which)
     if ineq is None:
         raise ValueError(f"form must be 1 or 2, got {which}")
-    den, ells, l_num, l_form, xi_form, target = _basket_half(inv.basket, which)
+    den, ells, l_num, reports = _basket_half(inv.basket, which)
     p_coeffs = ineq.p_coeffs
     # P-values are scaled by w, a multiple of den, so p_form == l_form is
-    # an integer comparison and the report reuses the l-form Fraction.
+    # an integer comparison.
     w, row = chi_mk_row(inv.k3, inv.chi, den, ells, p_coeffs)
-    bad = sorted(m for m, v in zip(p_coeffs, row) if v % w)
+    bad = sorted([m for m, v in zip(p_coeffs, row) if v % w])
     if strict and bad:
         raise InconsistentInvariantsError(f"non-integral plurigenera at m = {bad}")
-    p_num = sum(c * v for c, v in zip(p_coeffs.values(), row))
-    p_num -= ineq.chi_coeff * inv.chi * w
-    if p_num != l_num * (w // den) or l_form != xi_form:
+    p_num = sum(map(mul, p_coeffs.values(), row)) - ineq.chi_coeff * inv.chi * w
+    report = reports[not bad]
+    if p_num != l_num * (w // den):
         raise ArithmeticError(
             f"form {which} evaluations disagree: "
-            f"{Fraction(p_num, w)}, {l_form}, {xi_form}"
+            f"{Fraction(p_num, w)}, {report.l_form}, {report.xi_form}"
         )
-    return PlurigenusFormReport(which, l_form, l_form, xi_form, target, not bad)
+    return report

@@ -219,6 +219,22 @@ class TestAttachInvariants:
             reports = [plurigenus(inv, m) for m in range(2, 13)]
             assert any(not rep.is_integral or rep.p_m < 0 for rep in reports)
 
+    def test_nonneg_bound_rounds_up_where_p3_binds(self):
+        # On the grid k = 1 + 48t (K^3 = k/24) the least volume with every
+        # P_m >= 0 at chi = 1 is set by P_3, not P_2: t = 0 gives K^3 = 1/24
+        # with P_3 = -1, so the bound must round (chi*(2m-1) - base_m)/step_m
+        # up.
+        basket = Basket.from_pairs([(11, 24)])
+        c = EnumConstraints(
+            chi_min=1, chi_max=1, sigma_max=0, m_max=6,
+            k3_policy=MinimalK3Search(24),
+        )
+        (cand,) = attach_invariants(basket, c)
+        assert cand.k3 == Fraction(49, 24)
+        assert cand.pm == (1, 4, 14, 30, 56)
+        below = ThreefoldInvariants(Fraction(1, 24), 1, basket)
+        assert plurigenus(below, 3).p_m == -1
+
 
 def _points(r):
     return [(b, r) for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
@@ -228,7 +244,7 @@ small_baskets = st.lists(
     st.integers(2, 24).flatmap(lambda r: st.sampled_from(_points(r))), max_size=3
 ).map(Basket.from_pairs)
 k3_policies = st.one_of(
-    st.sampled_from([None, 1, 2, 8, 36, 1000]).map(MinimalK3Search),
+    st.sampled_from([None, 1, 2, 8, 24, 36, 72, 1000]).map(MinimalK3Search),
     st.fractions(-2, 60, max_denominator=24).map(ExplicitK3),
 )
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import basket3.functionals
 from basket3.baskets import (
     EMPTY_BASKET,
     Basket,
@@ -40,7 +41,11 @@ from basket3.functionals import (
     xi_delta_pair,
     xi_lin_num,
 )
-from basket3.riemann_roch import InconsistentInvariantsError, ThreefoldInvariants
+from basket3.riemann_roch import (
+    InconsistentInvariantsError,
+    ThreefoldInvariants,
+    chi_mk_row,
+)
 from oracles import l_by_definition, lemma_offset_by_search, random_basket, random_k3
 
 
@@ -362,6 +367,54 @@ class TestPlurigenusForms:
             with pytest.raises(InconsistentInvariantsError):
                 verify_plurigenus_form(bad, which, strict=True)
             assert verify_plurigenus_form(good, which, strict=True).integral
+
+    def test_each_candidate_is_checked_against_its_own_row(self, monkeypatch):
+        # One entry of the (K^3, chi) row moved by W stays integral, so only
+        # the per-call P-form identity can see it; the basket half is warm.
+        basket = Basket.from_pairs([(1, 3), (2, 7)])
+        candidates = [(Fraction(5, 2), 0), (Fraction(7, 3), -2)]
+        for which in (1, 2):
+            verify_plurigenus_form(
+                ThreefoldInvariants(*candidates[0], basket), which, strict=False
+            )
+
+        def shifted(*args):
+            w, row = chi_mk_row(*args)
+            return w, [row[0] + w, *row[1:]]
+
+        monkeypatch.setattr("basket3.functionals.chi_mk_row", shifted)
+        for which in (1, 2):
+            for k3, chi in candidates:
+                inv = ThreefoldInvariants(k3, chi, basket)
+                with pytest.raises(ArithmeticError, match=f"form {which} .* disagree"):
+                    verify_plurigenus_form(inv, which, strict=False)
+
+    def test_a_broken_basket_identity_raises_on_every_call(self, monkeypatch):
+        # The l-form = xi_bar identity is checked once per basket half, and
+        # a half that raises is not memoized, so no call slips through.
+        basket = Basket.from_pairs([(2, 5), (3, 11)])
+        basket3.functionals._basket_half.cache_clear()
+        monkeypatch.setattr(
+            "basket3.functionals.xi_bar", lambda func, bk: xi_bar(func, bk) + 1
+        )
+        for _ in range(2):
+            for which in (1, 2):
+                for k3, chi in [(Fraction(3), 1), (Fraction(9, 4), -5)]:
+                    inv = ThreefoldInvariants(k3, chi, basket)
+                    with pytest.raises(ArithmeticError, match=f"form {which} .* disagree"):
+                        verify_plurigenus_form(inv, which, strict=False)
+
+    def test_candidates_of_one_basket_get_their_own_reports(self):
+        basket = Basket.from_pairs([(1, 2)])
+        candidates = [(Fraction(11, 2), 1, True), (Fraction(1, 3), -2, False)]
+        for which in (1, 2):
+            for k3, chi, integral in candidates:
+                inv = ThreefoldInvariants(k3, chi, basket)
+                report = verify_plurigenus_form(inv, which, strict=False)
+                expected = form_by_definition(inv, which)
+                assert report == expected
+                assert report.integral is integral
+                assert report.ok is expected.ok
 
     @settings(max_examples=60, deadline=None)
     @given(
