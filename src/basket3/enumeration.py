@@ -7,21 +7,22 @@ working plurigenus exponent ``m0`` computable at all.
 
 Formal candidates attach an Euler characteristic and a canonical volume to
 a basket.  The volume policy is explicit input or a minimal-admissible
-search over K^3 in (1/D) * Z requiring every P_m up to the horizon to be
+search over K^3 = k/D, k >= 1, requiring every P_m up to the horizon to be
 an integer (and nonnegative when asked).  chi enters P_m only through the
 integer shift -(2m - 1) * chi, so integrality is settled once per basket.
-The search solves the integrality congruences exactly instead of stepping
-k, since D can be huge: the admissible k form a grid k = rem + mod * t, on
-which every P_m is an integer line base_m + t * step_m - (2m - 1) * chi.
-Two ``chi_mk_row`` rows per basket, at k = rem and k = rem + mod, give base
-and step; each chi then takes the least t that keeps every P_m >= 0.
+The search never steps k one at a time, since D can be huge.  P_2 =
+k/2D + l(2) - 3 chi is an integer only on the grid k = rem + 2D t, and a
+step along it moves each P_m by the integer n_m = m(m - 1)(2m - 1)/6.  So
+one ``chi_mk_row`` row per basket, at k = rem, decides the whole grid and
+gives every P_m on it as the integer line base_m + t n_m - (2m - 1) chi;
+each chi then takes the least t that keeps every P_m >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator
 
 from .baskets import Basket, OrbifoldPoint, low_slope, scaled_l_table
@@ -46,6 +47,16 @@ class NoCandidatesError(ValueError):
     """The constraint set admits no candidate at all."""
 
 
+def _check_type(name: str, value, kinds: tuple[type, ...]) -> None:
+    # Exact types, as in exact_fraction: a bool is not an int, and a float
+    # or a string is never coerced.
+    if type(value) not in kinds:
+        want = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+        raise ValueError(
+            f"{name} must be {want}, got {type(value).__name__} {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ExplicitK3:
     """Use this exact volume, an int or a Fraction, for every candidate."""
@@ -67,6 +78,7 @@ class MinimalK3Search:
     denominator: int | None = None
 
     def __post_init__(self) -> None:
+        _check_type("denominator", self.denominator, (int, type(None)))
         if self.denominator is not None and self.denominator < 1:
             raise ValueError(f"denominator must be positive, got {self.denominator}")
 
@@ -85,6 +97,12 @@ class EnumConstraints:
     max_index: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("chi_min", "chi_max", "sigma_max", "m_max"):
+            _check_type(name, getattr(self, name), (int,))
+        _check_type("max_index", self.max_index, (int, type(None)))
+        for name in ("require_sigma12_zero", "require_nonneg_pm"):
+            _check_type(name, getattr(self, name), (bool,))
+        _check_type("k3_policy", self.k3_policy, (ExplicitK3, MinimalK3Search))
         if self.sigma_max < 0:
             raise ValueError("sigma_max must be nonnegative")
         if self.m_max < 2:
@@ -153,48 +171,6 @@ def enumerate_baskets(constraints: EnumConstraints) -> Iterator[Basket]:
     yield from walk(0, constraints.sigma_max, [])
 
 
-def _merge_progressions(
-    a: tuple[int, int], b: tuple[int, int]
-) -> tuple[int, int] | None:
-    # Intersect k = ra (mod ma) with k = rb (mod mb).
-    ra, ma = a
-    rb, mb = b
-    g = gcd(ma, mb)
-    if (rb - ra) % g:
-        return None
-    m = lcm(ma, mb)
-    t = ((rb - ra) // g * pow(ma // g, -1, mb // g)) % (mb // g)
-    return (ra + ma * t) % m, m
-
-
-def _integrality_progression(
-    ells: tuple[int, list[int]], m_max: int, denominator: int
-) -> tuple[int, int] | None:
-    # The set of k with chi(mK) integral for all m <= m_max at K^3 = k/D is
-    # an arithmetic progression (or empty); chi shifts are integral anyway.
-    # Up to an integer, w * chi(mK) = a k + b with a = n_m w / 2D and
-    # b = w l(m).
-    den, nums = ells
-    w = lcm(2 * denominator, den)
-    k_scale, ell_scale = w // (2 * denominator), w // den
-    progression = (0, 1)
-    for m in range(2, m_max + 1):
-        n_m = m * (m - 1) * (2 * m - 1) // 6
-        a = n_m * k_scale
-        b = nums[m] * ell_scale
-        g = gcd(a, w)
-        if b % g:
-            return None
-        mod = w // g
-        if mod > 1:
-            k0 = (-(b // g) * pow(a // g, -1, mod)) % mod
-            merged = _merge_progressions(progression, (k0, mod))
-            if merged is None:
-                return None
-            progression = merged
-    return progression
-
-
 def _plurigenera(
     ells: tuple[int, list[int]], k3: Fraction, ms: range
 ) -> list[int] | None:
@@ -213,8 +189,11 @@ def attach_invariants(
 
     With an explicit volume, a (basket, chi) pair yields at most one
     candidate; the minimal search yields the smallest admissible volume or
-    nothing.  chi enters P_m only as -(2m - 1) * chi, so the integrality
-    test is made once per basket, at chi = 0.
+    nothing.  Either way a basket costs one ``chi_mk_row`` row, at chi = 0,
+    since chi enters P_m only as -(2m - 1) * chi.  The search takes that row
+    at the least k >= 0 of the P_2 grid k = rem (mod 2D): a P_m that is not
+    an integer there is an integer nowhere on the grid, so the basket then
+    has no candidates.
     """
     policy = constraints.k3_policy
     m_max, nonneg = constraints.m_max, constraints.require_nonneg_pm
@@ -235,16 +214,15 @@ def attach_invariants(
     denominator = policy.denominator
     if denominator is None:
         denominator = lcm(*(p.r for p, _ in basket.items)) ** 3
-    progression = _integrality_progression(ells, m_max, denominator)
-    if progression is None:
-        return
-    # On the grid k = rem + mod * t every P_m is an integer line in t:
-    # P_m = base_m + t * step_m - (2m - 1) * chi, with step_m = n_m mod / 2D > 0.
-    rem, mod = progression
+    # P_2 is an integer only for k = rem (mod 2D), and k -> k + 2D moves
+    # each P_m by the integer n_m, so the row at k = rem decides the grid.
+    mod = 2 * denominator
+    den, nums = ells
+    rem = -(mod * nums[2] // den) % mod
     base = _plurigenera(ells, Fraction(rem, denominator), ms)
-    top = _plurigenera(ells, Fraction(rem + mod, denominator), ms)
-    assert base is not None and top is not None
-    step = [b - a for a, b in zip(base, top)]
+    if base is None:
+        return
+    step = [m * (m - 1) * (2 * m - 1) // 6 for m in ms]
     t_first = 0 if rem else 1  # the search starts at k = 1
     for chi in chis:
         t = t_first

@@ -205,6 +205,26 @@ class TestAttachInvariants:
         with pytest.raises(ValueError, match="denominator"):
             MinimalK3Search(denominator)
 
+    @pytest.mark.parametrize("denominator", [True, False, 8.0, "8", Fraction(8)])
+    def test_search_denominator_is_an_int(self, denominator):
+        want = f"denominator must be int or None, got {type(denominator).__name__} "
+        with pytest.raises(ValueError, match=want):
+            MinimalK3Search(denominator)
+
+    def test_no_candidates_off_the_p2_grid(self):
+        # l(2) = 3/5 for 2/5, so with D = 1 the value 2D * l(2) = 6/5 is not
+        # an integer: P_2 = k/2 + 3/5 - 3 chi is an integer at no k.
+        basket = Basket.from_pairs([(2, 5)])
+        for nonneg in (True, False):
+            c = EnumConstraints(
+                chi_min=-8, chi_max=8, sigma_max=0, m_max=6,
+                k3_policy=MinimalK3Search(1), require_nonneg_pm=nonneg,
+            )
+            assert list(attach_invariants(basket, c)) == []
+        for k in range(1, 41):
+            inv = ThreefoldInvariants(Fraction(k), 0, basket)
+            assert not plurigenus(inv, 2).is_integral
+
     def test_minimal_search_is_minimal(self):
         basket = Basket.from_pairs([(1, 2)])
         c = EnumConstraints(chi_min=0, chi_max=0, sigma_max=1, m_max=12)
@@ -234,6 +254,38 @@ class TestAttachInvariants:
         assert cand.pm == (1, 4, 14, 30, 56)
         below = ThreefoldInvariants(Fraction(1, 24), 1, basket)
         assert plurigenus(below, 3).p_m == -1
+
+
+VALID = dict(chi_min=0, chi_max=1, sigma_max=1, m_max=6)
+
+
+@pytest.mark.parametrize(
+    "name, value, want",
+    [
+        ("chi_min", 0.0, "int"),
+        ("chi_min", False, "int"),
+        ("chi_max", "1", "int"),
+        ("chi_max", Fraction(1), "int"),
+        ("sigma_max", True, "int"),
+        ("sigma_max", 1.0, "int"),
+        ("m_max", 6.0, "int"),
+        ("m_max", None, "int"),
+        ("max_index", True, "int or None"),
+        ("max_index", 30.0, "int or None"),
+        ("require_sigma12_zero", 1, "bool"),
+        ("require_sigma12_zero", None, "bool"),
+        ("require_nonneg_pm", 0, "bool"),
+        ("require_nonneg_pm", "true", "bool"),
+        ("k3_policy", None, "ExplicitK3 or MinimalK3Search"),
+        ("k3_policy", Fraction(2), "ExplicitK3 or MinimalK3Search"),
+    ],
+)
+def test_constraints_take_exact_types(name, value, want):
+    # sigma_max=True would otherwise enumerate as sigma_max 1.
+    message = f"{name} must be {want}, got {type(value).__name__} {value!r}"
+    with pytest.raises(ValueError) as info:
+        EnumConstraints(**{**VALID, name: value})
+    assert str(info.value) == message
 
 
 def _points(r):
