@@ -10,7 +10,7 @@ integers over one denominator, and ``l_table`` is its Fraction view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -98,6 +98,10 @@ class Basket:
     """
 
     items: tuple[tuple[OrbifoldPoint, int], ...] = ()
+    # hash(items), taken once: memo keys hash a basket on every lookup, and
+    # the generated __hash__ would rehash each point every time.  It is a
+    # hash of ints only, so it survives pickling.
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = [p.key() for p, _ in self.items]
@@ -105,6 +109,10 @@ class Basket:
             raise BasketError("basket items must be sorted by (r, b) without repeats")
         if any(mult < 1 for _, mult in self.items):
             raise BasketError("multiplicities must be >= 1")
+        object.__setattr__(self, "_hash", hash(self.items))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Basket":

@@ -248,25 +248,27 @@ def _constraints_from_json(data) -> EnumConstraints:
 
 def cmd_enumerate(args) -> int:
     constraints = _constraints_from_json(_read_json(args.constraints))
+    write = sys.stdout.write  # at run time: callers may redirect stdout
     all_ok = True
-    basket = pairs = None
+    basket = head = None
     for cand in enumerate_candidates(constraints):
-        # Every chi of a basket comes with the same Basket object.
+        # Every chi of a basket comes with the same Basket object, so the
+        # line up to the chi value is built once per basket.
         if cand.basket is not basket:
-            basket, pairs = cand.basket, cand.basket.pairs()
+            basket = cand.basket
+            head = '{"basket": ' + json.dumps(basket.pairs()) + ', "chi": '
         inv = cand.invariants()
         checks_ok = (
             verify_plurigenus_form(inv, 1, strict=False).ok
             and verify_plurigenus_form(inv, 2, strict=False).ok
         )
         all_ok = all_ok and checks_ok
-        _emit(
-            {
-                "basket": pairs,
-                "chi": cand.chi,
-                "k3": format_fraction(cand.k3),
-                "pm": cand.pm,
-            }
+        # The keys are written in sorted order, basket < chi < k3 < pm, with
+        # json's default separators, so the line equals
+        # json.dumps(record, sort_keys=True), as _emit writes it.
+        write(
+            f'{head}{cand.chi}, "k3": "{format_fraction(cand.k3)}",'
+            f' "pm": [{", ".join(map(str, cand.pm))}]}}\n'
         )
     return PASS if all_ok else VIOLATION
 

@@ -26,7 +26,7 @@ from math import lcm
 from typing import Iterator
 
 from .baskets import Basket, OrbifoldPoint, low_slope, scaled_l_table
-from .rationals import exact_fraction, slopes
+from .rationals import _check_type, exact_fraction, slopes
 from .riemann_roch import ThreefoldInvariants, chi_mk_row
 
 __all__ = [
@@ -45,16 +45,6 @@ __all__ = [
 
 class NoCandidatesError(ValueError):
     """The constraint set admits no candidate at all."""
-
-
-def _check_type(name: str, value, kinds: tuple[type, ...]) -> None:
-    # Exact types, as in exact_fraction: a bool is not an int, and a float
-    # or a string is never coerced.
-    if type(value) not in kinds:
-        want = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
-        raise ValueError(
-            f"{name} must be {want}, got {type(value).__name__} {value!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -85,7 +75,13 @@ class MinimalK3Search:
 
 @dataclass(frozen=True)
 class EnumConstraints:
-    """Bounds and policies for the candidate enumeration."""
+    """Bounds and policies for the candidate enumeration.
+
+    ``max_index`` bounds the local index r, and only where it means
+    something: it is required when ``require_sigma12_zero`` is false (a
+    positive sigma_max admits points 1/r for every r otherwise) and refused
+    when it is true, where r < 12b bounds r and max_index is not read.
+    """
 
     chi_min: int
     chi_max: int
@@ -105,6 +101,14 @@ class EnumConstraints:
         _check_type("k3_policy", self.k3_policy, (ExplicitK3, MinimalK3Search))
         if self.sigma_max < 0:
             raise ValueError("sigma_max must be nonnegative")
+        if self.max_index is not None:
+            if self.max_index < 0:
+                raise ValueError("max_index must be nonnegative")
+            if self.require_sigma12_zero:
+                raise ValueError(
+                    "max_index bounds r only without require_sigma12_zero;"
+                    " drop max_index or set require_sigma12_zero to false"
+                )
         if self.m_max < 2:
             raise ValueError("m_max must be at least 2")
         if self.chi_min > self.chi_max:

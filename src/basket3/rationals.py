@@ -52,8 +52,12 @@ class AtomError(ValueError):
 
 
 def format_fraction(q: Fraction | int) -> str:
-    """Render as fully reduced "p/q", or a bare integer when q == 1."""
-    return str(Fraction(q))
+    """Render an int or a Fraction as reduced "p/q", or a bare integer when q == 1.
+
+    The value goes through ``exact_fraction``, so a Fraction is not
+    normalised a second time, and a float or a bool is refused.
+    """
+    return str(exact_fraction(q))
 
 
 def parse_int(text: str) -> int:
@@ -94,6 +98,16 @@ def parse_fraction(text: str | int) -> Fraction:
             f"got {type(text).__name__} {text!r}"
         )
     return Fraction(*parse_ratio(text))
+
+
+def _check_type(name: str, value, kinds: tuple[type, ...]) -> None:
+    # Exact types, as in exact_fraction: a bool is not an int, and a float
+    # or a string is never coerced.
+    if type(value) not in kinds:
+        want = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+        raise ValueError(
+            f"{name} must be {want}, got {type(value).__name__} {value!r}"
+        )
 
 
 def exact_fraction(value: Fraction | int) -> Fraction:

@@ -18,7 +18,7 @@ from math import lcm
 from typing import Iterable
 
 from .baskets import EMPTY_BASKET, Basket, l_correction, sigma
-from .rationals import exact_fraction
+from .rationals import _check_type, exact_fraction
 
 __all__ = [
     "InconsistentInvariantsError",
@@ -43,7 +43,8 @@ class ThreefoldInvariants:
 
     K^3 may be any exact rational, given as an int or a Fraction;
     integrality of the resulting chi(mK) is reported downstream, not
-    enforced here.
+    enforced here.  ``chi`` must be an int (not a bool) and ``basket`` a
+    Basket; anything else raises ValueError.
     """
 
     k3: Fraction
@@ -52,6 +53,8 @@ class ThreefoldInvariants:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k3", exact_fraction(self.k3))
+        _check_type("chi", self.chi, (int,))
+        _check_type("basket", self.basket, (Basket,))
 
     @property
     def chi_omega(self) -> int:

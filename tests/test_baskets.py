@@ -92,6 +92,21 @@ class TestBasket:
         assert pickle.loads(pickle.dumps(point)) == point
         assert pickle.loads(pickle.dumps(basket)) == basket
 
+    def test_equal_baskets_hash_equal(self):
+        # The hash is taken once, at construction, however the basket is
+        # built, and survives pickling.
+        pairs = [(2, 5), (1, 2), (2, 5), (3, 11)]
+        built = [
+            Basket.from_pairs(pairs),
+            Basket.from_points(OrbifoldPoint(b, r) for b, r in reversed(pairs)),
+            Basket(Basket.from_pairs(pairs).items),
+        ]
+        built.append(pickle.loads(pickle.dumps(built[0])))
+        for basket in built:
+            assert basket == built[0] and hash(basket) == hash(built[0])
+        assert hash(Basket.from_pairs(pairs[:2])) != hash(built[0])
+        assert repr(EMPTY_BASKET) == "Basket(items=())"
+
     def test_union(self):
         left = Basket.from_pairs([(1, 2)])
         right = Basket.from_pairs([(1, 2), (2, 5)])

@@ -9,13 +9,20 @@ import re
 import signal
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from basket3 import cli
+from basket3.baskets import Basket
 from basket3.cli import main
+from basket3.enumeration import Candidate
+from basket3.rationals import format_fraction
 from oracles import hypersurface_h0
 
 X10_DOC = {"chi": -3, "k3": "2", "basket": []}
@@ -512,6 +519,24 @@ class TestEnumerate:
         assert code == 2 and not out
         assert repr(field) in err
 
+    @pytest.mark.parametrize(
+        ("update", "names"),
+        [
+            ({"max_index": 3}, ("max_index", "require_sigma12_zero")),
+            ({"max_index": 3, "require_sigma12_zero": True},
+             ("max_index", "require_sigma12_zero")),
+            ({"max_index": -5, "require_sigma12_zero": False}, ("max_index",)),
+        ],
+    )
+    def test_unused_or_negative_max_index_rejected(
+        self, tmp_path, capsys, update, names
+    ):
+        data = {"chi_min": 0, "chi_max": 0, "sigma_max": 2, **update}
+        constraints = write_json(tmp_path, "c.json", data)
+        code, out, err = run(capsys, ["enumerate", constraints])
+        assert code == 2 and not out
+        assert all(name in err for name in names)
+
     @pytest.mark.parametrize("k3", ["04/2", "-0", "2/1"])
     def test_non_canonical_explicit_volume_rejected(self, tmp_path, capsys, k3):
         data = {"chi_min": -3, "chi_max": -3, "sigma_max": 0, "k3": {"explicit": k3}}
@@ -716,7 +741,9 @@ MALFORMED_ENUMERATE = st.one_of(
             "chi_max": NOT_INT_OR_NULL,
             "sigma_max": NOT_INT_OR_NULL,
             "m_max": NOT_INT_OR_NULL,
-            "max_index": NOT_INT,  # null is allowed: no bound
+            # null is allowed: no bound.  Any bound is refused beside the
+            # default require_sigma12_zero, which leaves it unread.
+            "max_index": st.one_of(NOT_INT, st.integers()),
             "require_sigma12_zero": NOT_BOOL,
             "require_nonneg_pm": NOT_BOOL,
             "k3": BAD_K3_POLICY,
@@ -742,6 +769,47 @@ class TestMalformedDocuments:
     def test_enumerate_exits_invalid(self, doc):
         code, out = run_stdin(["enumerate", "-"], doc)
         assert code == 2 and not out
+
+
+def candidate_groups():
+    """Baskets, each with its candidates' (chi, K^3, P_m table) triples."""
+    points = st.integers(2, 24).flatmap(
+        lambda r: st.sampled_from([b for b in range(1, r // 2 + 1) if gcd(b, r) == 1])
+        .map(lambda b: (b, r))
+    )
+    basket = st.lists(points, max_size=4).map(Basket.from_pairs)
+    k3 = st.one_of(
+        st.integers(-10**6, 10**6).map(Fraction), st.fractions(max_denominator=10**4)
+    )
+    pm = st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=12).map(tuple)
+    row = st.tuples(st.integers(-10**4, 10**4), k3, pm)
+    return st.lists(st.tuples(basket, st.lists(row, min_size=1, max_size=3)), max_size=4)
+
+
+class TestCandidateLine:
+    # ``enumerate`` writes each line from a per-basket head; it must be the
+    # line json.dumps writes for the record.
+    @settings(max_examples=80, deadline=None)
+    @given(candidate_groups())
+    @example([(Basket(), [(-3, Fraction(2), (10, -20))])])
+    @example([(Basket.from_pairs([(1, 2), (2, 5), (2, 5)]), [(-1, Fraction(1, 3), (-1,))]),
+              (Basket.from_pairs([(3, 7)]), [(0, Fraction(5), (0, 1))])])
+    def test_line_is_the_sorted_json_record(self, groups):
+        cands = [
+            Candidate(basket, chi, k3, pm, len(pm) + 1)
+            for basket, rows in groups
+            for chi, k3, pm in rows
+        ]
+        with mock.patch.object(cli, "enumerate_candidates", lambda _: iter(cands)):
+            _, out = run_stdin(["enumerate", "-"], ENUM_VALID)
+        assert out == "".join(
+            json.dumps(
+                {"basket": c.basket.pairs(), "chi": c.chi,
+                 "k3": format_fraction(c.k3), "pm": c.pm},
+                sort_keys=True,
+            ) + "\n"
+            for c in cands
+        )
 
 
 class TestConstantsAndLemmas:

@@ -123,12 +123,14 @@ class TestEnumerateBaskets:
 @pytest.mark.parametrize("sigma12_zero", [True, False])
 @pytest.mark.parametrize("max_index", [None, 1, 2, 7, 30])
 def test_admissible_points_match_definition(sigma_max, sigma12_zero, max_index):
+    kwargs = dict(chi_min=0, chi_max=0, sigma_max=sigma_max)
+    if sigma12_zero and max_index is not None:
+        # r < 12b bounds r there; a max_index would be silently unread.
+        with pytest.raises(ValueError, match="max_index.*require_sigma12_zero"):
+            EnumConstraints(**kwargs, max_index=max_index)
+        return
     c = EnumConstraints(
-        chi_min=0,
-        chi_max=0,
-        sigma_max=sigma_max,
-        require_sigma12_zero=sigma12_zero,
-        max_index=max_index,
+        **kwargs, require_sigma12_zero=sigma12_zero, max_index=max_index
     )
     if sigma_max and not sigma12_zero and max_index is None:
         with pytest.raises(ValueError):
@@ -286,6 +288,14 @@ def test_constraints_take_exact_types(name, value, want):
     with pytest.raises(ValueError) as info:
         EnumConstraints(**{**VALID, name: value})
     assert str(info.value) == message
+
+
+def test_max_index_is_nonnegative():
+    # A bound beside require_sigma12_zero: test_admissible_points_match_definition.
+    with pytest.raises(ValueError, match="^max_index must be nonnegative$"):
+        EnumConstraints(**VALID, require_sigma12_zero=False, max_index=-5)
+    bounded = EnumConstraints(**VALID, require_sigma12_zero=False, max_index=0)
+    assert list(enumerate_baskets(bounded)) == [Basket()]
 
 
 def _points(r):

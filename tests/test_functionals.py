@@ -404,6 +404,30 @@ class TestPlurigenusForms:
                     with pytest.raises(ArithmeticError, match=f"form {which} .* disagree"):
                         verify_plurigenus_form(inv, which, strict=False)
 
+    def test_warm_memo_hashes_no_point(self, monkeypatch):
+        # A memo lookup hashes the basket; that must not rehash its points.
+        basket = Basket.from_pairs([(1, 2), (2, 5), (2, 5), (3, 11)])
+        equal = Basket(basket.items)  # equal, not the same object
+        for which in (1, 2):
+            verify_plurigenus_form(ThreefoldInvariants(3, 1, basket), which, strict=False)
+        calls = []
+        point_hash = OrbifoldPoint.__hash__
+
+        def counted(point):
+            calls.append(point)
+            return point_hash(point)
+
+        monkeypatch.setattr(OrbifoldPoint, "__hash__", counted)
+        hash(OrbifoldPoint(1, 2))
+        assert len(calls) == 1  # the patch counts
+        calls.clear()
+        for bk in (basket, equal):
+            for k3, chi in [(Fraction(3), 1), (Fraction(9, 4), -5)]:
+                inv = ThreefoldInvariants(k3, chi, bk)
+                for which in (1, 2):
+                    verify_plurigenus_form(inv, which, strict=False)
+        assert calls == []
+
     def test_candidates_of_one_basket_get_their_own_reports(self):
         basket = Basket.from_pairs([(1, 2)])
         candidates = [(Fraction(11, 2), 1, True), (Fraction(1, 3), -2, False)]

@@ -24,6 +24,7 @@ class TestMakeRational:
     def test_round_trip_strings(self):
         assert format_fraction(Fraction(11, 2)) == "11/2"
         assert format_fraction(Fraction(6, 2)) == "3"
+        assert format_fraction(-7) == "-7" and format_fraction(0) == "0"
         assert parse_fraction("11/2") == Fraction(11, 2)
         assert parse_fraction(-4) == Fraction(-4)
         bad_strings = ("0.5", "1e3", " 1/2 ", "1_0/3", "+3/4", "1/-2", "3/", "", "2/0",
@@ -31,6 +32,13 @@ class TestMakeRational:
         for bad in (5.5, True, None, [1, 2], *bad_strings):
             with pytest.raises(ValueError):
                 parse_fraction(bad)
+
+    # The writer takes what the reader takes, an int or a Fraction; a float
+    # or a bool would be written as some other number.
+    @pytest.mark.parametrize("bad", [0.1, True, False, "1/2", None])
+    def test_format_refuses_floats_and_bools(self, bad):
+        with pytest.raises(ValueError, match="want an int or a Fraction"):
+            format_fraction(bad)
 
     # Every string the reader takes must be the one spelling format_fraction
     # writes.  Random edits of canonical strings, with the characters

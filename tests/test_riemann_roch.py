@@ -125,6 +125,28 @@ class TestVolumeInput:
         k3 = Fraction(11, 2)
         assert ThreefoldInvariants(k3, 1, EMPTY_BASKET).k3 is k3
 
+    # A float chi would reach Fraction arithmetic and a bool would be read
+    # as 0 or 1, so both are refused where the invariants are made.
+    @pytest.mark.parametrize(
+        ("chi", "basket", "message"),
+        [
+            (1.5, EMPTY_BASKET, "chi must be int, got float 1.5"),
+            (True, EMPTY_BASKET, "chi must be int, got bool True"),
+            ("1", EMPTY_BASKET, "chi must be int, got str '1'"),
+            (Fraction(1), EMPTY_BASKET, "chi must be int, got Fraction Fraction(1, 1)"),
+            (None, EMPTY_BASKET, "chi must be int, got NoneType None"),
+            (1, [[1, 2]], "basket must be Basket, got list [[1, 2]]"),
+            (1, (), "basket must be Basket, got tuple ()"),
+            (1, None, "basket must be Basket, got NoneType None"),
+        ],
+        ids=["float", "bool", "str", "Fraction", "None",
+             "list-basket", "tuple-basket", "None-basket"],
+    )
+    def test_chi_and_basket_take_exact_types(self, chi, basket, message):
+        with pytest.raises(ValueError) as info:
+            ThreefoldInvariants(Fraction(2), chi, basket)
+        assert str(info.value) == message
+
 
 class TestK3FromP2:
     def test_examples(self):
