@@ -257,10 +257,11 @@ def cmd_enumerate(args) -> int:
         if cand.basket is not basket:
             basket = cand.basket
             head = '{"basket": ' + json.dumps(basket.pairs()) + ', "chi": '
+        # Both forms read the P_m the line prints from cand.pm.
         inv = cand.invariants()
         checks_ok = (
-            verify_plurigenus_form(inv, 1, strict=False).ok
-            and verify_plurigenus_form(inv, 2, strict=False).ok
+            verify_plurigenus_form(inv, 1, strict=False, pm=cand.pm).ok
+            and verify_plurigenus_form(inv, 2, strict=False, pm=cand.pm).ok
         )
         all_ok = all_ok and checks_ok
         # The keys are written in sorted order, basket < chi < k3 < pm, with

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul, sub
 
 from .baskets import Basket, delta_row, low_slope, scaled_l_table, sigma12
@@ -162,11 +163,15 @@ def xi_bar_pair(func: Functional, b: int, r: int) -> Fraction:
 
 
 def xi_bar(func: Functional, basket: Basket) -> Fraction:
-    """Sum of c_j * mbar^j over the basket; additive over multiset union."""
-    return sum(
-        (mult * xi_bar_pair(func, p.b, p.r) for p, mult in basket.items),
-        Fraction(0),
-    )
+    """Sum of c_j * mbar^j over the basket; additive over multiset union.
+
+    Each point's 2r * xi_bar is an integer, so the sum is taken in
+    integers over L = 2 * lcm(r_i) and made a Fraction once.
+    """
+    items = basket.items
+    half = lcm(*(p.r for p, _ in items))  # L / 2; 1 for the empty basket
+    num = sum(mult * xi_bar_num(func, p.b, p.r) * (half // p.r) for p, mult in items)
+    return Fraction(num, 2 * half)
 
 
 def xi_lin_num(func: Functional, b: int, r: int) -> int:
@@ -345,37 +350,61 @@ def _basket_half(
 
 
 def verify_plurigenus_form(
-    inv: ThreefoldInvariants, which: int, *, strict: bool = True
+    inv: ThreefoldInvariants,
+    which: int,
+    *,
+    strict: bool = True,
+    pm: tuple[int, ...] = (),
 ) -> PlurigenusFormReport:
     """Evaluate inequality (1) or (2) three ways and check they agree.
 
     The K^3 and chi terms cancel between the plurigenera, so the P-form
     equals the l-form equals xi_bar of the basket for *any* exact rational
     K^3 and integer chi.  With strict=True, non-integral plurigenera in the
-    form's support raise InconsistentInvariantsError instead.
+    form's support raise InconsistentInvariantsError instead.  ``which``
+    must be the int 1 or 2.
+
+    ``pm = (P_2, ..., P_M)`` is a row of ints the caller already holds,
+    such as ``Candidate.pm``: the P-form reads each of its P_m with
+    m <= M from that row (an entry it reads that is not an int raises
+    ValueError), and only the form's P_m above M come from a
+    ``chi_mk_row`` on (K^3, chi).  Without a row (M = 1) every P_m is
+    computed; when the row covers the form, no ``chi_mk_row`` is made.
 
     The work is split by what it depends on.  Per basket, in
     ``_basket_half``: the scaled l table, the l-form, xi_bar, the target,
     the l-form = xi_bar identity and the form's two possible reports.  Per
-    call: one ``chi_mk_row`` on (K^3, chi), the integrality list (and the
-    strict raise), and the P-form = l-form identity as scaled integers,
+    call: the computed P_m (over W = lcm(12 den(K^3), D), or W = 1 when
+    none is), their integrality list (and the strict raise), and the
+    P-form = l-form identity as scaled integers, p_num * D == l_num * W,
     so every candidate is checked against its own row.  The returned
     report is the basket's shared, immutable one.
     """
-    ineq = INEQUALITIES.get(which)
-    if ineq is None:
-        raise ValueError(f"form must be 1 or 2, got {which}")
+    if type(which) is not int or which not in INEQUALITIES:
+        raise ValueError(
+            f"form must be the int 1 or 2, got {type(which).__name__} {which!r}"
+        )
+    ineq = INEQUALITIES[which]
     den, ells, l_num, reports = _basket_half(inv.basket, which)
     p_coeffs = ineq.p_coeffs
-    # P-values are scaled by w, a multiple of den, so p_form == l_form is
-    # an integer comparison.
-    w, row = chi_mk_row(inv.k3, inv.chi, den, ells, p_coeffs)
-    bad = sorted([m for m, v in zip(p_coeffs, row) if v % w])
+    # given: the sum of a_m * P_m over the m <= M that pm holds.
+    given, computed, top = 0, [], len(pm) + 1
+    for m, a in p_coeffs.items():
+        if m > top:
+            computed.append(m)
+        elif type(p := pm[m - 2]) is int:  # no bool, float or Fraction
+            given += a * p
+        else:
+            raise ValueError(f"P_{m} in pm must be int, got {type(p).__name__} {p!r}")
+    w, row = chi_mk_row(inv.k3, inv.chi, den, ells, computed) if computed else (1, ())
+    bad = sorted([m for m, v in zip(computed, row) if v % w])
     if strict and bad:
         raise InconsistentInvariantsError(f"non-integral plurigenera at m = {bad}")
-    p_num = sum(map(mul, p_coeffs.values(), row)) - ineq.chi_coeff * inv.chi * w
+    p_num = (given - ineq.chi_coeff * inv.chi) * w + sum(
+        [p_coeffs[m] * v for m, v in zip(computed, row)]
+    )
     report = reports[not bad]
-    if p_num != l_num * (w // den):
+    if p_num * den != l_num * w:
         raise ArithmeticError(
             f"form {which} evaluations disagree: "
             f"{Fraction(p_num, w)}, {report.l_form}, {report.xi_form}"

@@ -9,7 +9,7 @@ import re
 import signal
 import subprocess
 import sys
-from fractions import Fraction
+from dataclasses import replace
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from basket3 import cli
 from basket3.baskets import Basket
 from basket3.cli import main
-from basket3.enumeration import Candidate
+from basket3.enumeration import Candidate, EnumConstraints, enumerate_candidates
 from basket3.rationals import format_fraction
+from basket3.riemann_roch import ThreefoldInvariants, k3_from_p2, plurigenus
 from oracles import hypersurface_h0
 
 X10_DOC = {"chi": -3, "k3": "2", "basket": []}
@@ -772,36 +773,54 @@ class TestMalformedDocuments:
 
 
 def candidate_groups():
-    """Baskets, each with its candidates' (chi, K^3, P_m table) triples."""
+    """Baskets, each with its candidates' (chi, P_2, row length) triples.
+
+    K^3 = 2(P_2 + 3 chi - l(2)) makes P_2 an integer, so every row has one.
+    """
     points = st.integers(2, 24).flatmap(
         lambda r: st.sampled_from([b for b in range(1, r // 2 + 1) if gcd(b, r) == 1])
         .map(lambda b: (b, r))
     )
     basket = st.lists(points, max_size=4).map(Basket.from_pairs)
-    k3 = st.one_of(
-        st.integers(-10**6, 10**6).map(Fraction), st.fractions(max_denominator=10**4)
-    )
-    pm = st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=12).map(tuple)
-    row = st.tuples(st.integers(-10**4, 10**4), k3, pm)
+    row = st.tuples(st.integers(-10**4, 10**4), st.integers(-10**9, 10**9),
+                    st.integers(1, 12))
     return st.lists(st.tuples(basket, st.lists(row, min_size=1, max_size=3)), max_size=4)
+
+
+def candidate(basket, chi, p2, length):
+    """The candidate whose row is P_2 .. P_{length + 1}, up to the first non-integer."""
+    inv = ThreefoldInvariants(k3_from_p2(chi, basket, p2), chi, basket)
+    pm = []
+    for m in range(2, length + 2):
+        rep = plurigenus(inv, m)
+        if not rep.is_integral:
+            break
+        pm.append(rep.p_m)
+    return Candidate(basket, chi, inv.k3, tuple(pm), len(pm) + 1)
+
+
+def run_stream(cands):
+    """``run_stdin`` of ``enumerate`` with ``cands`` as the candidate stream."""
+    with mock.patch.object(cli, "enumerate_candidates", lambda _: iter(cands)):
+        return run_stdin(["enumerate", "-"], ENUM_VALID)
 
 
 class TestCandidateLine:
     # ``enumerate`` writes each line from a per-basket head; it must be the
-    # line json.dumps writes for the record.
+    # line json.dumps writes for the record.  The form checks read each
+    # row, so the rows are true P_m of the drawn (K^3, chi).
     @settings(max_examples=80, deadline=None)
     @given(candidate_groups())
-    @example([(Basket(), [(-3, Fraction(2), (10, -20))])])
-    @example([(Basket.from_pairs([(1, 2), (2, 5), (2, 5)]), [(-1, Fraction(1, 3), (-1,))]),
-              (Basket.from_pairs([(3, 7)]), [(0, Fraction(5), (0, 1))])])
+    @example([(Basket(), [(-3, 10, 2)])])
+    @example([(Basket.from_pairs([(1, 2), (2, 5), (2, 5)]), [(-1, -1, 1)]),
+              (Basket.from_pairs([(3, 7)]), [(0, 0, 2)])])
     def test_line_is_the_sorted_json_record(self, groups):
         cands = [
-            Candidate(basket, chi, k3, pm, len(pm) + 1)
+            candidate(basket, chi, p2, length)
             for basket, rows in groups
-            for chi, k3, pm in rows
+            for chi, p2, length in rows
         ]
-        with mock.patch.object(cli, "enumerate_candidates", lambda _: iter(cands)):
-            _, out = run_stdin(["enumerate", "-"], ENUM_VALID)
+        _, out = run_stream(cands)
         assert out == "".join(
             json.dumps(
                 {"basket": c.basket.pairs(), "chi": c.chi,
@@ -810,6 +829,41 @@ class TestCandidateLine:
             ) + "\n"
             for c in cands
         )
+
+
+class TestFormChecksReadThePrintedRow:
+    """``enumerate`` checks both forms on the P_m each line prints.
+
+    A printed P_m that is off by one fails the check when the m is in a
+    form's support: 2 .. 7 for form 1; 2, 3, 5 .. 8 and 10 .. 13 for form
+    2.  P_9 and every P_m above 13 are in neither, so a wrong one there is
+    printed and passes: the checks cover the forms, not the whole row.
+    """
+
+    CONSTRAINTS = EnumConstraints(-2, 2, 2, m_max=20)
+
+    def stream(self, m=None):
+        # The candidates, with P_m of the middle one raised by one.
+        cands = list(enumerate_candidates(self.CONSTRAINTS))
+        if m is not None:
+            i = len(cands) // 2
+            pm = list(cands[i].pm)
+            pm[m - 2] += 1
+            cands[i] = replace(cands[i], pm=tuple(pm))
+        return cands
+
+    @pytest.mark.parametrize(("m", "which"), [(2, 1), (4, 1), (7, 1), (8, 2), (13, 2)])
+    def test_a_wrong_p_m_in_a_form_raises(self, m, which):
+        with pytest.raises(ArithmeticError, match=f"form {which} evaluations disagree"):
+            run_stream(self.stream(m))
+
+    @pytest.mark.parametrize("m", [9, 14, 20])
+    def test_a_wrong_p_m_outside_both_forms_passes(self, m):
+        code, out = run_stream(self.stream())
+        wrong_code, wrong_out = run_stream(self.stream(m))
+        assert wrong_code == code == 0
+        assert wrong_out != out
+        assert len(wrong_out.splitlines()) == len(out.splitlines())
 
 
 class TestConstantsAndLemmas:

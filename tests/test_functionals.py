@@ -45,6 +45,8 @@ from basket3.riemann_roch import (
     InconsistentInvariantsError,
     ThreefoldInvariants,
     chi_mk_row,
+    k3_from_p2,
+    plurigenus,
 )
 from oracles import l_by_definition, lemma_offset_by_search, random_basket, random_k3
 
@@ -58,6 +60,21 @@ def points(draw, r_max=200):
 
 baskets = st.lists(points(40), max_size=4).map(Basket.from_points)
 volumes = st.builds(Fraction, st.integers(-100, 300), st.integers(1, 60))
+
+
+@st.composite
+def form_invariants(draw):
+    """Invariants with a free volume or with one that makes P_2 an integer.
+
+    The first rarely has an integral P_2, so its row is mostly empty; the
+    second gives long integral rows, which reach every horizon M.
+    """
+    basket, chi = draw(baskets), draw(st.integers(-20, 20))
+    k3 = draw(st.one_of(
+        volumes, st.integers(-50, 50).map(lambda p2: k3_from_p2(chi, basket, p2))
+    ))
+    return ThreefoldInvariants(k3, chi, basket)
+
 
 functionals = st.builds(
     Functional,
@@ -142,6 +159,17 @@ class TestXiEvaluations:
         assert xi_bar(INEQ2, EMPTY_BASKET) == 0
         assert xi_bar(INEQ2, Basket.from_pairs([(1, 5), (1, 6)])) == 7
         assert xi_bar(INEQ1, Basket.from_pairs([(1, 9)])) == 2
+
+    @settings(max_examples=150)
+    @given(functionals, st.lists(points(60), max_size=6).map(Basket.from_points))
+    @example(INEQ2, EMPTY_BASKET)
+    def test_xi_bar_is_the_sum_of_point_values(self, func, basket):
+        # Summed as integers over 2 * lcm(r_i), made a Fraction once.
+        expected = sum(
+            (mult * xi_bar_pair(func, p.b, p.r) for p, mult in basket.items), Fraction(0)
+        )
+        got = xi_bar(func, basket)
+        assert type(got) is Fraction and got == expected
 
     def test_xi_lin_single_coefficient(self):
         # m_lin^1 is 1/4 at 1/2, and 2r = 4.
@@ -358,6 +386,41 @@ class TestPlurigenusForms:
                 ThreefoldInvariants(Fraction(2), -3, EMPTY_BASKET), 3
             )
 
+    @pytest.mark.parametrize("which", [True, False, 1.0, 2.0, "1", None])
+    def test_which_is_not_coerced(self, which):
+        # 1.0 and True hash as 1, so a dict lookup alone would take them.
+        inv = ThreefoldInvariants(Fraction(2), -3, EMPTY_BASKET)
+        with pytest.raises(ValueError, match=re.escape(f"{which!r}")):
+            verify_plurigenus_form(inv, which)
+
+    @pytest.mark.parametrize("value", [20.0, Fraction(20), True])
+    def test_a_given_row_holds_ints(self, value):
+        # X10 has P_2 = 10 and P_3 = 20; the form reads P_3 from the row.
+        inv = ThreefoldInvariants(Fraction(2), -3, EMPTY_BASKET)
+        assert verify_plurigenus_form(inv, 1, pm=(10, 20)).ok
+        message = f"P_3 in pm must be int, got {type(value).__name__} {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_plurigenus_form(inv, 1, pm=(10, value))
+
+    @settings(max_examples=80, deadline=None)
+    @given(form_invariants(), st.booleans())
+    @example(ThreefoldInvariants(2, -3, EMPTY_BASKET), True)
+    @example(ThreefoldInvariants(Fraction(29, 6), 1, Basket.from_pairs([(1, 2), (1, 3)])),
+             False)
+    def test_a_given_row_gives_the_computed_report(self, inv, strict):
+        # pm = (P_2, ..., P_M) for every horizon M whose row is integral:
+        # the same report, or the same error, as with every P_m computed.
+        row = []
+        for m in range(2, 31):
+            rep = plurigenus(inv, m)
+            if not rep.is_integral:
+                break
+            row.append(rep.p_m)
+        for which in (1, 2):
+            expected = form_outcome(inv, which, strict)
+            for top in range(2, len(row) + 2):
+                assert form_outcome(inv, which, strict, tuple(row[: top - 1])) == expected
+
     def test_strict_after_non_strict_on_same_basket(self):
         basket = Basket.from_pairs([(1, 2)])
         bad = ThreefoldInvariants(Fraction(1, 3), 1, basket)
@@ -491,6 +554,14 @@ class TestPlurigenusForms:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
+
+
+def form_outcome(inv, which, strict, pm=()):
+    """The report of a form check, or the type and text of its error."""
+    try:
+        return verify_plurigenus_form(inv, which, strict=strict, pm=pm)
+    except InconsistentInvariantsError as exc:
+        return type(exc), str(exc)
 
 
 def form_by_definition(inv, which):
