@@ -26,16 +26,21 @@ parents' vectors from that table, so its offsets are
 ``d_child - d_high - d_low``.  xi_bar is kept as its numerator over 2r and
 the target as an integer; ``Fraction`` appears only in the reports and the
 text fields.  The builder takes xi_bar from the identity xi_bar = xi_delta
-+ xi_lin, with xi_lin in closed form; the verifier evaluates xi_bar from
-its definition and checks the identity, so every recorded xi_bar is
-checked against the definition.  A node is one flat record of plain
-values; the builder yields such records, which is all a replay worker
-sends back, and they become nodes as they are, with no point objects.
++ xi_lin, with xi_lin in closed form, and the target from
+``point_target``.  The verifier evaluates two values by its own
+definitions: xi_bar (``xi_bar_num``, and it checks the identity, so every
+recorded xi_bar is checked against the definition) and the target (the
+header's floor times b at or below the fixed cut 1/12).  It still shares
+the builder's kernels for the rest: ``delta_vector``, ``split_offsets``,
+``lemma_offsets`` and ``xi_lin_num``.  A node is one flat record of plain
+values; every replay task returns such records, in a worker or in this
+process, and they become nodes as they are, with no point objects.
 
 ``to_text`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
-exactly that text: it reads each node line with one match of the same
-grammar, whose values are spelled by the ``rationals`` rules, and names the
-line and the token of anything else.
+exactly that text: it reads each node line with one match of its kind's
+template, compiled from the same grammar, whose groups are the node's
+values spelled by the ``rationals`` rules, and names the line and the
+token of anything else.
 """
 
 from __future__ import annotations
@@ -89,17 +94,18 @@ _HEADER_LINE = "{}: {}"  # key, value
 # baskets.low_slope, which is fixed, not a parameter.
 _FIXED_HEADER = {"basket3-certificate": str(FORMAT_VERSION), "slope-cut": "1/12"}
 # The values a node line is written with, in the one spelling of each
-# number that rationals reads; an offset is j:v with v != 0.
+# number that rationals reads, with one group per value of the node: a
+# point b/r is two, b and r.  An offset is j:v with v != 0.
 _OFFSET_RULE = f"(?:{INT_RULE}):-?{NAT_RULE}"
 _NODE_VALUES = {
-    "point": f"{NAT_RULE}/{NAT_RULE}",
-    "int": INT_RULE,
-    "fraction": FRACTION_RULE,
-    "offsets": f"-|{_OFFSET_RULE}(?:,{_OFFSET_RULE})*",
+    "point": f"({NAT_RULE})/({NAT_RULE})",
+    "int": f"({INT_RULE})",
+    "fraction": f"({FRACTION_RULE})",
+    "offsets": f"(-|{_OFFSET_RULE}(?:,{_OFFSET_RULE})*)",
 }
 # The node-line grammar, written once: each line kind's tokens, one space
-# apart, with each {value} one of _NODE_VALUES.  _NODE_LINE is compiled
-# from it, and _reject_node_line walks it token by token.
+# apart, with each {value} one of _NODE_VALUES.  Each kind's template is
+# compiled from it, and _reject_node_line walks it token by token.
 _NODE_GRAMMAR = {
     "split": "{point} split {point},{point} cfdet={int} offsets={offsets} net={int}"
     " xidelta={int} xibar={fraction} target={int}",
@@ -108,27 +114,18 @@ _NODE_GRAMMAR = {
 
 
 def _template_rule(template: str) -> str:
-    """The regex of a template: each {value} one group, the rest literal."""
+    """The regex of a template: each {value} its groups, the rest literal."""
     parts = re.split(r"\{(\w+)\}", template)
     return "".join(
-        f"({_NODE_VALUES[part]})" if i % 2 else re.escape(part)
-        for i, part in enumerate(parts)
+        _NODE_VALUES[part] if i % 2 else re.escape(part) for i, part in enumerate(parts)
     )
 
 
-_NODE_LINE = re.compile(
-    "|".join(f"(?P<{kind}>{_template_rule(t)})" for kind, t in _NODE_GRAMMAR.items())
+# A match of a kind's template has the node's values as its groups, in the
+# order of the node's fields.
+_SPLIT_LINE, _LEAF_LINE = (
+    re.compile(_template_rule(_NODE_GRAMMAR[kind])) for kind in ("split", "leaf")
 )
-
-
-def _value_groups(kind: str) -> tuple[int, ...]:
-    # A kind's value groups follow its own named group in _NODE_LINE.
-    first = _NODE_LINE.groupindex[kind] + 1
-    return tuple(range(first, first + _NODE_GRAMMAR[kind].count("{")))
-
-
-_SPLIT_GROUPS = _value_groups("split")
-_LEAF_GROUPS = _value_groups("leaf")
 # The writer fills the same templates as %-formats: a point from its two
 # integers, every other value as it is.
 _VALUE_FORMATS = {"point": "%d/%d", "int": "%d", "fraction": "%s", "offsets": "%s"}
@@ -301,15 +298,13 @@ def _xi_num(text: str, r: int) -> int:
     return num * scale
 
 
-def _read_point(text: str) -> tuple[int, int]:
-    """The basket point written ``b/r``, as ``(b, r)``."""
-    b, _, r = text.partition("/")
-    b, r = int(b), int(r)
-    try:
-        check_point(b, r)
-    except BasketError as exc:
-        raise ValueError(f"{text!r} is not a basket point: {exc}") from None
-    return b, r
+def _check_points(*points: tuple[int, int]) -> None:
+    """Refuse a node line that names anything but basket points."""
+    for b, r in points:
+        try:
+            check_point(b, r)
+        except BasketError as exc:
+            raise ValueError(f"'{b}/{r}' is not a basket point: {exc}") from None
 
 
 def _is_point(b: int, r: int) -> bool:
@@ -333,23 +328,22 @@ def _offsets(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _parse_node_line(line: str) -> CertificateNode:
-    """One node line, read with one match of the grammar."""
-    match = _NODE_LINE.fullmatch(line)
-    if match is None:
-        _reject_node_line(line)
-    if match.lastgroup == "split":
-        point, hi, lo, cf_det, offsets, net, xd, xibar, target = match.group(
-            *_SPLIT_GROUPS
+    """One node line, read with one match of its kind's template."""
+    if match := _SPLIT_LINE.fullmatch(line):
+        b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offsets, net, xd, xibar, target = (
+            match.groups()
         )
-        b, r = _read_point(point)
-        b_hi, r_hi = _read_point(hi)
-        b_lo, r_lo = _read_point(lo)
+        b, r, b_hi, r_hi, b_lo, r_lo = map(int, (b, r, b_hi, r_hi, b_lo, r_lo))
+        _check_points((b, r), (b_hi, r_hi), (b_lo, r_lo))
         cf_det, offsets, net = int(cf_det), _offsets(offsets), int(net)
-    else:
-        point, xd, xibar, target = match.group(*_LEAF_GROUPS)
-        b, r = _read_point(point)
+    elif match := _LEAF_LINE.fullmatch(line):
+        b, r, xd, xibar, target = match.groups()
+        b, r = int(b), int(r)
+        _check_points((b, r))
         b_hi = r_hi = b_lo = r_lo = cf_det = None
         offsets, net = (), 0
+    else:
+        _reject_node_line(line)
     return CertificateNode(
         b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offsets, net,
         int(xd), _xi_num(xibar, r), int(target),
@@ -413,9 +407,7 @@ def _contradictions(support, offs, predicted):
     ]
 
 
-def _records(
-    func: Functional, floor: int, r_max: int, interval=SLOPE_RANGE
-) -> Iterator[tuple]:
+def _records(func: Functional, floor: int, r_max: int, interval) -> Iterator[tuple]:
     """One plain record per slope of ``interval`` with r <= r_max, by (r, b).
 
     A record holds the fields of a ``CertificateNode``, in its order, with
@@ -479,7 +471,7 @@ def _intervals(r_max: int, count: int) -> list[tuple[tuple[int, int], tuple[int,
 
 
 def _build_range(args) -> list[tuple]:
-    """A worker's task: the records of one slope interval, as plain data."""
+    """A replay task, in a worker or in this process: one interval's records."""
     coeffs, floor, r_max, lo, hi = args
     return list(_records(Functional(coeffs), floor, r_max, (lo, hi)))
 
@@ -496,33 +488,32 @@ def proof_replay(
     The node list is identical for any ``jobs``.  At most min(jobs, CPUs)
     workers run, and work is cut into up to eight Farey intervals of
     slopes per worker (and at most r_max - 1), sent widest first, so no
-    task needs a parent that another task builds.  Workers send back plain
-    records; the parent drops each into the row of its r, taking the
+    task needs a parent that another task builds.  Each task returns
+    plain records; the parent drops each into the row of its r, taking the
     intervals in slope order, so the rows join in canonical order.  No
-    more workers start than there are tasks, and with one worker the
-    whole range is built in this process.
+    more workers start than there are tasks, and one worker runs the same
+    tasks in this process, with no pool.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
     workers = min(jobs, os.cpu_count() or 1)
     intervals = _intervals(r_max, workers * 8)
     workers = min(workers, len(intervals))
+    tasks = [(func.coeffs, low_slope_floor, r_max, lo, hi) for lo, hi in intervals]
     if workers == 1:
-        records = _records(func, low_slope_floor, r_max)
+        parts = map(_build_range, tasks)
     else:
-        tasks = [(func.coeffs, low_slope_floor, r_max, lo, hi) for lo, hi in intervals]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_build_range, tasks)
-            after = {lo: (hi, part) for (lo, hi), part in zip(intervals, parts)}
-        # The intervals tile the slope range: each one's hi is the next one's lo.
-        rows: list[list[tuple]] = [[] for _ in range(r_max + 1)]
-        lo = SLOPE_RANGE[0]
-        while lo in after:
-            lo, part = after[lo]
-            for record in part:
-                rows[record[1]].append(record)
-        records = chain.from_iterable(rows)
-    nodes = tuple(map(CertificateNode._make, records))
+            parts = list(pool.map(_build_range, tasks))
+    after = {lo: (hi, part) for (lo, hi), part in zip(intervals, parts)}
+    # The intervals tile the slope range: each one's hi is the next one's lo.
+    rows: list[list[tuple]] = [[] for _ in range(r_max + 1)]
+    lo = SLOPE_RANGE[0]
+    while lo in after:
+        lo, part = after[lo]
+        for record in part:
+            rows[record[1]].append(record)
+    nodes = tuple(map(CertificateNode._make, chain.from_iterable(rows)))
     return Certificate(func, r_max, low_slope_floor, nodes)
 
 
@@ -604,7 +595,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             issues.append(f"{b}/{r}: recorded xidelta {xd_rec} != {xd}")
         if xi != two_r * xd + xi_lin_num(func, b, r):
             issues.append(f"{b}/{r}: xi_bar != xi_delta + xi_lin")
-        target = point_target(floor, b, r)
+        # The fixed slope cut 1/12, written here, not read from the builder.
+        target = floor * b if 12 * b <= r else 0
         slack = xi - two_r * target
         slacks.append(slack)
         if target_rec != target:

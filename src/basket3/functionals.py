@@ -110,24 +110,28 @@ def point_target(floor: int, b: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class Inequality:
-    """sum_m a_m P_m >= chi_coeff * chi(O) + floor * sigma12, as {m: a_m}.
+    """sum_m a_m P_m >= chi_coeff * chi(O) + floor * sigma12.
 
-    Everything else derives from the table: l(m) = sum_{j<m} mbar^j gives
-    the functional c_j = sum_{m>j} a_m; the K^3 terms must cancel, and the
-    chi(O) terms leave chi_coeff = -sum_m a_m (2m - 1).
+    The constructor takes the a_m as a mapping {m: a_m}, or as the (m, a_m)
+    pairs that ``dataclasses.replace`` passes back, and keeps them as the
+    tuple of (m, a_m) pairs sorted by m, so the record is hashable.  Everything else derives from the table:
+    l(m) = sum_{j<m} mbar^j gives the functional c_j = sum_{m>j} a_m; the
+    K^3 terms must cancel, and the chi(O) terms leave
+    chi_coeff = -sum_m a_m (2m - 1).
     """
 
-    p_coeffs: dict[int, int]
+    p_coeffs: tuple[tuple[int, int], ...]
     floor: int
     functional: Functional = field(init=False)
     chi_coeff: int = field(init=False)
 
     def __post_init__(self) -> None:
-        items = self.p_coeffs.items()
+        items = tuple(sorted(dict(self.p_coeffs).items()))
+        object.__setattr__(self, "p_coeffs", items)
         k3_terms = sum(a * m * (m - 1) * (2 * m - 1) for m, a in items)
         if k3_terms:
-            raise ValueError(f"K^3 terms of {self.p_coeffs} do not cancel: {k3_terms}")
-        top = max(self.p_coeffs)
+            raise ValueError(f"K^3 terms of {dict(items)} do not cancel: {k3_terms}")
+        top = items[-1][0]
         suffix_sums = tuple(sum(a for m, a in items if m > j) for j in range(1, top))
         object.__setattr__(self, "functional", Functional(suffix_sums))
         object.__setattr__(self, "chi_coeff", -sum(a * (2 * m - 1) for m, a in items))
@@ -333,8 +337,8 @@ def _basket_half(
     immutable, so the callers share them.
     """
     ineq = INEQUALITIES[which]
-    den, ells = scaled_l_table(basket, max(ineq.p_coeffs))
-    l_num = sum(c * ells[m] for m, c in ineq.p_coeffs.items())
+    den, ells = scaled_l_table(basket, ineq.p_coeffs[-1][0])
+    l_num = sum(c * ells[m] for m, c in ineq.p_coeffs)
     l_form = Fraction(l_num, den)
     xi_form = xi_bar(ineq.functional, basket)
     if l_form != xi_form:
@@ -386,22 +390,22 @@ def verify_plurigenus_form(
         )
     ineq = INEQUALITIES[which]
     den, ells, l_num, reports = _basket_half(inv.basket, which)
-    p_coeffs = ineq.p_coeffs
     # given: the sum of a_m * P_m over the m <= M that pm holds.
     given, computed, top = 0, [], len(pm) + 1
-    for m, a in p_coeffs.items():
+    for m, a in ineq.p_coeffs:
         if m > top:
-            computed.append(m)
+            computed.append((m, a))
         elif type(p := pm[m - 2]) is int:  # no bool, float or Fraction
             given += a * p
         else:
             raise ValueError(f"P_{m} in pm must be int, got {type(p).__name__} {p!r}")
-    w, row = chi_mk_row(inv.k3, inv.chi, den, ells, computed) if computed else (1, ())
-    bad = sorted([m for m, v in zip(computed, row) if v % w])
+    ms = [m for m, _ in computed]
+    w, row = chi_mk_row(inv.k3, inv.chi, den, ells, ms) if ms else (1, ())
+    bad = [m for m, v in zip(ms, row) if v % w]
     if strict and bad:
         raise InconsistentInvariantsError(f"non-integral plurigenera at m = {bad}")
     p_num = (given - ineq.chi_coeff * inv.chi) * w + sum(
-        [p_coeffs[m] * v for m, v in zip(computed, row)]
+        [a * v for (_, a), v in zip(computed, row)]
     )
     report = reports[not bad]
     if p_num * den != l_num * w:

@@ -190,24 +190,37 @@ def pool_log(monkeypatch):
 
 
 def test_interval_tasks_compute_no_parent_twice(pool_log, monkeypatch):
-    # A task computes the vector of each of its own slopes and, besides
-    # them, at most those of its left end and of its right end's parents.
-    # At r_max 400 with --jobs 2 that is at most two per task on the whole.
-    calls = 0
-    delta_vector = certificates.delta_vector
+    # Every --jobs builds through the same interval tasks: one worker runs
+    # them in this process, with no pool.  A task computes the vector of
+    # each of its own slopes and, besides them, at most those of its left
+    # end and of its right end's parents.  At r_max 400 that is at most two
+    # per task on the whole, for the 8 tasks of --jobs 1 and the 16 of
+    # --jobs 2.
+    calls = builds = 0
+    delta_vector, build_range = certificates.delta_vector, certificates._build_range
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return delta_vector(*args)
 
+    def counting_build(args):
+        nonlocal builds
+        builds += 1
+        return build_range(args)
+
     monkeypatch.setattr(certificates, "delta_vector", counting)
+    monkeypatch.setattr(certificates, "_build_range", counting_build)
     monkeypatch.setattr(certificates.os, "cpu_count", lambda: 2)
-    cert = proof_replay(INEQ2, 400, low_slope_floor=14, jobs=2)
-    tasks = len(pool_log["tasks"])
-    assert pool_log["sizes"] == [2] and tasks == 16
-    assert calls <= len(cert.nodes) + 2 * tasks
-    assert hashlib.sha256(cert.to_text().encode()).hexdigest() == FULL_SIZE_SHA256
+    for jobs, sizes in ((1, []), (2, [2])):
+        calls = builds = 0
+        cert = proof_replay(INEQ2, 400, low_slope_floor=14, jobs=jobs)
+        tasks = len(certificates._intervals(400, 8 * jobs))
+        assert tasks == 8 * jobs and builds == tasks
+        assert pool_log["sizes"] == sizes
+        assert len(pool_log["tasks"]) == (tasks if sizes else 0)
+        assert calls <= len(cert.nodes) + 2 * tasks
+        assert hashlib.sha256(cert.to_text().encode()).hexdigest() == FULL_SIZE_SHA256
 
 
 def test_tasks_are_sized_from_the_workers(pool_log, monkeypatch):
@@ -463,6 +476,18 @@ class TestVerification:
         )
         report = verify_certificate(shuffled)
         assert any("order" in issue for issue in report.issues)
+
+    def test_target_is_checked_by_its_own_rule(self, monkeypatch):
+        # The builder takes each target from point_target; with a floor one
+        # too low there, every target at or below the cut is wrong, and the
+        # verifier, which reads the floor from the header and writes the cut
+        # itself, names the first one.
+        monkeypatch.setattr(
+            certificates, "point_target", lambda floor, b, r: point_target(floor - 1, b, r)
+        )
+        cert = proof_replay(INEQ2, 60, low_slope_floor=14)
+        issues = verify_certificate(cert).issues
+        assert issues[0] == "1/12: recorded target 13 != 14"
 
     def test_wrong_lemma_rule_is_caught(self, monkeypatch):
         # A split lemma that disagrees with the recomputed offsets must stop

@@ -142,6 +142,15 @@ class TestFunctional:
         assert INEQUALITIES[1].chi_coeff == 0
         assert INEQUALITIES[2].chi_coeff == 1
 
+    def test_inequalities_are_hashable_values(self):
+        # The coefficients are kept as (m, a_m) pairs sorted by m, whatever
+        # the order of the mapping they were given in.
+        one = Inequality({7: -1, 6: 1, 5: 1, 4: 1, 3: -1, 2: -3}, floor=0)
+        assert one.p_coeffs == ((2, -3), (3, -1), (4, 1), (5, 1), (6, 1), (7, -1))
+        assert one == INEQUALITIES[1] and hash(one) == hash(INEQUALITIES[1])
+        keyed = {ineq: which for which, ineq in INEQUALITIES.items()}
+        assert keyed[one] == 1 and keyed[INEQUALITIES[2]] == 2
+
     def test_uncancelled_k3_terms_rejected(self):
         with pytest.raises(ValueError, match="K\\^3"):
             Inequality({2: 1, 3: -1}, floor=0)
@@ -572,11 +581,11 @@ def form_by_definition(inv, which):
         m: Fraction(m * (m - 1) * (2 * m - 1), 12) * inv.k3
         - (2 * m - 1) * inv.chi
         + l_by_definition(inv.basket, m)
-        for m in ineq.p_coeffs
+        for m, _ in ineq.p_coeffs
     }
-    p_form = sum(a * chi_mk[m] for m, a in ineq.p_coeffs.items()) - ineq.chi_coeff * inv.chi
+    p_form = sum(a * chi_mk[m] for m, a in ineq.p_coeffs) - ineq.chi_coeff * inv.chi
     l_form = sum(
-        (a * l_by_definition(inv.basket, m) for m, a in ineq.p_coeffs.items()), Fraction(0)
+        (a * l_by_definition(inv.basket, m) for m, a in ineq.p_coeffs), Fraction(0)
     )
     xi_form = sum((xi_bar_pair(ineq.functional, b, r) for b, r in pairs), Fraction(0))
     target = Fraction(ineq.floor * sum(b for b, r in pairs if 12 * b <= r))
