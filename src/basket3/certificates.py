@@ -20,21 +20,25 @@ support, in ascending j; ``net`` is their coefficient-weighted sum, so that
 
     xidelta(child) = xidelta(high) + xidelta(low) + net.
 
-The kernel is integer-only.  Each point's delta vector (delta^j for j in
-the support) is computed once and kept in a table, and a split reads its
-parents' vectors from that table, so its offsets are
-``d_child - d_high - d_low``.  xi_bar is kept as its numerator over 2r and
-the target as an integer; ``Fraction`` appears only in the reports and the
-text fields.  The builder takes xi_bar from the identity xi_bar = xi_delta
-+ xi_lin, with xi_lin in closed form, and the target from
-``point_target``.  The verifier evaluates two values by its own
-definitions: xi_bar (``xi_bar_num``, and it checks the identity, so every
-recorded xi_bar is checked against the definition) and the target (the
-header's floor times b at or below the fixed cut 1/12).  It still shares
-the builder's kernels for the rest: ``delta_vector``, ``split_offsets``,
-``lemma_offsets`` and ``xi_lin_num``.  A node is one flat record of plain
-values; every replay task returns such records, in a worker or in this
-process, and they become nodes as they are, with no point objects.
+The kernel is integer-only.  The builder computes each point's delta
+vector (delta^j for j in the support, ``delta_vector``) once and keeps it
+in a table, and a split reads its parents' vectors from that table, so its
+offsets are ``split_offsets(d_child, d_high, d_low)``.  xi_bar is kept as
+its numerator over 2r and the target as an integer; ``Fraction`` appears
+only in the reports and the text fields.  The builder takes xi_bar from
+the identity xi_bar = xi_delta + xi_lin, with xi_lin in closed form, and
+the target from ``point_target``.  The verifier evaluates each node from
+the definitions instead, in one walk over the support (``_node_walk``):
+with t = jb and s = t mod r, s(r - s) is 2r*mbar^j, and s(r - s) -
+t(r - t) over 2r is delta^j, which gives xi_bar, xi_delta and the offsets
+against the parents' recomputed rows.  Through the identity it checks the
+builder's closed-form ``xi_lin_num`` against those sums, and it takes each
+target from the header's floor and the fixed cut 1/12.  What it still
+shares with the builder is the lemma vector (``lemma_offsets``),
+``xi_lin_num`` and the slope walk (``slopes``); the reader shares the point
+rule (``check_point``).  A node is one flat record of plain values; every
+replay task returns such records, in a worker or in this process, and they
+become nodes as they are, with no point objects.
 
 ``to_text`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
 exactly that text: it reads each node line with one match of its kind's
@@ -62,7 +66,6 @@ from .functionals import (
     lemma_offsets,
     point_target,
     split_offsets,
-    xi_bar_num,
     xi_lin_num,
 )
 from .rationals import (
@@ -70,8 +73,8 @@ from .rationals import (
     INT_RULE,
     NAT_RULE,
     SLOPE_RANGE,
+    matched_ratio,
     parse_int,
-    parse_ratio,
     slopes,
     split_slope,
 )
@@ -199,7 +202,7 @@ class Certificate:
                 f"certificate line {len(lines) + 1}: no newline at its end"
             )
         head = len(_HEADER_KEYS)
-        header: dict[str, str] = {}
+        header = {}
         for number, key in enumerate(_HEADER_KEYS, start=1):
             line = lines[number - 1] if number <= len(lines) else ""
             prefix = _HEADER_LINE.format(key, "")
@@ -207,26 +210,19 @@ class Certificate:
                 raise ValueError(
                     f"certificate line {number}: want the {key!r} header, got {line!r}"
                 )
-            value = header[key] = line[len(prefix):]
+            value = line[len(prefix):]
             if value != _FIXED_HEADER.get(key, value):
                 raise ValueError(
                     f"certificate line {number}: unsupported {key} {value!r}"
                 )
+            if key in _HEADER_VALUES:
+                try:
+                    header[key] = _HEADER_VALUES[key](value)
+                except ValueError as exc:
+                    raise ValueError(f"certificate line {number}: {exc}") from None
         if len(lines) == head or lines[head]:
             raise ValueError(
                 f"certificate line {head + 1}: want the blank line after the header"
-            )
-        written = header["coefficients"]
-        coeffs = tuple(parse_int(c) for c in written.split(","))
-        func = Functional(coeffs)
-        if func.coeffs != coeffs:
-            raise ValueError(
-                f"certificate line 2: coefficients {written!r} end in a zero"
-            )
-        r_max = parse_int(header["r-max"])
-        if r_max < 2:
-            raise ValueError(
-                f"certificate line 5: r-max {header['r-max']!r} is below 2"
             )
         nodes = []
         for number, line in enumerate(islice(lines, head + 1, None), start=head + 2):
@@ -234,12 +230,15 @@ class Certificate:
                 nodes.append(_parse_node_line(line))
             except ValueError as exc:
                 raise ValueError(f"certificate line {number}: {exc}") from None
-        if len(nodes) != parse_int(header["nodes"]):
-            raise ValueError(f"node count {len(nodes)} != declared {header['nodes']}")
+        if len(nodes) != header["nodes"]:
+            raise ValueError(
+                f"certificate line {_HEADER_KEYS.index('nodes') + 1}: "
+                f"node count {len(nodes)} != declared {header['nodes']}"
+            )
         return cls(
-            functional=func,
-            r_max=r_max,
-            low_slope_floor=parse_int(header["low-slope-floor"]),
+            functional=header["coefficients"],
+            r_max=header["r-max"],
+            low_slope_floor=header["low-slope-floor"],
             nodes=tuple(nodes),
         )
 
@@ -252,6 +251,32 @@ class Certificate:
         # newline="" keeps "\r\n" as written, so the reader refuses it.
         with open(path, "r", encoding="ascii", newline="") as fh:
             return cls.from_text(fh.read())
+
+
+def _coefficients(value: str) -> Functional:
+    """The ``coefficients`` header: integers, the last one nonzero."""
+    coeffs = tuple(map(parse_int, value.split(",")))
+    func = Functional(coeffs)
+    if func.coeffs != coeffs:
+        raise ValueError(f"coefficients {value!r} end in a zero")
+    return func
+
+
+def _r_max(value: str) -> int:
+    """The ``r-max`` header: an integer of at least 2, as every replay's is."""
+    r_max = parse_int(value)
+    if r_max < 2:
+        raise ValueError(f"r-max {value!r} is below 2")
+    return r_max
+
+
+# How the reader takes each header value that is not fixed.
+_HEADER_VALUES = {
+    "coefficients": _coefficients,
+    "low-slope-floor": parse_int,
+    "r-max": _r_max,
+    "nodes": parse_int,
+}
 
 
 def _least_slack(
@@ -290,21 +315,18 @@ def _node_line(node: CertificateNode) -> str:
 
 
 def _xi_num(text: str, r: int) -> int:
-    """The ``xibar=`` value read as a numerator over 2r."""
-    num, den = parse_ratio(text)
+    """The matched ``xibar=`` value read as a numerator over 2r."""
+    num, den = matched_ratio(text)
     scale, rem = divmod(2 * r, den)
     if rem:
         raise ValueError(f"xibar {text!r} is not a fraction over 2r = {2 * r}")
     return num * scale
 
 
-def _check_points(*points: tuple[int, int]) -> None:
-    """Refuse a node line that names anything but basket points."""
-    for b, r in points:
-        try:
-            check_point(b, r)
-        except BasketError as exc:
-            raise ValueError(f"'{b}/{r}' is not a basket point: {exc}") from None
+def _not_a_point(exc: BasketError, *points: tuple[int, int]) -> ValueError:
+    """The error for a node line whose points ``check_point`` refused with exc."""
+    b, r = next(point for point in points if not _is_point(*point))
+    return ValueError(f"'{b}/{r}' is not a basket point: {exc}")
 
 
 def _is_point(b: int, r: int) -> bool:
@@ -328,18 +350,29 @@ def _offsets(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _parse_node_line(line: str) -> CertificateNode:
-    """One node line, read with one match of its kind's template."""
+    """One node line, read with one match of its kind's template.
+
+    Each value is converted once, from its group of the match.
+    """
     if match := _SPLIT_LINE.fullmatch(line):
         b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offsets, net, xd, xibar, target = (
             match.groups()
         )
         b, r, b_hi, r_hi, b_lo, r_lo = map(int, (b, r, b_hi, r_hi, b_lo, r_lo))
-        _check_points((b, r), (b_hi, r_hi), (b_lo, r_lo))
+        try:
+            check_point(b, r)
+            check_point(b_hi, r_hi)
+            check_point(b_lo, r_lo)
+        except BasketError as exc:
+            raise _not_a_point(exc, (b, r), (b_hi, r_hi), (b_lo, r_lo)) from None
         cf_det, offsets, net = int(cf_det), _offsets(offsets), int(net)
     elif match := _LEAF_LINE.fullmatch(line):
         b, r, xd, xibar, target = match.groups()
         b, r = int(b), int(r)
-        _check_points((b, r))
+        try:
+            check_point(b, r)
+        except BasketError as exc:
+            raise _not_a_point(exc, (b, r)) from None
         b_hi = r_hi = b_lo = r_lo = cf_det = None
         offsets, net = (), 0
     else:
@@ -517,6 +550,37 @@ def proof_replay(
     return Certificate(func, r_max, low_slope_floor, nodes)
 
 
+def _node_walk(
+    support: tuple[int, ...],
+    weights: tuple[int, ...],
+    b: int,
+    r: int,
+    d_hi: tuple[int, ...],
+    d_lo: tuple[int, ...],
+) -> tuple[tuple[int, ...], int, int, tuple[int, ...]]:
+    """The verifier's values at b/r, in one walk over the support, by definition.
+
+    Per j, with t = jb and s = t mod r: 2r*mbar^j = s(r - s) and
+    2r*delta^j = s(r - s) - t(r - t), which 2r divides, since t = s (mod r).
+    Returns (delta row, 2r*xi_bar, xi_delta, offsets), where the offsets
+    are delta^j - d_hi[j] - d_lo[j] against the parents' rows ``d_hi`` and
+    ``d_lo`` over the same support.
+    """
+    two_r = 2 * r
+    d, offs = [], []
+    xi = xd = 0
+    for j, c, hi, lo in zip(support, weights, d_hi, d_lo):
+        t = j * b
+        s = t % r
+        u = s * (r - s)
+        dj = (u - t * (r - t)) // two_r
+        d.append(dj)
+        offs.append(dj - hi - lo)
+        xi += c * u
+        xd += c * dj
+    return tuple(d), xi, xd, tuple(offs)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of an independent re-check of a certificate."""
@@ -544,9 +608,11 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     recorded values: xi_bar, xi_delta, targets, per-j offsets with their
     lemma classification, and the additivity identity through each split.
     Finally every node must satisfy xi_bar >= target.  Values are compared
-    as integers over 2r.  Each point's delta vector is recomputed once and
-    kept for the splits that name it as a parent; recorded fields are never
-    used in place of a recomputed value.
+    as integers over 2r.  Each node's values come from one ``_node_walk``
+    against its parents' recomputed rows (zero rows at an atom or where a
+    parent is missing), and its own row is kept for the splits that name it
+    as a parent; recorded fields are never used in place of a recomputed
+    value.
     """
     func = cert.functional
     issues: list[str] = []
@@ -573,8 +639,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             # The arithmetic below is defined on basket points only.
             return VerificationReport(len(cert.nodes), None, (), tuple(issues))
 
-    support, weigh = func.support, func.weigh
+    support, weights, weigh = func.support, func.weights, func.weigh
     floor = cert.low_slope_floor
+    zero = (0,) * len(support)
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}
     slacks = []
     for node in cert.nodes:
@@ -583,9 +650,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         (b, r, b_hi, r_hi, b_lo, r_lo, cf_det_rec, offsets_rec, net_rec,
          xd_rec, xi_rec, target_rec) = node
         two_r = 2 * r
-        d = vectors[b, r] = delta_vector(func, b, r)
-        xd = weigh(d)
-        xi = xi_bar_num(func, b, r)
+        # An atom's parents, (None, None), are never found.
+        rows = vectors.get((b_hi, r_hi)), vectors.get((b_lo, r_lo))
+        missing = None in rows
+        d_hi, d_lo = (zero, zero) if missing else rows
+        d, xi, xd, offs = _node_walk(support, weights, b, r, d_hi, d_lo)
+        vectors[b, r] = d
         if xi_rec != xi:
             issues.append(
                 f"{b}/{r}: recorded xibar {Fraction(xi_rec, two_r)}"
@@ -620,12 +690,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         cf_det = 1 if 2 * r_hi < r else -1
         if cf_det_rec != cf_det:
             issues.append(f"{b}/{r}: recorded cfdet {cf_det_rec} != {cf_det}")
-        d_hi = vectors.get((b_hi, r_hi))
-        d_lo = vectors.get((b_lo, r_lo))
-        if d_hi is None or d_lo is None:
+        if missing:
             issues.append(f"{b}/{r}: parents missing from the certificate before it")
             continue
-        offs = split_offsets(d, d_hi, d_lo)
         nonzero = _nonzero(support, offs)
         if offsets_rec != nonzero:
             found = len(issues)

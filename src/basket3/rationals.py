@@ -27,6 +27,7 @@ __all__ = [
     "SLOPE_RANGE",
     "exact_fraction",
     "format_fraction",
+    "matched_ratio",
     "mediant_parents",
     "parse_fraction",
     "parse_int",
@@ -74,6 +75,15 @@ def parse_ratio(text: str) -> tuple[int, int]:
     """(p, q) of a canonical fraction: an integer, or reduced ``p/q`` with q > 1."""
     if type(text) is not str or _FRACTION.fullmatch(text) is None:
         raise ValueError(f"malformed fraction {text!r}; want an integer or p/q")
+    return matched_ratio(text)
+
+
+def matched_ratio(text: str) -> tuple[int, int]:
+    """(p, q) of text that ``FRACTION_RULE`` has matched: reduced, q > 1 if given.
+
+    The half of ``parse_ratio`` after the match, for a reader whose own
+    pattern has already matched the text with ``FRACTION_RULE``.
+    """
     num, _, den = text.partition("/")
     if not den:
         return int(num), 1

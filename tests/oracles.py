@@ -57,6 +57,18 @@ def l_by_definition(basket: Basket, m: int) -> Fraction:
     return total
 
 
+def mbar_by_definition(j: int, b: int, r: int) -> Fraction:
+    """The periodized parabola term s(r - s)/(2r) with s = jb mod r."""
+    s = j * b % r
+    return Fraction(s * (r - s), 2 * r)
+
+
+def delta_by_definition(j: int, b: int, r: int) -> Fraction:
+    """delta^j(b/r) = mbar^j - m_lin^j, with m_lin^j = t(r - t)/(2r), t = jb."""
+    t = j * b
+    return mbar_by_definition(j, b, r) - Fraction(t * (r - t), 2 * r)
+
+
 def lemma_offset_by_search(r1: int, r2: int, n: int) -> int | None:
     """The split-lemma offset for n, by trying every x in 1..n.
 

@@ -11,10 +11,11 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from basket3 import certificates
+from basket3 import baskets, certificates
+from basket3.baskets import delta_row
 from basket3.certificates import (
     Certificate,
     CertificateNode,
@@ -29,9 +30,14 @@ from basket3.functionals import (
     Functional,
     lemma_offsets,
     point_target,
+    split_offsets,
+    xi_bar_num,
     xi_bar_pair,
+    xi_delta_pair,
+    xi_lin_num,
 )
 from basket3.rationals import slopes, split_slope
+from oracles import delta_by_definition, mbar_by_definition
 
 # Equality set of the first inequality for r <= 12, computed by direct
 # evaluation of xi_bar: exactly the points whose repeated mediant splits
@@ -246,6 +252,55 @@ def test_nodes_match_definitions_and_round_trip(r_max, which):
         assert Fraction(node.xi_num, 2 * r) == xi_bar_pair(ineq.functional, b, r)
         assert node.target_int == point_target(ineq.floor, b, r)
     assert Certificate.from_text(cert.to_text()) == cert
+
+
+# Functionals of up to 16 coefficients, most of them unbalanced.
+FUNCTIONALS = st.lists(st.integers(-20, 20), min_size=1, max_size=16).filter(any).map(
+    lambda coeffs: Functional(tuple(coeffs))
+)
+
+
+@st.composite
+def basket_points(draw, r_max):
+    r = draw(st.integers(2, r_max))
+    b = draw(st.integers(1, r // 2))
+    assume(gcd(b, r) == 1)
+    return b, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(FUNCTIONALS, basket_points(10**6))
+def test_node_walk_matches_the_definitions(func, point):
+    # The verifier's walk against the builder's kernels and the Fraction
+    # definitions, with the split's parents' rows (zero rows at an atom).
+    b, r = point
+    support = func.support
+    if b == 1:
+        d_hi = d_lo = (0,) * len(support)
+    else:
+        hi, lo, _ = split_slope(b, r)
+        d_hi, d_lo = delta_row(*hi, support), delta_row(*lo, support)
+    d, xi, xd, offs = certificates._node_walk(support, func.weights, b, r, d_hi, d_lo)
+    assert d == delta_row(b, r, support)
+    assert list(d) == [delta_by_definition(j, b, r) for j in support]
+    assert xi == xi_bar_num(func, b, r)
+    assert xd == xi_delta_pair(func, b, r)
+    assert xi == 2 * r * xd + xi_lin_num(func, b, r)
+    assert offs == split_offsets(d, d_hi, d_lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(FUNCTIONALS, st.integers(2, 40))
+def test_fresh_certificates_of_any_functional_verify(func, r_max):
+    # With floor 0 every target is 0, so the only issues of a fresh
+    # certificate are the points where xi_bar, by its definition, is negative.
+    report = verify_certificate(proof_replay(func, r_max))
+    violations = []
+    for b, r in slopes(2, r_max):
+        xi_bar = sum(c * mbar_by_definition(j, b, r) for j, c in enumerate(func.coeffs, 1))
+        if xi_bar < 0:
+            violations.append(f"{b}/{r}: violation, xibar {xi_bar} < target 0")
+    assert list(report.issues) == violations
 
 
 class TestSerialization:
@@ -476,6 +531,30 @@ class TestVerification:
         )
         report = verify_certificate(shuffled)
         assert any("order" in issue for issue in report.issues)
+
+    def test_verifier_shares_no_delta_kernel_with_the_builder(self, monkeypatch):
+        # The verifier evaluates delta^j, xi_bar and the offsets from their
+        # definitions, so with the builder's delta and offset kernels made to
+        # raise it returns the same reports, a doctored one's issues too.
+        certs = [
+            proof_replay(func, 60, low_slope_floor=floor)
+            for func, floor in ((INEQ1, 0), (INEQ2, 14))
+        ]
+        node = by_point(certs[1])[2, 5]
+        doctored = node._replace(xi_delta=node.xi_delta + 1, offsets=())
+        certs.append(replace(
+            certs[1], nodes=tuple(doctored if n is node else n for n in certs[1].nodes)
+        ))
+        reports = [verify_certificate(cert) for cert in certs]
+        assert [report.ok for report in reports] == [True, True, False]
+
+        def kernel(*args):
+            raise AssertionError("the verifier called a builder kernel")
+
+        monkeypatch.setattr(certificates, "delta_vector", kernel)
+        monkeypatch.setattr(certificates, "split_offsets", kernel)
+        monkeypatch.setattr(baskets, "delta_row", kernel)
+        assert [verify_certificate(cert) for cert in certs] == reports
 
     def test_target_is_checked_by_its_own_rule(self, monkeypatch):
         # The builder takes each target from point_target; with a floor one

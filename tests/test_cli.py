@@ -448,6 +448,32 @@ class TestReplay:
         code, out, err = run(capsys, ["verify", str(out_path)])
         assert code == 2 and not out and f"r-max {r_max!r}" in err
 
+    # A header value the reader refuses is named with its line, as every
+    # other reader error is, and so is a node count that the header misstates.
+    @pytest.mark.parametrize(
+        ("old", "new", "line", "named"),
+        [
+            ("nodes: 23\n", "nodes: 023\n", 6, "'023'"),
+            ("r-max: 12\n", "r-max: 1_2\n", 5, "'1_2'"),
+            ("low-slope-floor: 14\n", "low-slope-floor: x\n", 3, "'x'"),
+            ("coefficients: -9,", "coefficients: -09,", 2, "'-09'"),
+            ("nodes: 23\n", "nodes: 22\n", 6, "node count 23 != declared 22"),
+        ],
+        ids=["nodes", "r-max", "low-slope-floor", "coefficients", "node-count"],
+    )
+    def test_header_value_error_names_its_line(
+        self, tmp_path, capsys, old, new, line, named
+    ):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        text = out_path.read_text()
+        tampered = text.replace(old, new, 1)
+        assert tampered != text
+        out_path.write_text(tampered)
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert code == 2 and not out
+        assert err.startswith(f"error: certificate line {line}: ") and named in err
+
     # The format and the slope cut are fixed, so a header that gives another
     # one is refused, even where the nodes agree with it: with the cut at
     # 1/1000 no target is nonzero, and every other value stays right.
