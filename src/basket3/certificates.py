@@ -54,6 +54,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from itertools import chain, compress, islice, zip_longest
 from math import gcd
@@ -163,6 +164,12 @@ class CertificateNode(NamedTuple):
     xi_delta: int
     xi_num: int
     target_int: int
+
+
+# A node from a tuple of its twelve fields, made by the C-level tuple
+# constructor: the namedtuple's own __new__ and _make are Python calls, and
+# every node is made here, by the reader and by the replay's merge.
+_new_node = partial(tuple.__new__, CertificateNode)
 
 
 @dataclass(frozen=True)
@@ -377,10 +384,10 @@ def _parse_node_line(line: str) -> CertificateNode:
         offsets, net = (), 0
     else:
         _reject_node_line(line)
-    return CertificateNode(
+    return _new_node((
         b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offsets, net,
         int(xd), _xi_num(xibar, r), int(target),
-    )
+    ))
 
 
 def _bad_piece(value: str) -> str:
@@ -546,7 +553,7 @@ def proof_replay(
         lo, part = after[lo]
         for record in part:
             rows[record[1]].append(record)
-    nodes = tuple(map(CertificateNode._make, chain.from_iterable(rows)))
+    nodes = tuple(map(_new_node, chain.from_iterable(rows)))
     return Certificate(func, r_max, low_slope_floor, nodes)
 
 

@@ -10,17 +10,28 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import signal
 import sys
+import threading
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import groupby, islice
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .baskets import Basket
 from .certificates import Certificate, proof_replay, verify_certificate
 from .enumeration import (
+    Candidate,
     EnumConstraints,
     ExplicitK3,
     MinimalK3Search,
+    attach_invariants,
+    enumerate_baskets,
     enumerate_candidates,
 )
 from .functionals import (
@@ -246,31 +257,128 @@ def _constraints_from_json(data) -> EnumConstraints:
     )
 
 
-def cmd_enumerate(args) -> int:
-    constraints = _constraints_from_json(_read_json(args.constraints))
-    write = sys.stdout.write  # at run time: callers may redirect stdout
-    all_ok = True
-    basket = head = None
-    for cand in enumerate_candidates(constraints):
-        # Every chi of a basket comes with the same Basket object, so the
-        # line up to the chi value is built once per basket.
-        if cand.basket is not basket:
-            basket = cand.basket
-            head = '{"basket": ' + json.dumps(basket.pairs()) + ', "chi": '
-        # Both forms read the P_m the line prints from cand.pm.
-        inv = cand.invariants()
-        checks_ok = (
-            verify_plurigenus_form(inv, 1, strict=False, pm=cand.pm).ok
-            and verify_plurigenus_form(inv, 2, strict=False, pm=cand.pm).ok
+# Baskets per worker task, and tasks in flight per worker: enough to keep
+# every worker busy while the parent writes the oldest task's lines.  With
+# 32-basket tasks the parent's peak RSS grew with sigma_max; with 8 (about
+# 33 kB of lines at m_max 30) it stays flat.
+_CHUNK_BASKETS = 8
+_CHUNKS_PER_WORKER = 4
+
+
+def _basket_lines(basket: Basket, cands: Iterable[Candidate]) -> tuple[str, bool]:
+    """One basket's ``enumerate`` lines, and whether both forms held on each.
+
+    The one body of ``enumerate`` for every ``--jobs``: ``cands`` are the
+    basket's candidates, in stream order.  The line up to the chi value is
+    built once.  Both form checks run on the candidate itself, which
+    carries the basket, chi and K^3 they read, against the P_m row its
+    line prints.
+    """
+    head = '{"basket": ' + json.dumps(basket.pairs()) + ', "chi": '
+    lines, ok = [], True
+    for cand in cands:
+        pm = cand.pm
+        ok = (
+            verify_plurigenus_form(cand, 1, strict=False, pm=pm).ok
+            and verify_plurigenus_form(cand, 2, strict=False, pm=pm).ok
+            and ok
         )
-        all_ok = all_ok and checks_ok
         # The keys are written in sorted order, basket < chi < k3 < pm, with
         # json's default separators, so the line equals
-        # json.dumps(record, sort_keys=True), as _emit writes it.
-        write(
+        # json.dumps(record, sort_keys=True), as _emit writes it; a list of
+        # ints prints as json writes it.
+        lines.append(
             f'{head}{cand.chi}, "k3": "{format_fraction(cand.k3)}",'
-            f' "pm": [{", ".join(map(str, cand.pm))}]}}\n'
+            f' "pm": {list(pm)}}}\n'
         )
+    return "".join(lines), ok
+
+
+def _chunk_lines(task: tuple[EnumConstraints, list[Basket]]) -> tuple[str, bool]:
+    """A worker task: the lines of a chunk of baskets, and their verdict."""
+    constraints, baskets = task
+    parts = [_basket_lines(b, attach_invariants(b, constraints)) for b in baskets]
+    return "".join(text for text, _ in parts), all(ok for _, ok in parts)
+
+
+def _pooled_lines(
+    constraints: EnumConstraints, workers: int
+) -> Iterator[tuple[str, bool]]:
+    """``_chunk_lines`` of ordered basket chunks, run by ``workers`` processes.
+
+    At most ``_CHUNKS_PER_WORKER`` tasks per worker are in flight, and the
+    results come back in basket order.  The pool is shut down, with its
+    queued tasks cancelled, before this generator ends, however it ends.
+    """
+    baskets = enumerate_baskets(constraints)
+    chunks = iter(lambda: list(islice(baskets, _CHUNK_BASKETS)), [])
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = deque()
+        for chunk in chunks:
+            pending.append(pool.submit(_chunk_lines, (constraints, chunk)))
+            if len(pending) == workers * _CHUNKS_PER_WORKER:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _broken_pipe_after_workers():
+    """Let a closed stdout end this process only once its workers are gone.
+
+    Where SIGPIPE kills (``entry`` restores that default), a write to a
+    closed pipe would end this process at once and leave its workers
+    waiting for tasks.  So here SIGPIPE is ignored, the write raises
+    BrokenPipeError, and once the pool is shut down the signal's default
+    action is taken after all.  Elsewhere the error propagates as it would.
+    """
+    if not hasattr(signal, "SIGPIPE") or (
+        threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+    previous = signal.signal(signal.SIGPIPE, signal.SIG_IGN)
+    try:
+        yield
+    except BrokenPipeError:
+        signal.signal(signal.SIGPIPE, previous)
+        if previous == signal.SIG_DFL:
+            os.kill(os.getpid(), signal.SIGPIPE)
+        raise
+    finally:
+        signal.signal(signal.SIGPIPE, previous)
+
+
+def cmd_enumerate(args) -> int:
+    """Write the candidate stream, one JSON line per candidate.
+
+    The stream is the same for every ``--jobs``.  At most min(jobs, CPUs)
+    workers run ``_basket_lines`` over ordered chunks of whole baskets;
+    one worker runs it in this process, with no pool, over the candidates
+    of ``enumerate_candidates`` grouped by basket.
+    """
+    constraints = _constraints_from_json(_read_json(args.constraints))
+    workers = min(args.jobs, os.cpu_count() or 1)
+    if workers == 1:
+        # Every chi of a basket comes with the same Basket object.
+        groups = groupby(enumerate_candidates(constraints), attrgetter("basket"))
+        return _write_stream(_basket_lines(basket, cands) for basket, cands in groups)
+    with _broken_pipe_after_workers(), contextlib.closing(
+        _pooled_lines(constraints, workers)
+    ) as parts:
+        return _write_stream(parts)
+
+
+def _write_stream(parts: Iterable[tuple[str, bool]]) -> int:
+    """Write each part's lines; VIOLATION if any part failed a form check."""
+    write = sys.stdout.write  # at run time: callers may redirect stdout
+    all_ok = True
+    for text, ok in parts:
+        write(text)
+        all_ok = ok and all_ok
     return PASS if all_ok else VIOLATION
 
 
@@ -354,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream candidates under constraints")
     p.add_argument("constraints", help="constraints JSON (path or -)")
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("constants", help="derive the constant chain from m0")

@@ -368,6 +368,12 @@ def verify_plurigenus_form(
     form's support raise InconsistentInvariantsError instead.  ``which``
     must be the int 1 or 2.
 
+    ``inv`` is read only through its fields ``basket`` (a Basket) and
+    ``chi`` (an int), and ``k3`` (an int or Fraction) when some P_m is
+    computed, so it may be a ThreefoldInvariants or anything else that
+    carries them, such as an enumeration ``Candidate``.  Those are not
+    type-checked here.
+
     ``pm = (P_2, ..., P_M)`` is a row of ints the caller already holds,
     such as ``Candidate.pm``: the P-form reads each of its P_m with
     m <= M from that row (an entry it reads that is not an int raises

@@ -1,14 +1,18 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 from math import gcd
 from pathlib import Path
@@ -640,14 +644,6 @@ class TestEnumerate:
         assert code == 0 and out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_no_jobs_flag(self, tmp_path, capsys):
-        constraints = write_json(
-            tmp_path, "c.json", {"chi_min": 0, "chi_max": 0, "sigma_max": 0}
-        )
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", constraints, "--jobs", "2"])
-        assert exc.value.code == 2
-
     def test_closed_pipe_ends_quietly(self, tmp_path):
         # Far more output than a pipe buffers, so the writer meets the
         # closed pipe while it still has lines to print.
@@ -669,6 +665,197 @@ class TestEnumerate:
         assert proc.wait(timeout=60) == -signal.SIGPIPE
         assert json.loads(first)["basket"] == []
         assert err == b""
+
+
+# The sweep workload's constraints, and the files of the pinned streams.
+SWEEP = {"chi_min": -8, "chi_max": 8, "sigma_max": 3, "m_max": 30,
+         "require_sigma12_zero": True, "require_nonneg_pm": True,
+         "k3": {"search": {}}}
+SWEEP_SHA256 = "11fbfce0168406f3"
+PINNED_CONSTRAINTS = sorted(TestEnumerate.PINNED.glob("*.json"))
+# A patch made in this process reaches the workers only when they fork.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="workers see a patched function only through fork",
+)
+
+
+class TestEnumerateJobs:
+    """``enumerate --jobs``: one stream and one exit code for every value."""
+
+    def stream(self, capsys, constraints, jobs):
+        code = main(["enumerate", constraints, "--jobs", str(jobs)])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [pytest.param(str(path), id=path.stem) for path in PINNED_CONSTRAINTS]
+        + [pytest.param(None, id="sweep")],
+    )
+    def test_jobs_do_not_change_the_stream(
+        self, tmp_path, capsys, monkeypatch, constraints
+    ):
+        # Four CPUs, so --jobs 3 runs three workers and --jobs 64 four.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        constraints = constraints or write_json(tmp_path, "c.json", SWEEP)
+        streams = [self.stream(capsys, constraints, jobs) for jobs in (1, 2, 3, 64)]
+        assert streams[0][0] == 0 and streams[0][1]
+        assert all(stream == streams[0] for stream in streams)
+        assert not multiprocessing.active_children()
+
+    def test_pool_takes_whole_baskets_in_order(self, tmp_path, capsys, monkeypatch):
+        # A stand-in pool runs the tasks in this process and logs them.
+        log = {"sizes": [], "tasks": []}
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                log["sizes"].append(max_workers)
+
+            def submit(self, fn, task):
+                log["tasks"].append(task)
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        constraints = write_json(tmp_path, "c.json", SWEEP)
+        expected = self.stream(capsys, constraints, 1)
+        for cpus, jobs, sizes in ((2, 2, [2]), (2, 64, [2]), (1, 64, []), (3, 2, [2])):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            log["sizes"], log["tasks"] = [], []
+            assert self.stream(capsys, constraints, jobs) == expected
+            assert log["sizes"] == sizes
+            if sizes:
+                chunks = [baskets for _, baskets in log["tasks"]]
+                assert {len(chunk) for chunk in chunks[:-1]} == {cli._CHUNK_BASKETS}
+                baskets = list(cli.enumerate_baskets(cli._constraints_from_json(SWEEP)))
+                assert [b for chunk in chunks for b in chunk] == baskets
+
+    def test_one_worker_starts_no_pool(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker runs in this process")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        constraints = write_json(tmp_path, "c.json", SWEEP)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        for jobs in (1, 2, 64):
+            code, out = self.stream(capsys, constraints, jobs)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest().startswith(SWEEP_SHA256)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "+1", "1_0"])
+    def test_malformed_jobs_rejected(self, tmp_path, capsys, jobs):
+        constraints = write_json(tmp_path, "c.json", SWEEP)
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", constraints, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def patch_one_basket(self, monkeypatch, change):
+        """Route the form checks of one basket, in a late chunk, through ``change``."""
+        baskets = list(cli.enumerate_baskets(cli._constraints_from_json(SWEEP)))
+        target = baskets[3 * cli._CHUNK_BASKETS + 5]
+        verify = cli.verify_plurigenus_form
+
+        def patched(inv, which, **kwargs):
+            report = verify(inv, which, **kwargs)
+            return change(inv, report) if inv.basket == target else report
+
+        monkeypatch.setattr(cli, "verify_plurigenus_form", patched)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        return target
+
+    @needs_fork
+    def test_failed_form_check_is_the_same_at_every_jobs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        constraints = write_json(tmp_path, "c.json", SWEEP)
+        _, clean = self.stream(capsys, constraints, 1)
+        self.patch_one_basket(
+            monkeypatch, lambda inv, report: replace(report, target=report.p_form + 1)
+        )
+        one, two = (self.stream(capsys, constraints, jobs) for jobs in (1, 2))
+        assert one == two == (1, clean)
+
+    @needs_fork
+    def test_raising_form_check_is_the_same_at_every_jobs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def fail(inv, report):
+            raise ArithmeticError(f"forced at {inv.basket.pairs()} chi {inv.chi}")
+
+        target = self.patch_one_basket(monkeypatch, fail)
+        constraints = write_json(tmp_path, "c.json", SWEEP)
+        texts = []
+        for jobs in (1, 2):
+            with pytest.raises(ArithmeticError) as exc:
+                main(["enumerate", constraints, "--jobs", str(jobs)])
+            texts.append(str(exc.value))
+            # The pool is shut down before the error leaves the command.
+            assert not multiprocessing.active_children()
+        assert texts[0] == texts[1] == f"forced at {target.pairs()} chi -8"
+
+    def test_closed_pipe_stops_the_workers(self, tmp_path):
+        # As test_closed_pipe_ends_quietly, with two workers: the process
+        # still ends by SIGPIPE, silently, and none of its workers is left.
+        # Forked workers share its command line, which names the
+        # constraints file.  stderr goes to a file, which a worker left
+        # behind would not keep open as it would a pipe.
+        constraints = write_json(tmp_path, "jobs-pipe.json", SWEEP)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        with open(tmp_path / "err", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c",
+                 "import os; os.cpu_count = lambda: 2;"
+                 " from basket3.cli import entry; entry()",
+                 "enumerate", constraints, "--jobs", "2"],
+                stdout=subprocess.PIPE, stderr=err, env=env,
+            )
+            first = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        left = []
+        for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+            with contextlib.suppress(OSError):
+                if constraints.encode() in cmdline.read_bytes():
+                    left.append(int(cmdline.parent.name))
+        for pid in left:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+        assert not left
+        assert code == -signal.SIGPIPE
+        assert [json.loads(line)["chi"] for line in first] == [-8, -7]
+        assert (tmp_path / "err").read_bytes() == b""
+
+    def test_peak_memory_is_flat_in_sigma_max(self, tmp_path):
+        # The in-process stream keeps one basket's lines at a time: the
+        # traced peak at sigma_max 4 (1,956 lines) is within a small
+        # constant of the one at sigma_max 3 (416 lines), where keeping the
+        # stream would add over 600 kB.  Each traced run follows an
+        # untraced one of the same constraints, with the collector off, so
+        # the interpreter's free lists are filled alike before tracing.
+        peaks = []
+        for sigma in (3, 4):
+            constraints = write_json(
+                tmp_path, f"s{sigma}.json",
+                {"chi_min": 0, "chi_max": 0, "sigma_max": sigma, "m_max": 12},
+            )
+            gc.collect()
+            gc.disable()
+            try:
+                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                    assert main(["enumerate", constraints]) == 0
+                    tracemalloc.start()
+                    assert main(["enumerate", constraints]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert abs(peaks[1] - peaks[0]) <= 16 * 1024
 
 
 def run_stdin(argv, doc):
