@@ -21,24 +21,27 @@ support, in ascending j; ``net`` is their coefficient-weighted sum, so that
     xidelta(child) = xidelta(high) + xidelta(low) + net.
 
 The kernel is integer-only.  The builder computes each point's delta
-vector (delta^j for j in the support, ``delta_vector``) once and keeps it
-in a table, and a split reads its parents' vectors from that table, so its
-offsets are ``split_offsets(d_child, d_high, d_low)``.  xi_bar is kept as
-its numerator over 2r and the target as an integer; ``Fraction`` appears
-only in the reports and the text fields.  The builder takes xi_bar from
-the identity xi_bar = xi_delta + xi_lin, with xi_lin in closed form, and
-the target from ``point_target``.  The verifier evaluates each node from
-the definitions instead, in one walk over the support (``_node_walk``):
-with t = jb and s = t mod r, s(r - s) is 2r*mbar^j, and s(r - s) -
-t(r - t) over 2r is delta^j, which gives xi_bar, xi_delta and the offsets
-against the parents' recomputed rows.  Through the identity it checks the
-builder's closed-form ``xi_lin_num`` against those sums, and it takes each
-target from the header's floor and the fixed cut 1/12.  What it still
-shares with the builder is the lemma vector (``lemma_offsets``),
-``xi_lin_num`` and the slope walk (``slopes``); the reader shares the point
-rule (``check_point``).  A node is one flat record of plain values; every
-replay task returns such records, in a worker or in this process, and they
-become nodes as they are, with no point objects.
+vector (delta^j for j in the support, ``delta_vector``) once.  Each task
+walks the mediant tree of a Farey interval row by row: a point is made as
+the mediant of two neighbours that the walk holds with their vectors, so
+its parents come by construction and its offsets are
+``split_offsets(d_child, d_high, d_low)``, with no table and no search for
+the parents.  xi_bar is kept as its numerator over 2r and the target as an
+integer; ``Fraction`` appears only in the reports and the text fields.
+The builder takes xi_bar from the identity xi_bar = xi_delta + xi_lin,
+with xi_lin in closed form, and the target from ``point_target``.  The
+verifier evaluates each node from the definitions instead, in one walk
+over the support (``_node_walk``): with t = jb and s = t mod r, s(r - s)
+is 2r*mbar^j, and s(r - s) - t(r - t) over 2r is delta^j, which gives
+xi_bar, xi_delta and the offsets against the parents' recomputed rows.
+Through the identity it checks the builder's closed-form ``xi_lin_num``
+against those sums, and it takes each target from the header's floor and
+the fixed cut 1/12.  What it still shares with the builder is the lemma
+vector (``lemma_offsets``) and ``xi_lin_num``; it checks the node set
+against ``slopes``, which the builder does not walk, and the reader shares
+the point rule (``check_point``).  A node is one flat record of plain
+values; every replay task returns such records, in a worker or in this
+process, and they become nodes as they are, with no point objects.
 
 ``to_text`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
 exactly that text: it reads each node line with one match of its kind's
@@ -450,39 +453,65 @@ def _contradictions(support, offs, predicted):
 def _records(func: Functional, floor: int, r_max: int, interval) -> Iterator[tuple]:
     """One plain record per slope of ``interval`` with r <= r_max, by (r, b).
 
-    A record holds the fields of a ``CertificateNode``, in its order, with
-    both parents as ``split_slope`` gives them.  ``table`` maps (b, r) to
-    the delta vector of every point built or looked up so far, so a split
-    reads its parents' vectors instead of recomputing them.  When the
-    interval's ends are Farey neighbours, the parents of every slope inside
-    it lie in its closure, and only the left end and the right end's two
-    parents are looked up from outside: each is computed once, then kept.
+    A record holds the fields of a ``CertificateNode``, in its order.  The
+    interval's ends lo, top are Farey neighbours, so its slopes are top and
+    the mediant tree of the pair (lo, top): each is the mediant of two
+    neighbours that the walk already holds, and those are its parents.
+    ``pending[r]`` holds the pairs whose mediant has index r, as (b of the
+    mediant, high end, its row, low end, its row), so a split reads its
+    parents and their delta rows from its pair.  Only top has parents
+    outside the interval, which ``split_slope`` gives; lo's row is computed
+    only when a split inside needs it, and 0/1's is never read, since only
+    atoms have it as an end.
     """
     support, weigh = func.support, func.weigh
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
-    for b, r in slopes(2, r_max, None, interval):
-        d = table[b, r] = delta_vector(func, b, r)
-        xd = weigh(d)
-        # xi_bar = xi_delta + xi_lin; the verifier evaluates it by definition.
-        xi = 2 * r * xd + xi_lin_num(func, b, r)
-        target = point_target(floor, b, r)
-        if b == 1:
-            yield b, r, None, None, None, None, None, (), 0, xd, xi, target
-            continue
-        hi, lo, cf_det = split_slope(b, r)
-        d_hi = table.get(hi) or table.setdefault(hi, delta_vector(func, *hi))
-        d_lo = table.get(lo) or table.setdefault(lo, delta_vector(func, *lo))
-        offs = split_offsets(d, d_hi, d_lo)
-        predicted = lemma_offsets(hi[1], lo[1], support)
-        if offs != predicted:
-            for j, off, want in _contradictions(support, offs, predicted):
-                raise ArithmeticError(
-                    f"offset {off} at j={j} contradicts lemma value {want} "
-                    f"for split {b}/{r} -> {hi[0]}/{hi[1]}, {lo[0]}/{lo[1]}"
-                )
-        offsets = _nonzero(support, offs)
-        net = weigh(offs) if offsets else 0
-        yield b, r, *hi, *lo, cf_det, offsets, net, xd, xi, target
+    lo, top = interval
+    b, r_top = top
+    d_lo = None
+    if b == 1:
+        parents = None, None, None, None
+    else:
+        hi, low, _ = split_slope(b, r_top)
+        d_hi, d_low = delta_vector(func, *hi), delta_vector(func, *low)
+        parents = hi, d_hi, low, d_low
+        if low == lo:
+            d_lo = d_low
+    if lo[0] and d_lo is None and lo[1] + r_top <= r_max:
+        d_lo = delta_vector(func, *lo)
+    pending: list = [[] for _ in range(r_max + 1)]
+    pending[r_top].append((b, *parents))
+    for r in range(r_top, r_max + 1):
+        bucket = pending[r]
+        pending[r] = None
+        bucket.sort()
+        for b, hi, d_hi, low, d_low in bucket:
+            d = delta_vector(func, b, r)
+            xd = weigh(d)
+            # xi_bar = xi_delta + xi_lin; the verifier evaluates it by definition.
+            xi = 2 * r * xd + xi_lin_num(func, b, r)
+            target = point_target(floor, b, r)
+            if b == 1:
+                yield b, r, None, None, None, None, None, (), 0, xd, xi, target
+            else:
+                offs = split_offsets(d, d_hi, d_low)
+                predicted = lemma_offsets(hi[1], low[1], support)
+                if offs != predicted:
+                    for j, off, want in _contradictions(support, offs, predicted):
+                        raise ArithmeticError(
+                            f"offset {off} at j={j} contradicts lemma value {want} "
+                            f"for split {b}/{r} -> {hi[0]}/{hi[1]}, {low[0]}/{low[1]}"
+                        )
+                offsets = _nonzero(support, offs)
+                net = weigh(offs) if offsets else 0
+                cf_det = 1 if 2 * hi[1] < r else -1
+                yield b, r, *hi, *low, cf_det, offsets, net, xd, xi, target
+            if r == r_top:  # inside the interval, top ends one pair: (lo, top)
+                hi, low, d_low = None, lo, d_lo
+            point = b, r
+            if r + low[1] <= r_max:
+                pending[r + low[1]].append((low[0] + b, point, d, low, d_low))
+            if hi and r + hi[1] <= r_max:
+                pending[r + hi[1]].append((b + hi[0], hi, d_hi, point, d))
 
 
 def _intervals(r_max: int, count: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -492,8 +521,9 @@ def _intervals(r_max: int, count: int) -> list[tuple[tuple[int, int], tuple[int,
     the whole range, the widest interval, that of the least product of its
     ends' indices, is split at its mediant, unless the mediant's index is
     above r_max.  Splitting stops at ``count`` intervals, or at r_max - 1,
-    since every task walks all r and starts with up to three vectors from
-    outside it; the result depends on r_max and count alone.
+    since every task walks the rows from its right end's index up to r_max
+    and computes up to three vectors from outside it; the result depends
+    on r_max and count alone.
     """
     count = min(count, r_max - 1)
     lo, hi = SLOPE_RANGE
@@ -528,8 +558,9 @@ def proof_replay(
     The node list is identical for any ``jobs``.  At most min(jobs, CPUs)
     workers run, and work is cut into up to eight Farey intervals of
     slopes per worker (and at most r_max - 1), sent widest first, so no
-    task needs a parent that another task builds.  Each task returns
-    plain records; the parent drops each into the row of its r, taking the
+    task needs a parent that another task builds.  Each task walks its
+    interval's mediant tree row by row and returns plain records in (r, b)
+    order; the parent drops each into the row of its r, taking the
     intervals in slope order, so the rows join in canonical order.  No
     more workers start than there are tasks, and one worker runs the same
     tasks in this process, with no pool.

@@ -161,18 +161,24 @@ def enumerate_baskets(constraints: EnumConstraints) -> Iterator[Basket]:
     The order is lexicographic on the expanded, (r, b)-sorted point list;
     the empty basket comes first.  Each basket appears exactly once.
     """
-    points = admissible_points(constraints)
+    yield from _walk(admissible_points(constraints), 0, constraints.sigma_max, [])
 
-    def walk(start: int, budget: int, chosen: list[OrbifoldPoint]):
-        yield Basket.from_points(chosen)
-        for i in range(start, len(points)):
-            p = points[i]
-            if p.b <= budget:
-                chosen.append(p)
-                yield from walk(i, budget - p.b, chosen)
-                chosen.pop()
 
-    yield from walk(0, constraints.sigma_max, [])
+def _walk(
+    points: tuple[OrbifoldPoint, ...],
+    start: int,
+    budget: int,
+    chosen: list[OrbifoldPoint],
+) -> Iterator[Basket]:
+    # The baskets that extend ``chosen`` by points[start:] within the budget.
+    # A module-level function, so a walk leaves no reference cycle behind.
+    yield Basket.from_points(chosen)
+    for i in range(start, len(points)):
+        p = points[i]
+        if p.b <= budget:
+            chosen.append(p)
+            yield from _walk(points, i, budget - p.b, chosen)
+            chosen.pop()
 
 
 def _plurigenera(

@@ -134,23 +134,16 @@ def exact_fraction(value: Fraction | int) -> Fraction:
     return Fraction(value)
 
 
-def slopes(
-    r_lo: int,
-    r_hi: int,
-    b_max: int | None = None,
-    interval: tuple[tuple[int, int], tuple[int, int]] = SLOPE_RANGE,
-) -> Iterator[tuple[int, int]]:
-    """Every coprime (b, r) in the interval, r_lo <= r <= r_hi, b <= b_max, by (r, b).
+def slopes(r_lo: int, r_hi: int, b_max: int | None = None) -> Iterator[tuple[int, int]]:
+    """Every coprime (b, r) with b/r <= 1/2, r_lo <= r <= r_hi, b <= b_max, by (r, b).
 
-    The one walk over the slopes.  ``interval`` is ``((p, q), (s, t))``,
-    the half-open ``p/q < b/r <= s/t``, by default all basket slopes.
+    The one walk over the basket slopes, those of ``SLOPE_RANGE``.
     ``b_max`` keeps a walk over few multiplicities and many indices linear
     in the indices.
     """
-    (p, q), (s, t) = interval
     for r in range(r_lo, r_hi + 1):
-        top = s * r // t if b_max is None else min(s * r // t, b_max)
-        for b in range(p * r // q + 1, top + 1):
+        top = r // 2 if b_max is None else min(r // 2, b_max)
+        for b in range(1, top + 1):
             if gcd(b, r) == 1:
                 yield b, r
 

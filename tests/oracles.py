@@ -19,6 +19,7 @@ from basket3.enumeration import (
     NoCandidatesError,
     enumerate_candidates,
 )
+from basket3.rationals import slopes
 from basket3.riemann_roch import ThreefoldInvariants, plurigenus
 
 X10_WEIGHTS = (1, 1, 1, 1, 5)
@@ -107,6 +108,18 @@ def mediant_parents_by_convergents(
     if cf_det == 1:
         return first, second, cf_det
     return second, first, cf_det
+
+
+def slopes_in_interval(
+    r_max: int, lo: tuple[int, int], hi: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """The (b, r) of ``slopes(2, r_max)`` with lo < b/r <= hi, in its (r, b) order.
+
+    A filter by cross-multiplication, which uses no Farey or mediant
+    structure of the interval.
+    """
+    (p, q), (s, t) = lo, hi
+    return [(b, r) for b, r in slopes(2, r_max) if p * r < b * q and b * t <= s * r]
 
 
 def admissible_points_by_definition(

@@ -37,7 +37,7 @@ from basket3.functionals import (
     xi_lin_num,
 )
 from basket3.rationals import slopes, split_slope
-from oracles import delta_by_definition, mbar_by_definition
+from oracles import delta_by_definition, mbar_by_definition, slopes_in_interval
 
 # Equality set of the first inequality for r <= 12, computed by direct
 # evaluation of xi_bar: exactly the points whose repeated mediant splits
@@ -161,13 +161,26 @@ def test_intervals_own_their_parents(r_max, count):
     walked = []
     for lo, hi in intervals:
         assert hi[0] * lo[1] - lo[0] * hi[1] == 1  # Farey neighbours
-        for b, r in slopes(2, r_max, interval=(lo, hi)):
+        for b, r in slopes_in_interval(r_max, lo, hi):
             walked.append((b, r))
             if b == 1 or (b, r) == hi:
                 continue
             parent_hi, parent_lo, _ = split_slope(b, r)
             assert _inside(parent_hi, lo, hi) and _inside(parent_lo, lo, hi)
     assert sorted(walked, key=lambda point: point[::-1]) == list(slopes(2, r_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 64))
+def test_tasks_walk_their_interval_by_rows(r_max, count):
+    # Each task lists exactly the slopes of its interval, in (r, b) order,
+    # and gives every split the parents and cfdet of split_slope.
+    for lo, hi in certificates._intervals(r_max, count):
+        part = certificates._build_range((INEQ2.coeffs, 14, r_max, lo, hi))
+        assert [record[:2] for record in part] == slopes_in_interval(r_max, lo, hi)
+        for b, r, b_hi, r_hi, b_lo, r_lo, cf_det, *_ in part:
+            if b > 1:
+                assert ((b_hi, r_hi), (b_lo, r_lo), cf_det) == split_slope(b, r)
 
 
 @pytest.fixture

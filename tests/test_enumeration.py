@@ -1,5 +1,6 @@
 """Slope filtration, basket enumeration, and candidate generation."""
 
+import gc
 from fractions import Fraction
 from math import gcd
 
@@ -101,6 +102,27 @@ class TestEnumerateBaskets:
         c = EnumConstraints(chi_min=0, chi_max=0, sigma_max=3)
         keys = [tuple(b.pairs()) for b in enumerate_baskets(c)]
         assert keys == sorted(keys, key=lambda pairs: [(r, b) for b, r in pairs])
+
+    def test_walk_leaves_no_cyclic_garbage(self):
+        # With the collector off and every object it finds kept, one full
+        # walk must leave nothing behind for it: the walk's objects are
+        # freed by their reference counts as soon as it ends.
+        c = EnumConstraints(chi_min=0, chi_max=0, sigma_max=3)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            count = sum(1 for _ in enumerate_baskets(c))
+            gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert count > 1
+        assert garbage == []
 
     def test_unrestricted_slope_needs_index_bound(self):
         c = EnumConstraints(

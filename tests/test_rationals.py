@@ -121,21 +121,6 @@ class TestSlopes:
                 ]
                 assert list(slopes(r_lo, r_hi, b_max)) == expected
 
-    @pytest.mark.parametrize(
-        "interval",
-        [((0, 1), (1, 2)), ((0, 1), (1, 12)), ((1, 3), (2, 5)), ((2, 7), (1, 3))],
-    )
-    def test_interval_matches_definition(self, interval):
-        # The half-open p/q < b/r <= s/t, compared by cross-multiplication.
-        (p, q), (s, t) = interval
-        expected = [
-            (b, r)
-            for r in range(2, 40)
-            for b in range(1, r // 2 + 1)
-            if gcd(b, r) == 1 and p * r < b * q and b * t <= s * r
-        ]
-        assert list(slopes(2, 39, None, interval)) == expected
-
 
 class TestIsUnimodular:
     def test_examples(self):
