@@ -40,10 +40,12 @@ the fixed cut 1/12.  What it still shares with the builder is the lemma
 vector (``lemma_offsets``) and ``xi_lin_num``; it checks the node set
 against ``slopes``, which the builder does not walk, and the reader shares
 the point rule (``check_point``).  A node is one flat record of plain
-values; every replay task returns such records, in a worker or in this
-process, and they become nodes as they are, with no point objects.
+values.  Every replay task, in a worker or in this process, returns such
+records together with their node lines, already written as one text, and
+where each row of it ends; the parent makes the records into nodes as
+they are, with no point objects, and only cuts and joins the text.
 
-``to_text`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
+``_node_line`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
 exactly that text: it reads each node line with one match of its kind's
 template, compiled from the same grammar, whose groups are the node's
 values spelled by the ``rationals`` rules, and names the line and the
@@ -52,15 +54,18 @@ token of anything else.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
-from itertools import chain, compress, islice, zip_longest
+from itertools import accumulate, chain, compress, groupby, islice, pairwise, zip_longest
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .baskets import BasketError, check_point
@@ -133,11 +138,11 @@ def _template_rule(template: str) -> str:
 _SPLIT_LINE, _LEAF_LINE = (
     re.compile(_template_rule(_NODE_GRAMMAR[kind])) for kind in ("split", "leaf")
 )
-# The writer fills the same templates as %-formats: a point from its two
-# integers, every other value as it is.
+# The writer fills the same templates as %-formats, each line with its
+# newline: a point from its two integers, every other value as it is.
 _VALUE_FORMATS = {"point": "%d/%d", "int": "%d", "fraction": "%s", "offsets": "%s"}
 _SPLIT_FORMAT, _LEAF_FORMAT = (
-    re.sub(r"\{(\w+)\}", lambda m: _VALUE_FORMATS[m[1]], _NODE_GRAMMAR[kind])
+    re.sub(r"\{(\w+)\}", lambda m: _VALUE_FORMATS[m[1]], _NODE_GRAMMAR[kind]) + "\n"
     for kind in ("split", "leaf")
 )
 # Every value is built of integers, points and offsets joined by ","; a
@@ -173,6 +178,30 @@ class CertificateNode(NamedTuple):
 # constructor: the namedtuple's own __new__ and _make are Python calls, and
 # every node is made here, by the reader and by the replay's merge.
 _new_node = partial(tuple.__new__, CertificateNode)
+# The r of a record or a node: a task groups its records into rows by it,
+# and the merge sorts the nodes by it.
+_row_of = itemgetter(1)
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector off while nodes or records are made in bulk.
+
+    They are tuples of plain values, which make no cycle, so the passes
+    their allocations would start find nothing to free.  The caller's state
+    comes back on every exit, a raise included, and a collector that was
+    off stays off.  A forked process starts with the state its parent had
+    at the fork, a pause included; ``proof_replay``'s pool forks its workers
+    when the tasks are submitted, before the merge pauses, so they start
+    with the caller's state, and each task pauses for its own body.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -183,6 +212,13 @@ class Certificate:
     r_max: int
     low_slope_floor: int
     nodes: tuple[CertificateNode, ...]
+    # A replay's node text as its tasks wrote it, in ASCII: one (first r,
+    # text, row ends) per interval, in slope order.  None where the nodes
+    # were made in code or read, and after dataclasses.replace, which
+    # leaves it out; those certificates write each node's line themselves.
+    _texts: tuple[tuple[int, bytes, list[int]], ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def slack_summary(self) -> tuple[Fraction | None, tuple[CertificateNode, ...]]:
         """The least slack and the nodes attaining it (None without nodes)."""
@@ -190,7 +226,8 @@ class Certificate:
             self.nodes, [n.xi_num - 2 * n.r * n.target_int for n in self.nodes]
         )
 
-    def to_text(self) -> str:
+    def _header(self) -> bytes:
+        """The header lines and the blank line after them, in ASCII."""
         header = {
             **_FIXED_HEADER,
             "coefficients": ",".join(map(str, self.functional.coeffs)),
@@ -199,9 +236,16 @@ class Certificate:
             "nodes": len(self.nodes),
         }
         lines = [_HEADER_LINE.format(key, header[key]) for key in _HEADER_KEYS]
-        lines.append("")
-        lines.extend(map(_node_line, self.nodes))
-        return "\n".join(lines) + "\n"
+        return ("\n".join(lines) + "\n\n").encode("ascii")
+
+    def _node_text(self) -> Iterable[bytes | memoryview]:
+        """The node lines in ASCII: a replay's row slices, else all in one piece."""
+        if self._texts is None:
+            return ("".join(map(_node_line, self.nodes)).encode("ascii"),)
+        return _row_slices(self._texts, self.r_max)
+
+    def to_text(self) -> str:
+        return b"".join(chain((self._header(),), self._node_text())).decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "Certificate":
@@ -235,11 +279,12 @@ class Certificate:
                 f"certificate line {head + 1}: want the blank line after the header"
             )
         nodes = []
-        for number, line in enumerate(islice(lines, head + 1, None), start=head + 2):
-            try:
-                nodes.append(_parse_node_line(line))
-            except ValueError as exc:
-                raise ValueError(f"certificate line {number}: {exc}") from None
+        with _collector_paused():
+            for number, line in enumerate(islice(lines, head + 1, None), start=head + 2):
+                try:
+                    nodes.append(_parse_node_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"certificate line {number}: {exc}") from None
         if len(nodes) != header["nodes"]:
             raise ValueError(
                 f"certificate line {_HEADER_KEYS.index('nodes') + 1}: "
@@ -253,8 +298,9 @@ class Certificate:
         )
 
     def write(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_text())
+        with open(path, "wb") as fh:
+            fh.write(self._header())
+            fh.writelines(self._node_text())
 
     @classmethod
     def read(cls, path: str | os.PathLike) -> "Certificate":
@@ -311,6 +357,7 @@ def _least_slack(
 
 
 def _node_line(node: CertificateNode) -> str:
+    """A node's line, with its newline; a replay task's record is written alike."""
     b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offsets, net, xd, xi, target = node
     den = 2 * r
     g = gcd(xi, den)
@@ -322,6 +369,29 @@ def _node_line(node: CertificateNode) -> str:
     return _SPLIT_FORMAT % (
         b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offs, net, xd, xibar, target
     )
+
+
+def _row_slices(
+    texts: Iterable[tuple[int, bytes, list[int]]], r_max: int
+) -> Iterator[memoryview]:
+    """The node text in canonical order, from each interval's text and row ends.
+
+    ``texts`` holds one (first r, text, row ends) per interval, in slope
+    order, with a row end for each r from the first up to r_max.  For each
+    r, each interval whose rows have begun gives its row-r slice, so the
+    lines come in (r, b) order; empty slices are left out.  The slices are
+    views, so no byte of the text is copied.
+    """
+    cuts = [
+        (first, memoryview(text), pairwise(chain((0,), ends)))
+        for first, text, ends in texts
+    ]
+    for r in range(2, r_max + 1):
+        for first, text, spans in cuts:
+            if first <= r:
+                start, end = next(spans)
+                if start != end:
+                    yield text[start:end]
 
 
 def _xi_num(text: str, r: int) -> int:
@@ -540,10 +610,21 @@ def _intervals(r_max: int, count: int) -> list[tuple[tuple[int, int], tuple[int,
     return [(lo, hi) for _, lo, hi in sorted(splittable + final)]
 
 
-def _build_range(args) -> list[tuple]:
-    """A replay task, in a worker or in this process: one interval's records."""
+def _build_range(args) -> tuple[list[tuple], str, list[int]]:
+    """A replay task, in a worker or in this process: one interval's nodes.
+
+    Returns the interval's records, their node lines in the same (r, b)
+    order as one text, and the end of each row in that text, for each r
+    from the index of the interval's right end up to r_max; a row without
+    a slope of the interval ends where the one before it does.  All three
+    are plain data, so no class crosses the pool.
+    """
     coeffs, floor, r_max, lo, hi = args
-    return list(_records(Functional(coeffs), floor, r_max, (lo, hi)))
+    with _collector_paused():
+        records = list(_records(Functional(coeffs), floor, r_max, (lo, hi)))
+    by_row = {r: "".join(map(_node_line, row)) for r, row in groupby(records, _row_of)}
+    rows = [by_row.get(r, "") for r in range(hi[1], r_max + 1)]
+    return records, "".join(rows), list(accumulate(map(len, rows)))
 
 
 def proof_replay(
@@ -555,15 +636,15 @@ def proof_replay(
 ) -> Certificate:
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
 
-    The node list is identical for any ``jobs``.  At most min(jobs, CPUs)
-    workers run, and work is cut into up to eight Farey intervals of
-    slopes per worker (and at most r_max - 1), sent widest first, so no
-    task needs a parent that another task builds.  Each task walks its
-    interval's mediant tree row by row and returns plain records in (r, b)
-    order; the parent drops each into the row of its r, taking the
-    intervals in slope order, so the rows join in canonical order.  No
-    more workers start than there are tasks, and one worker runs the same
-    tasks in this process, with no pool.
+    The node list and text are identical for any ``jobs``.  At most
+    min(jobs, CPUs) workers run, and work is cut into up to eight Farey
+    intervals of slopes per worker (and at most r_max - 1), sent widest
+    first, so no task needs a parent that another task builds.  Each task
+    walks its interval's mediant tree row by row and returns its records
+    and node text in (r, b) order, with the text's row ends.  No more
+    workers start than there are tasks, and one worker runs the same tasks
+    in this process, with no pool; either way ``_merge`` takes each result
+    as it comes.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
@@ -572,20 +653,48 @@ def proof_replay(
     workers = min(workers, len(intervals))
     tasks = [(func.coeffs, low_slope_floor, r_max, lo, hi) for lo, hi in intervals]
     if workers == 1:
-        parts = map(_build_range, tasks)
+        nodes, texts = _merge(intervals, map(_build_range, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_build_range, tasks))
-    after = {lo: (hi, part) for (lo, hi), part in zip(intervals, parts)}
-    # The intervals tile the slope range: each one's hi is the next one's lo.
-    rows: list[list[tuple]] = [[] for _ in range(r_max + 1)]
+            nodes, texts = _merge(intervals, pool.map(_build_range, tasks))
+    cert = Certificate(func, r_max, low_slope_floor, nodes)
+    # The field is left out of __init__, so that dataclasses.replace drops it.
+    object.__setattr__(cert, "_texts", texts)
+    return cert
+
+
+def _merge(
+    intervals: list[tuple[tuple[int, int], tuple[int, int]]],
+    parts: Iterable[tuple[list[tuple], str, list[int]]],
+) -> tuple[tuple[CertificateNode, ...], tuple[tuple[int, bytes, list[int]], ...]]:
+    """The nodes in canonical order and the text pieces in slope order.
+
+    ``parts`` are the tasks' results for ``intervals``, in the same order,
+    taken one at a time as they come: each part's records become its
+    column of nodes at once, and only its text and row ends are kept.  The
+    intervals tile the slope range, each one's hi the next one's lo, so
+    their slope order is the walk from 0/1.  Each column is in (r, b)
+    order, so a stable sort by r of the columns in slope order gives the
+    nodes in (r, b) order: it only merges the sorted columns.
+    """
+    after = dict(intervals)
+    place = {}
     lo = SLOPE_RANGE[0]
     while lo in after:
-        lo, part = after[lo]
-        for record in part:
-            rows[record[1]].append(record)
-    nodes = tuple(map(_new_node, chain.from_iterable(rows)))
-    return Certificate(func, r_max, low_slope_floor, nodes)
+        place[lo] = len(place)
+        lo = after[lo]
+    columns: list = [None] * len(place)
+    texts: list = [None] * len(place)
+    with _collector_paused():
+        for (lo, hi), (records, text, ends) in zip(intervals, parts):
+            k = place[lo]
+            columns[k] = list(map(_new_node, records))
+            # Encoded here, the text that the pool's result thread made is
+            # freed at once, not kept in that thread's memory, and the file
+            # is written with no text layer.
+            texts[k] = hi[1], text.encode("ascii"), ends
+        nodes = tuple(sorted(chain.from_iterable(columns), key=_row_of))
+    return nodes, tuple(texts)
 
 
 def _node_walk(
@@ -682,77 +791,78 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     zero = (0,) * len(support)
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}
     slacks = []
-    for node in cert.nodes:
-        # The names ending in _rec are the node's recorded fields, which are
-        # only ever compared with recomputed values.
-        (b, r, b_hi, r_hi, b_lo, r_lo, cf_det_rec, offsets_rec, net_rec,
-         xd_rec, xi_rec, target_rec) = node
-        two_r = 2 * r
-        # An atom's parents, (None, None), are never found.
-        rows = vectors.get((b_hi, r_hi)), vectors.get((b_lo, r_lo))
-        missing = None in rows
-        d_hi, d_lo = (zero, zero) if missing else rows
-        d, xi, xd, offs = _node_walk(support, weights, b, r, d_hi, d_lo)
-        vectors[b, r] = d
-        if xi_rec != xi:
-            issues.append(
-                f"{b}/{r}: recorded xibar {Fraction(xi_rec, two_r)}"
-                f" != {Fraction(xi, two_r)}"
-            )
-        if xd_rec != xd:
-            issues.append(f"{b}/{r}: recorded xidelta {xd_rec} != {xd}")
-        if xi != two_r * xd + xi_lin_num(func, b, r):
-            issues.append(f"{b}/{r}: xi_bar != xi_delta + xi_lin")
-        # The fixed slope cut 1/12, written here, not read from the builder.
-        target = floor * b if 12 * b <= r else 0
-        slack = xi - two_r * target
-        slacks.append(slack)
-        if target_rec != target:
-            issues.append(f"{b}/{r}: recorded target {target_rec} != {target}")
-        if slack < 0:
-            issues.append(
-                f"{b}/{r}: violation, xibar {Fraction(xi, two_r)} < target {target}"
-            )
-        if b_hi is None:
-            if b != 1:
-                issues.append(f"{b}/{r}: non-atom recorded as leaf")
-            continue
-        if b_hi + b_lo != b or r_hi + r_lo != r:
-            issues.append(
-                f"{b}/{r}: parents {b_hi}/{r_hi}, {b_lo}/{r_lo} do not sum to the point"
-            )
-            continue
-        unimodular = b_hi * r_lo - b_lo * r_hi == 1
-        if not unimodular:
-            issues.append(f"{b}/{r}: parents are not unimodular in (high, low) order")
-        cf_det = 1 if 2 * r_hi < r else -1
-        if cf_det_rec != cf_det:
-            issues.append(f"{b}/{r}: recorded cfdet {cf_det_rec} != {cf_det}")
-        if missing:
-            issues.append(f"{b}/{r}: parents missing from the certificate before it")
-            continue
-        nonzero = _nonzero(support, offs)
-        if offsets_rec != nonzero:
-            found = len(issues)
-            recorded = dict(offsets_rec)
-            for j, off in zip(support, offs):
-                if recorded.pop(j, 0) != off:
-                    issues.append(f"{b}/{r}: offset at j={j} should be {off}")
-            if recorded:
+    with _collector_paused():
+        for node in cert.nodes:
+            # The names ending in _rec are the node's recorded fields, which are
+            # only ever compared with recomputed values.
+            (b, r, b_hi, r_hi, b_lo, r_lo, cf_det_rec, offsets_rec, net_rec,
+             xd_rec, xi_rec, target_rec) = node
+            two_r = 2 * r
+            # An atom's parents, (None, None), are never found.
+            rows = vectors.get((b_hi, r_hi)), vectors.get((b_lo, r_lo))
+            missing = None in rows
+            d_hi, d_lo = (zero, zero) if missing else rows
+            d, xi, xd, offs = _node_walk(support, weights, b, r, d_hi, d_lo)
+            vectors[b, r] = d
+            if xi_rec != xi:
                 issues.append(
-                    f"{b}/{r}: offsets outside the support: {sorted(recorded)}"
+                    f"{b}/{r}: recorded xibar {Fraction(xi_rec, two_r)}"
+                    f" != {Fraction(xi, two_r)}"
                 )
-            if len(issues) == found:
-                issues.append(f"{b}/{r}: offsets are not nonzero and in ascending j")
-        # The lemmas speak only of unimodular splits, whose indices are coprime.
-        predicted = lemma_offsets(r_hi, r_lo, support) if unimodular else offs
-        if offs != predicted:
-            for j, _, want in _contradictions(support, offs, predicted):
-                rule = "additivity" if want == 0 else "the offset lemma"
-                issues.append(f"{b}/{r}: j={j} contradicts {rule}")
-        net = weigh(offs) if nonzero else 0
-        if net_rec != net:
-            issues.append(f"{b}/{r}: recorded net offset {net_rec} != {net}")
+            if xd_rec != xd:
+                issues.append(f"{b}/{r}: recorded xidelta {xd_rec} != {xd}")
+            if xi != two_r * xd + xi_lin_num(func, b, r):
+                issues.append(f"{b}/{r}: xi_bar != xi_delta + xi_lin")
+            # The fixed slope cut 1/12, written here, not read from the builder.
+            target = floor * b if 12 * b <= r else 0
+            slack = xi - two_r * target
+            slacks.append(slack)
+            if target_rec != target:
+                issues.append(f"{b}/{r}: recorded target {target_rec} != {target}")
+            if slack < 0:
+                issues.append(
+                    f"{b}/{r}: violation, xibar {Fraction(xi, two_r)} < target {target}"
+                )
+            if b_hi is None:
+                if b != 1:
+                    issues.append(f"{b}/{r}: non-atom recorded as leaf")
+                continue
+            if b_hi + b_lo != b or r_hi + r_lo != r:
+                issues.append(
+                    f"{b}/{r}: parents {b_hi}/{r_hi}, {b_lo}/{r_lo} do not sum to the point"
+                )
+                continue
+            unimodular = b_hi * r_lo - b_lo * r_hi == 1
+            if not unimodular:
+                issues.append(f"{b}/{r}: parents are not unimodular in (high, low) order")
+            cf_det = 1 if 2 * r_hi < r else -1
+            if cf_det_rec != cf_det:
+                issues.append(f"{b}/{r}: recorded cfdet {cf_det_rec} != {cf_det}")
+            if missing:
+                issues.append(f"{b}/{r}: parents missing from the certificate before it")
+                continue
+            nonzero = _nonzero(support, offs)
+            if offsets_rec != nonzero:
+                found = len(issues)
+                recorded = dict(offsets_rec)
+                for j, off in zip(support, offs):
+                    if recorded.pop(j, 0) != off:
+                        issues.append(f"{b}/{r}: offset at j={j} should be {off}")
+                if recorded:
+                    issues.append(
+                        f"{b}/{r}: offsets outside the support: {sorted(recorded)}"
+                    )
+                if len(issues) == found:
+                    issues.append(f"{b}/{r}: offsets are not nonzero and in ascending j")
+            # The lemmas speak only of unimodular splits, whose indices are coprime.
+            predicted = lemma_offsets(r_hi, r_lo, support) if unimodular else offs
+            if offs != predicted:
+                for j, _, want in _contradictions(support, offs, predicted):
+                    rule = "additivity" if want == 0 else "the offset lemma"
+                    issues.append(f"{b}/{r}: j={j} contradicts {rule}")
+            net = weigh(offs) if nonzero else 0
+            if net_rec != net:
+                issues.append(f"{b}/{r}: recorded net offset {net_rec} != {net}")
 
     min_slack, attained = _least_slack(cert.nodes, slacks)
     return VerificationReport(len(cert.nodes), min_slack, attained, tuple(issues))

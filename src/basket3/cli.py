@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import signal
@@ -429,6 +430,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Built on the first call and then reused: parsing leaves a parser as it
+# was, and one made per call would be cyclic garbage once the call returns.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="basket3",

@@ -1,13 +1,17 @@
 """Certificate building, serialization, and independent verification."""
 
+import contextlib
+import gc
 import hashlib
 import io
 import json
 import multiprocessing
+import os
 import pickle
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd
 
 import pytest
@@ -126,8 +130,8 @@ class _NoClasses(pickle.Unpickler):
 
 @pytest.mark.parametrize(("func", "floor"), [(INEQ1, 0), (INEQ2, 14)])
 def test_worker_results_are_plain_data(func, floor):
-    # A worker's task is one Farey interval of slopes; its parts, merged in
-    # (r, b) order, are the serial nodes.
+    # A worker's task is one Farey interval of slopes; its records, merged
+    # in (r, b) order, are the serial nodes, and its text is their lines.
     parts = [
         certificates._build_range((func.coeffs, floor, 40, lo, hi))
         for lo, hi in certificates._intervals(40, 4)
@@ -136,8 +140,11 @@ def test_worker_results_are_plain_data(func, floor):
     for part in parts:
         assert _NoClasses(io.BytesIO(pickle.dumps(part))).load() == part
     nodes = proof_replay(func, 40, low_slope_floor=floor).nodes
-    merged = sorted(chain.from_iterable(parts), key=lambda record: record[1::-1])
+    records = chain.from_iterable(records for records, _, _ in parts)
+    merged = sorted(records, key=lambda record: record[1::-1])
     assert tuple(merged) == nodes
+    for records, text, _ in parts:
+        assert text == "".join(map(certificates._node_line, records))
 
 
 # sha256 of the INEQ2 certificate at r_max 400, as pinned for the benchmark
@@ -174,13 +181,19 @@ def test_intervals_own_their_parents(r_max, count):
 @given(st.integers(2, 300), st.integers(1, 64))
 def test_tasks_walk_their_interval_by_rows(r_max, count):
     # Each task lists exactly the slopes of its interval, in (r, b) order,
-    # and gives every split the parents and cfdet of split_slope.
+    # and gives every split the parents and cfdet of split_slope.  Its row
+    # ends, one per r from its right end's index up to r_max, cut its text
+    # into the lines of each row.
     for lo, hi in certificates._intervals(r_max, count):
-        part = certificates._build_range((INEQ2.coeffs, 14, r_max, lo, hi))
-        assert [record[:2] for record in part] == slopes_in_interval(r_max, lo, hi)
-        for b, r, b_hi, r_hi, b_lo, r_lo, cf_det, *_ in part:
+        records, text, ends = certificates._build_range((INEQ2.coeffs, 14, r_max, lo, hi))
+        assert [record[:2] for record in records] == slopes_in_interval(r_max, lo, hi)
+        for b, r, b_hi, r_hi, b_lo, r_lo, cf_det, *_ in records:
             if b > 1:
                 assert ((b_hi, r_hi), (b_lo, r_lo), cf_det) == split_slope(b, r)
+        rows = {r: list(row) for r, row in groupby(records, lambda record: record[1])}
+        assert len(ends) == r_max - hi[1] + 1 and ends[-1] == len(text)
+        for r, start, end in zip(range(hi[1], r_max + 1), [0, *ends], ends):
+            assert text[start:end] == "".join(map(certificates._node_line, rows.get(r, [])))
 
 
 @pytest.fixture
@@ -314,6 +327,83 @@ def test_fresh_certificates_of_any_functional_verify(func, r_max):
         if xi_bar < 0:
             violations.append(f"{b}/{r}: violation, xibar {xi_bar} < target 0")
     assert list(report.issues) == violations
+
+
+@settings(max_examples=30, deadline=None)
+@given(FUNCTIONALS, st.integers(-3, 20), st.integers(2, 150), st.integers(1, 3))
+def test_replay_text_is_the_text_of_its_nodes(func, floor, r_max, jobs):
+    # A replay keeps the text its tasks wrote; a copy made by replace has
+    # only the nodes and writes each node's line.  Both give the same text,
+    # write writes its bytes, and the reader takes it back to the nodes.
+    cert = proof_replay(func, r_max, low_slope_floor=floor, jobs=jobs)
+    text = cert.to_text()
+    fresh = replace(cert)
+    assert fresh._texts is None and cert._texts is not None
+    assert fresh.to_text() == text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.txt")
+        cert.write(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == text.encode("ascii")
+    assert Certificate.from_text(text) == cert
+
+
+def set_collector(on):
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    set_collector(enabled)
+    try:
+        yield
+    finally:
+        set_collector(was)
+
+
+class TestCollectorPause:
+    # Bulk node builds pause the cyclic collector, and every one leaves it
+    # as the caller had it: on stays on, off stays off, a raise included.
+    TEXT = proof_replay(INEQ2, 30, low_slope_floor=14).to_text()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("call", ["replay-1", "replay-2", "from_text", "verify"])
+    def test_state_is_kept(self, enabled, call):
+        cert = Certificate.from_text(self.TEXT)
+        run = {
+            "replay-1": lambda: proof_replay(INEQ2, 30, low_slope_floor=14),
+            "replay-2": lambda: proof_replay(INEQ2, 30, low_slope_floor=14, jobs=2),
+            "from_text": lambda: Certificate.from_text(self.TEXT),
+            "verify": lambda: verify_certificate(cert),
+        }[call]
+        with collector(enabled):
+            run()
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_kept_through_a_raise(self, enabled, monkeypatch):
+        def broken(*args):
+            raise ArithmeticError("broken")
+
+        bad_text = self.TEXT.replace("2/5 split", "2/5 splat", 1)
+        cert = Certificate.from_text(self.TEXT)
+        with collector(enabled):
+            with pytest.raises(ValueError, match="unknown node kind 'splat'"):
+                Certificate.from_text(bad_text)
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(certificates, "_records", broken)
+            with pytest.raises(ArithmeticError, match="broken"):
+                proof_replay(INEQ2, 30, low_slope_floor=14)
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(certificates, "_node_walk", broken)
+            with pytest.raises(ArithmeticError, match="broken"):
+                verify_certificate(cert)
+            assert gc.isenabled() is enabled
 
 
 class TestSerialization:

@@ -858,6 +858,41 @@ class TestEnumerateJobs:
         assert abs(peaks[1] - peaks[0]) <= 16 * 1024
 
 
+@pytest.mark.parametrize("command", ["replay-1", "replay-2", "verify", "enumerate"])
+def test_a_second_call_leaves_no_cyclic_garbage(command, tmp_path):
+    # With the collector off and every object it finds kept, a call after
+    # a first one must leave nothing behind for it: the parser is built
+    # once, and the call's own objects are freed by their reference counts.
+    cert = str(tmp_path / "cert.txt")
+    replay = ["replay", "--which", "2", "--r-max", "30", "--out", cert]
+    argv = {
+        "replay-1": [*replay, "--jobs", "1"],
+        "replay-2": [*replay, "--jobs", "2"],
+        "verify": ["verify", cert],
+        "enumerate": [
+            "enumerate",
+            write_json(tmp_path, "c.json", {"chi_min": 0, "chi_max": 0, "sigma_max": 2}),
+        ],
+    }[command]
+    enabled = gc.isenabled()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(replay) == 0
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+    assert garbage == []
+
+
 def run_stdin(argv, doc):
     """Exit code and stdout of ``main(argv)`` reading ``doc`` as JSON on stdin."""
     stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
