@@ -25,7 +25,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .baskets import Basket
-from .certificates import Certificate, proof_replay, verify_certificate
+from .certificates import proof_replay, verify_certificate
 from .enumeration import (
     Candidate,
     EnumConstraints,
@@ -219,7 +219,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_certificate(Certificate.read(args.certificate))
+    report = verify_certificate(args.certificate)
     _emit(
         {
             "nodes": report.nodes,

@@ -1,7 +1,8 @@
 """Independent oracles and random data generators for the tests.
 
 The counting and enumeration logic here deliberately avoids the library
-code paths it is used to check.
+code paths it is used to check.  ``verify_both_ways`` is the exception: it
+holds the library's two ways of verifying a file to each other.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from math import floor, gcd, lcm
 from random import Random
 
 from basket3.baskets import Basket, OrbifoldPoint
+from basket3.certificates import Certificate, verify_certificate
 from basket3.enumeration import (
     EnumConstraints,
     ExplicitK3,
@@ -241,3 +243,23 @@ def random_basket(rng: Random, max_points: int = 4, r_max: int = 40) -> Basket:
 
 def random_k3(rng: Random) -> Fraction:
     return Fraction(rng.randrange(-100, 301), rng.randrange(1, 60))
+
+
+def verify_both_ways(path) -> object:
+    """The report of a certificate file, checked as it is read and after reading it.
+
+    ``verify_certificate(path)`` and ``verify_certificate(Certificate.read(path))``
+    must give equal reports, in every field, or raise the same error; the
+    report, or the (type, text) of the error, is returned.
+    """
+    outcomes = []
+    for verify in (
+        lambda: verify_certificate(path),
+        lambda: verify_certificate(Certificate.read(path)),
+    ):
+        try:
+            outcomes.append(verify())
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]

@@ -8,7 +8,9 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, groupby
@@ -41,7 +43,12 @@ from basket3.functionals import (
     xi_lin_num,
 )
 from basket3.rationals import slopes, split_slope
-from oracles import delta_by_definition, mbar_by_definition, slopes_in_interval
+from oracles import (
+    delta_by_definition,
+    mbar_by_definition,
+    slopes_in_interval,
+    verify_both_ways,
+)
 
 # Equality set of the first inequality for r <= 12, computed by direct
 # evaluation of xi_bar: exactly the points whose repeated mediant splits
@@ -500,6 +507,21 @@ class TestSerialization:
         cert.write(path)
         assert Certificate.read(path) == cert
 
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        # The reader decodes each line on its own, so it names the line of a
+        # byte that is not ASCII, and its place in that line.
+        path = tmp_path / "cert.txt"
+        proof_replay(INEQ1, 10).write(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[9] = lines[9].replace(b"leaf", b"l\xe9af")
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as exc:
+            Certificate.read(path)
+        assert str(exc.value) == (
+            "certificate line 10: 'ascii' codec can't decode byte 0xe9"
+            " in position 5: ordinal not in range(128)"
+        )
+
 
 class TestVerification:
     def test_fresh_certificates_verify(self):
@@ -572,6 +594,7 @@ class TestVerification:
         path = tmp_path / "cert.txt"
         path.write_text(text.replace("r-max: 12\n", f"r-max: {r_max}\n", 1))
         code = main(["verify", str(path)])
+        verify_both_ways(path)
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["issues"] == [
@@ -593,6 +616,7 @@ class TestVerification:
         path = tmp_path / "cert.txt"
         cert.write(path)
         code = main(["verify", str(path)])
+        verify_both_ways(path)
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["issues"][0] == "1/2: recorded xibar 1/4 != 0"
@@ -607,6 +631,7 @@ class TestVerification:
         path = tmp_path / "cert.txt"
         path.write_text(doctored)
         code = main(["verify", str(path)])
+        verify_both_ways(path)
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["issues"][:2] == [
@@ -771,6 +796,53 @@ class TestVerification:
         nodes = tuple(doctored if n is node else n for n in cert.nodes)
         issues = verify_certificate(replace(cert, nodes=nodes)).issues
         assert any(issue.startswith("2/5: offsets") for issue in issues), issues
+
+    # Single-token edits of a certificate file: a token is what lies between
+    # spaces, ",", ":", "/", "=" and newlines, and it is replaced by a number,
+    # a spelling the reader refuses, a non-ASCII letter or another token.
+    # Checked as it is read or after reading it, the file gives the same
+    # report or the same error.
+    CERT20 = proof_replay(INEQ2, 20, low_slope_floor=14).to_text()
+    TOKENS = re.split(r"([ ,:/=\n])", CERT20)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, len(TOKENS) // 2),
+        st.one_of(
+            st.integers(-30, 30).map(str),
+            st.sampled_from(["", "-0", "07", "1_0", "x", "\u00e9", "leaf", "split"]),
+            st.sampled_from(TOKENS[::2]),
+        ),
+    )
+    def test_streamed_and_read_reports_agree(self, index, token):
+        tokens = list(self.TOKENS)
+        tokens[2 * index] = token
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cert.txt")
+            with open(path, "wb") as fh:
+                fh.write("".join(tokens).encode("utf-8"))
+            verify_both_ways(path)
+
+    def test_streamed_check_holds_less_than_the_read_certificate(self, tmp_path):
+        # Checked as it is read, a file costs the parent-row table and little
+        # else; read first, it costs every node as well.  Each traced call
+        # follows an untraced one, so the free lists are filled alike.
+        path = tmp_path / "cert.txt"
+        proof_replay(INEQ2, 300, low_slope_floor=14).write(path)
+        peaks = []
+        for verify in (
+            lambda: verify_certificate(path),
+            lambda: verify_certificate(Certificate.read(path)),
+        ):
+            assert verify().ok
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert verify().ok
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.85 * peaks[1], peaks
 
     def test_violation_reported_for_hostile_target(self):
         # A floor the inequality does not satisfy must be flagged, not hidden.

@@ -28,7 +28,7 @@ from basket3.cli import main
 from basket3.enumeration import Candidate, EnumConstraints, enumerate_candidates
 from basket3.rationals import format_fraction
 from basket3.riemann_roch import ThreefoldInvariants, k3_from_p2, plurigenus
-from oracles import hypersurface_h0
+from oracles import hypersurface_h0, verify_both_ways
 
 X10_DOC = {"chi": -3, "k3": "2", "basket": []}
 # The line of 2/5 in the INEQ2 certificate at r_max 12, its 12th line.
@@ -45,6 +45,10 @@ def write_json(tmp_path, name, data):
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
+    # Every certificate file verified here is also verified as it is read
+    # and after reading it, which must agree.
+    if argv[0] == "verify" and os.path.isfile(argv[1]):
+        verify_both_ways(argv[1])
     return code, captured.out, captured.err
 
 
@@ -502,6 +506,74 @@ class TestReplay:
     def test_missing_certificate_is_io_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "absent.txt")])
         assert code == 3 and err
+
+    def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):
+        # Each line is decoded on its own, so a byte that is not ASCII is
+        # named with its line, as every other reader error is.
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        data = out_path.read_bytes()
+        tampered = data.replace(b" net=0 xidelta=-28 ", b" n\xc3\xa9t=0 xidelta=-28 ", 1)
+        assert tampered != data
+        out_path.write_bytes(tampered)
+        code, out, err = run(capsys, ["verify", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: certificate line 12: 'ascii' codec can't decode byte 0xc3"
+            " in position 57: ordinal not in range(128)\n"
+        )
+
+    # Which error wins.  The 2/5 line is doctored to an issue first, which
+    # alone exits 1.  A reader error still exits 2 wherever it stands: a
+    # bad line after the issue, or a node count that is only known wrong at
+    # the end.  A missing final newline is named before everything else.
+    @pytest.mark.parametrize(
+        ("edit", "error"),
+        [
+            (lambda t: t.replace(" xibar=14 target=14\n", " xibar=14 target=x\n", 1),
+             "certificate line 29: malformed value 'x' in node field 'target=x';"
+             " want 'target={int}'"),
+            (lambda t: t.replace("nodes: 23\n", "nodes: 24\n", 1),
+             "certificate line 6: node count 23 != declared 24"),
+            (lambda t: t.replace("basket3-certificate: 1\n", "basket3-certificate: 2\n")[:-1],
+             "certificate line 30: no newline at its end"),
+        ],
+        ids=["bad-line-after-issue", "count-after-issue", "newline-before-header"],
+    )
+    def test_reader_error_wins_over_issues(self, tmp_path, capsys, edit, error):
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        issue = out_path.read_text().replace(
+            SPLIT_25, SPLIT_25.replace("xidelta=-28", "xidelta=-27")
+        )
+        out_path.write_text(issue)
+        code, out, _ = run(capsys, ["verify", str(out_path)])
+        assert code == 1
+        assert json.loads(out)["issues"] == ["2/5: recorded xidelta -27 != -28"]
+        tampered = edit(issue)
+        assert tampered != issue
+        out_path.write_text(tampered)
+        assert run(capsys, ["verify", str(out_path)]) == (2, "", f"error: {error}\n")
+
+    def test_certificate_from_a_pipe(self, tmp_path, capsys):
+        # A file that cannot seek is read whole first, so a certificate on a
+        # pipe gets the report of the same file, the coverage walk included.
+        out_path = tmp_path / "cert.txt"
+        run(capsys, ["replay", "--which", "2", "--r-max", "12", "--out", str(out_path)])
+        doctored = out_path.read_text().replace("nodes: 23\n", "nodes: 22\n", 1).replace(
+            "1/3 leaf xidelta=-14 xibar=0 target=0\n", "", 1
+        )
+        out_path.write_text(doctored)
+        code, out, _ = run(capsys, ["verify", str(out_path)])
+        assert code == 1 and "coverage mismatch" in out
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "from basket3.cli import entry; entry()",
+             "verify", "/dev/stdin"],
+            input=doctored.encode("ascii"), capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (1, out, b"")
 
 
 class TestEnumerate:
