@@ -39,21 +39,24 @@ against those sums, and it takes each target from the header's floor and
 the fixed cut 1/12.  What it still shares with the builder is the lemma
 vector (``lemma_offsets``) and ``xi_lin_num``; it checks the node set
 against ``slopes``, which the builder does not walk, and the reader shares
-the point rule (``check_point``).  A node is one flat record of plain
-values.  Every replay task, in a worker or in this process, returns such
-records together with their node lines, already written as one text, and
-where each row of it ends; the parent makes the records into nodes as
-they are, with no point objects, and only cuts and joins the text.
+the point rule (``check_point``).
+
+A certificate is its header values, its node text and its least slack.
+Every replay task, in a worker or in this process, returns its node lines,
+already written as one text, where each row of it ends, and its least
+slack with the (b, r) points attaining it; the parent only cuts and joins
+the texts and merges the summaries.  ``Certificate.nodes`` reads the text
+on first access.
 
 ``_node_line`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
 exactly that text: it reads each node line with one match of its kind's
 template, compiled from the same grammar, whose groups are the node's
 values spelled by the ``rationals`` rules, and names the line and the
-token of anything else.  The reader takes a file one line at a time, in
-binary, and decodes each line as ASCII on its own.  Given a file,
+token of anything else.  The reader takes a file or a buffer one line at
+a time, in binary, and decodes each line as ASCII on its own.
 ``verify_certificate`` checks the nodes as that reader yields them, a few
-hundred at a time, so it holds the verifier's row table but no text, line
-list or node list.
+hundred at a time, from a file or from a certificate's bytes, so it holds
+the verifier's row table but no text, line list or node list.
 """
 
 from __future__ import annotations
@@ -63,15 +66,15 @@ import io
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from heapq import heappop, heappush
+from functools import cached_property, partial
+from heapq import heappop, heappush, merge
 from itertools import accumulate, chain, compress, groupby, islice, pairwise
 from math import gcd
 from operator import itemgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, NoReturn
 
 from .baskets import BasketError, check_point
 from .functionals import (
@@ -181,13 +184,11 @@ class CertificateNode(NamedTuple):
 
 # A node from a tuple of its twelve fields, made by the C-level tuple
 # constructor: the namedtuple's own __new__ and _make are Python calls, and
-# every node is made here, by the reader and by the replay's merge.
+# every node is made here, by the reader.
 _new_node = partial(tuple.__new__, CertificateNode)
-# The r of a record or a node: a task groups its records into rows by it,
-# and the merge sorts the nodes by it.
+# The r of a record, a node or a (b, r) point: a task groups its records
+# into rows by it, and the merge interleaves the attaining points by it.
 _row_of = itemgetter(1)
-# The point (b, r) of a node, for the verifier's coverage check.
-_point_of = itemgetter(0, 1)
 # Nodes the verifier takes from its source at a time, which bounds what it
 # holds beyond its row table.  Taking turns by the batch, the reader's loop
 # and the check's loop verified the INEQ2 r_max 400 certificate about
@@ -203,10 +204,7 @@ def _collector_paused() -> Iterator[None]:
     They are tuples of plain values, which make no cycle, so the passes
     their allocations would start find nothing to free.  The caller's state
     comes back on every exit, a raise included, and a collector that was
-    off stays off.  A forked process starts with the state its parent had
-    at the fork, a pause included; ``proof_replay``'s pool forks its workers
-    when the tasks are submitted, before the merge pauses, so they start
-    with the caller's state, and each task pauses for its own body.
+    off stays off.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -217,27 +215,41 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+# The least slack of a set of nodes and the (b, r) points attaining it, in
+# (r, b) order; (None, ()) for no nodes.
+_SlackSummary = tuple[Fraction | None, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """A full sweep up to r_max for one functional and target rule."""
+    """A full sweep up to r_max for one functional and target rule.
+
+    ``text`` is the node lines in ASCII, in canonical (r, b) order, and
+    ``least_slack`` the least recorded slack of those nodes with the points
+    attaining it, as ``proof_replay`` or the reader found them.
+    """
 
     functional: Functional
     r_max: int
     low_slope_floor: int
-    nodes: tuple[CertificateNode, ...]
-    # A replay's node text as its tasks wrote it, in ASCII: one (first r,
-    # text, row ends) per interval, in slope order.  None where the nodes
-    # were made in code or read, and after dataclasses.replace, which
-    # leaves it out; those certificates write each node's line themselves.
-    _texts: tuple[tuple[int, bytes, list[int]], ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    text: bytes = field(repr=False)
+    least_slack: _SlackSummary
 
-    def slack_summary(self) -> tuple[Fraction | None, tuple[CertificateNode, ...]]:
-        """The least slack and the nodes attaining it (None without nodes)."""
-        least = _LeastSlack()
-        least.update(self.nodes, [n.xi_num - 2 * n.r * n.target_int for n in self.nodes])
-        return least.summary()
+    @property
+    def node_count(self) -> int:
+        """The number of node lines, as the header's ``nodes:`` gives it."""
+        return self.text.count(b"\n")
+
+    @cached_property
+    def nodes(self) -> tuple[CertificateNode, ...]:
+        """The nodes of the text, read on first access and then kept."""
+        lines = self.text.decode("ascii").splitlines()
+        with _collector_paused():
+            return tuple(_read_nodes(lines, self.node_count))
+
+    def slack_summary(self) -> _SlackSummary:
+        """The least slack and the (b, r) points attaining it (None without nodes)."""
+        return self.least_slack
 
     def _header(self) -> bytes:
         """The header lines and the blank line after them, in ASCII."""
@@ -246,52 +258,51 @@ class Certificate:
             "coefficients": ",".join(map(str, self.functional.coeffs)),
             "low-slope-floor": self.low_slope_floor,
             "r-max": self.r_max,
-            "nodes": len(self.nodes),
+            "nodes": self.node_count,
         }
         lines = [_HEADER_LINE.format(key, header[key]) for key in _HEADER_KEYS]
         return ("\n".join(lines) + "\n\n").encode("ascii")
 
-    def _node_text(self) -> Iterable[bytes | memoryview]:
-        """The node lines in ASCII: a replay's row slices, else all in one piece."""
-        if self._texts is None:
-            return ("".join(map(_node_line, self.nodes)).encode("ascii"),)
-        return _row_slices(self._texts, self.r_max)
-
     def to_text(self) -> str:
-        return b"".join(chain((self._header(),), self._node_text())).decode("ascii")
+        return (self._header() + self.text).decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "Certificate":
-        """Read a certificate; text that ``to_text`` would not write is refused."""
-        lines = text.split("\n")
-        if lines.pop():
-            raise ValueError(
-                f"certificate line {len(lines) + 1}: no newline at its end"
-            )
-        return cls._from_lines(iter(lines))
+        """Read a certificate; text that ``to_text`` would not write is refused.
 
-    @classmethod
-    def _from_lines(cls, lines: Iterator[str]) -> "Certificate":
-        """The certificate of a text's lines, each without its newline."""
-        header = _read_header(lines)
-        with _collector_paused():
-            nodes = tuple(_read_nodes(lines, header["nodes"]))
-        return cls(
-            functional=header["coefficients"],
-            r_max=header["r-max"],
-            low_slope_floor=header["low-slope-floor"],
-            nodes=nodes,
-        )
+        The text is read as its UTF-8 bytes, so a character that is not
+        ASCII is named with its line, as in a file.
+        """
+        return cls._read(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
     def write(self, path: str | os.PathLike) -> None:
         with open(path, "wb") as fh:
             fh.write(self._header())
-            fh.writelines(self._node_text())
+            fh.write(self.text)
 
     @classmethod
     def read(cls, path: str | os.PathLike) -> "Certificate":
-        with _certificate_file(path) as fh:
-            return cls._from_lines(_lines(fh))
+        return cls._read(path)
+
+    @classmethod
+    def _read(cls, source: str | os.PathLike | BinaryIO) -> "Certificate":
+        """The certificate of a file or binary buffer, every line of it read.
+
+        The node text is kept as the bytes that were read, which the reader
+        has found to be the ones ``to_text`` writes.
+        """
+        with _certificate_file(source) as fh:
+            lines = _lines(fh)
+            header = _read_header(lines)
+            start = fh.tell()
+            least = _LeastSlack()
+            least.update((n, _recorded_slack(n)) for n in _read_nodes(lines, header["nodes"]))
+            fh.seek(start)
+            text = fh.read()
+        return cls(
+            header["coefficients"], header["r-max"], header["low-slope-floor"],
+            text, least.summary(),
+        )
 
 
 def _read_header(lines: Iterator[str]) -> dict:
@@ -345,16 +356,17 @@ def _read_nodes(lines: Iterable[str], declared: int) -> Iterator[CertificateNode
 
 
 @contextmanager
-def _certificate_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
-    """A certificate file, open for binary reading at its start.
+def _certificate_file(source: str | os.PathLike | BinaryIO) -> Iterator[BinaryIO]:
+    """A certificate file or binary buffer, ready for binary reading at its start.
 
-    A file that does not end in a newline is refused before any line is
-    read, from its last byte alone; only then are its lines counted, to
-    name the last one.  A file that cannot seek, such as a pipe, is read
-    whole first.  Binary reading keeps "\\r\\n" as written, so the reader
-    refuses it.
+    A path is opened, and closed on exit.  A text that does not end in a
+    newline is refused before any line is read, from its last byte alone;
+    only then are its lines counted, to name the last one.  A file that
+    cannot seek, such as a pipe, is read whole first.  Binary reading keeps
+    "\\r\\n" as written, so the reader refuses it.
     """
-    with open(path, "rb") as fh:
+    is_buffer = isinstance(source, io.BufferedIOBase)
+    with nullcontext(source) if is_buffer else open(source, "rb") as fh:
         if not fh.seekable():
             fh = io.BytesIO(fh.read())
         size = fh.seek(0, os.SEEK_END)
@@ -418,7 +430,7 @@ _HEADER_VALUES = {
 
 
 class _LeastSlack:
-    """The least slack of the nodes seen so far and the nodes attaining it.
+    """The least slack of the nodes seen so far and the (b, r) points attaining it.
 
     Each slack is a numerator over 2r.  Slacks are compared by
     cross-multiplication, so only the summary is a ``Fraction``; no nodes
@@ -429,23 +441,28 @@ class _LeastSlack:
 
     def __init__(self) -> None:
         self.num, self.den = 0, 0
-        self.attained: list[CertificateNode] = []
+        self.attained: list[tuple[int, int]] = []
 
-    def update(self, nodes: Iterable[CertificateNode], slacks: Iterable[int]) -> None:
-        """Take in more nodes, each with its slack."""
+    def update(self, slacks: Iterable[tuple[tuple, int]]) -> None:
+        """Take in more (node or record, its slack) pairs."""
         best_num, best_den, attained = self.num, self.den, self.attained
-        for node, num in zip(nodes, slacks):
-            den = 2 * node.r
+        for node, num in slacks:
+            den = 2 * node[1]
             if not attained or num * best_den < best_num * den:
-                best_num, best_den, attained = num, den, [node]
+                best_num, best_den, attained = num, den, [node[:2]]
             elif num * best_den == best_num * den:
-                attained.append(node)
+                attained.append(node[:2])
         self.num, self.den, self.attained = best_num, best_den, attained
 
-    def summary(self) -> tuple[Fraction | None, tuple[CertificateNode, ...]]:
+    def summary(self) -> _SlackSummary:
         if not self.attained:
             return None, ()
         return Fraction(self.num, self.den), tuple(self.attained)
+
+
+def _recorded_slack(node: tuple) -> int:
+    """The recorded slack xi_num - 2r * target_int of a node or a record."""
+    return node[10] - 2 * node[1] * node[11]
 
 
 def _node_line(node: CertificateNode) -> str:
@@ -472,7 +489,7 @@ def _row_slices(
     order, with a row end for each r from the first up to r_max.  For each
     r, each interval whose rows have begun gives its row-r slice, so the
     lines come in (r, b) order; empty slices are left out.  The slices are
-    views, so no byte of the text is copied.
+    views, so the one join of them copies each byte once.
     """
     cuts = [
         (first, memoryview(text), pairwise(chain((0,), ends)))
@@ -495,18 +512,13 @@ def _xi_num(text: str, r: int) -> int:
     return num * scale
 
 
-def _not_a_point(exc: BasketError, *points: tuple[int, int]) -> ValueError:
-    """The error for a node line whose points ``check_point`` refused with exc."""
-    b, r = next(point for point in points if not _is_point(*point))
-    return ValueError(f"'{b}/{r}' is not a basket point: {exc}")
-
-
-def _is_point(b: int, r: int) -> bool:
-    try:
-        check_point(b, r)
-    except BasketError:
-        return False
-    return True
+def _not_a_point(*points: tuple[int, int]) -> ValueError:
+    """The error for the first of a node line's points that ``check_point`` refuses."""
+    for b, r in points:
+        try:
+            check_point(b, r)
+        except BasketError as exc:
+            return ValueError(f"'{b}/{r}' is not a basket point: {exc}")
 
 
 def _offsets(text: str) -> tuple[tuple[int, int], ...]:
@@ -535,16 +547,16 @@ def _parse_node_line(line: str) -> CertificateNode:
             check_point(b, r)
             check_point(b_hi, r_hi)
             check_point(b_lo, r_lo)
-        except BasketError as exc:
-            raise _not_a_point(exc, (b, r), (b_hi, r_hi), (b_lo, r_lo)) from None
+        except BasketError:
+            raise _not_a_point((b, r), (b_hi, r_hi), (b_lo, r_lo)) from None
         cf_det, offsets, net = int(cf_det), _offsets(offsets), int(net)
     elif match := _LEAF_LINE.fullmatch(line):
         b, r, xd, xibar, target = match.groups()
         b, r = int(b), int(r)
         try:
             check_point(b, r)
-        except BasketError as exc:
-            raise _not_a_point(exc, (b, r)) from None
+        except BasketError:
+            raise _not_a_point((b, r)) from None
         b_hi = r_hi = b_lo = r_lo = cf_det = None
         offsets, net = (), 0
     else:
@@ -702,21 +714,25 @@ def _intervals(r_max: int, count: int) -> list[tuple[tuple[int, int], tuple[int,
     return [(lo, hi) for _, lo, hi in sorted(splittable + final)]
 
 
-def _build_range(args) -> tuple[list[tuple], str, list[int]]:
-    """A replay task, in a worker or in this process: one interval's nodes.
+def _build_range(args) -> tuple[str, list[int], tuple[int, int, list[tuple[int, int]]]]:
+    """A replay task, in a worker or in this process: one interval's node text.
 
-    Returns the interval's records, their node lines in the same (r, b)
-    order as one text, and the end of each row in that text, for each r
-    from the index of the interval's right end up to r_max; a row without
-    a slope of the interval ends where the one before it does.  All three
-    are plain data, so no class crosses the pool.
+    Returns the node lines of the interval's slopes in (r, b) order as one
+    text; the end of each row in that text, for each r from the index of
+    the interval's right end up to r_max, where a row without a slope of
+    the interval ends where the one before it does; and the least slack
+    as (numerator, denominator, attaining (b, r) points in (r, b) order).
+    All three are plain data, so no class crosses the pool.
     """
     coeffs, floor, r_max, lo, hi = args
     with _collector_paused():
         records = list(_records(Functional(coeffs), floor, r_max, (lo, hi)))
+    least = _LeastSlack()
+    least.update((record, _recorded_slack(record)) for record in records)
     by_row = {r: "".join(map(_node_line, row)) for r, row in groupby(records, _row_of)}
     rows = [by_row.get(r, "") for r in range(hi[1], r_max + 1)]
-    return records, "".join(rows), list(accumulate(map(len, rows)))
+    ends = list(accumulate(map(len, rows)))
+    return "".join(rows), ends, (least.num, least.den, least.attained)
 
 
 def proof_replay(
@@ -728,15 +744,15 @@ def proof_replay(
 ) -> Certificate:
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
 
-    The node list and text are identical for any ``jobs``.  At most
-    min(jobs, CPUs) workers run, and work is cut into up to eight Farey
-    intervals of slopes per worker (and at most r_max - 1), sent widest
-    first, so no task needs a parent that another task builds.  Each task
-    walks its interval's mediant tree row by row and returns its records
-    and node text in (r, b) order, with the text's row ends.  No more
-    workers start than there are tasks, and one worker runs the same tasks
-    in this process, with no pool; either way ``_merge`` takes each result
-    as it comes.
+    The text is identical for any ``jobs``.  At most min(jobs, CPUs)
+    workers run, and work is cut into up to eight Farey intervals of
+    slopes per worker (and at most r_max - 1), sent widest first, so no
+    task needs a parent that another task builds.  Each task walks its
+    interval's mediant tree row by row and returns its node text in (r, b)
+    order, with the text's row ends and its least slack.  No more workers
+    start than there are tasks, and one worker runs the same tasks in this
+    process, with no pool; either way ``_merge`` takes each result as it
+    comes.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
@@ -745,48 +761,45 @@ def proof_replay(
     workers = min(workers, len(intervals))
     tasks = [(func.coeffs, low_slope_floor, r_max, lo, hi) for lo, hi in intervals]
     if workers == 1:
-        nodes, texts = _merge(intervals, map(_build_range, tasks))
+        text, least = _merge(intervals, map(_build_range, tasks), r_max)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            nodes, texts = _merge(intervals, pool.map(_build_range, tasks))
-    cert = Certificate(func, r_max, low_slope_floor, nodes)
-    # The field is left out of __init__, so that dataclasses.replace drops it.
-    object.__setattr__(cert, "_texts", texts)
-    return cert
+            text, least = _merge(intervals, pool.map(_build_range, tasks), r_max)
+    return Certificate(func, r_max, low_slope_floor, text, least)
 
 
 def _merge(
     intervals: list[tuple[tuple[int, int], tuple[int, int]]],
-    parts: Iterable[tuple[list[tuple], str, list[int]]],
-) -> tuple[tuple[CertificateNode, ...], tuple[tuple[int, bytes, list[int]], ...]]:
-    """The nodes in canonical order and the text pieces in slope order.
+    parts: Iterable[tuple[str, list[int], tuple[int, int, list[tuple[int, int]]]]],
+    r_max: int,
+) -> tuple[bytes, _SlackSummary]:
+    """The node text in canonical order, and the least slack of all tasks.
 
     ``parts`` are the tasks' results for ``intervals``, in the same order,
-    taken one at a time as they come: each part's records become its
-    column of nodes at once, and only its text and row ends are kept.  The
-    intervals tile the slope range, each one's hi the next one's lo, so
-    their slope order is the walk from 0/1.  Each column is in (r, b)
-    order, so a stable sort by r of the columns in slope order gives the
-    nodes in (r, b) order: it only merges the sorted columns.
+    taken one at a time as they come.  The intervals tile the slope range,
+    each one's hi the next one's lo, so their slope order is the walk from
+    0/1.  The least slack is the least of the tasks' by cross-multiplication;
+    the tied tasks' points, each in (r, b) order and taken in slope order,
+    are interleaved by r alone, which puts them in (r, b) order.
     """
-    after = dict(intervals)
-    place = {}
+    results = {}
+    for (lo, hi), (text, ends, least) in zip(intervals, parts):
+        # Encoded here, the text that the pool's result thread made is
+        # freed at once, not kept in that thread's memory.
+        results[lo] = hi, text.encode("ascii"), ends, least
+    texts = []
+    num, den, tied = 0, 0, []
     lo = SLOPE_RANGE[0]
-    while lo in after:
-        place[lo] = len(place)
-        lo = after[lo]
-    columns: list = [None] * len(place)
-    texts: list = [None] * len(place)
-    with _collector_paused():
-        for (lo, hi), (records, text, ends) in zip(intervals, parts):
-            k = place[lo]
-            columns[k] = list(map(_new_node, records))
-            # Encoded here, the text that the pool's result thread made is
-            # freed at once, not kept in that thread's memory, and the file
-            # is written with no text layer.
-            texts[k] = hi[1], text.encode("ascii"), ends
-        nodes = tuple(sorted(chain.from_iterable(columns), key=_row_of))
-    return nodes, tuple(texts)
+    while lo in results:
+        hi, text, ends, (task_num, task_den, points) = results.pop(lo)
+        texts.append((hi[1], text, ends))
+        if not tied or task_num * den < num * task_den:
+            num, den, tied = task_num, task_den, [points]
+        elif task_num * den == num * task_den:
+            tied.append(points)
+        lo = hi
+    points = tuple(merge(*tied, key=_row_of))
+    return b"".join(_row_slices(texts, r_max)), (Fraction(num, den), points)
 
 
 def _node_walk(
@@ -826,7 +839,7 @@ class VerificationReport:
 
     nodes: int
     min_slack: Fraction | None
-    min_slack_points: tuple[CertificateNode, ...]
+    min_slack_points: tuple[tuple[int, int], ...]
     issues: tuple[str, ...]
 
     @property
@@ -848,34 +861,28 @@ def verify_certificate(cert: Certificate | str | os.PathLike) -> VerificationRep
     lemma classification, and the additivity identity through each split.
     Finally every node must satisfy xi_bar >= target.
 
-    Given a path, the file is read by the reader of ``Certificate.read``,
-    one line at a time, and the nodes are checked as they are read, so no
-    text and no list of its lines or nodes is held.  Its reader errors are
-    raised as ``Certificate.read`` raises them, the first in file order,
-    and the report is the one of ``verify_certificate(Certificate.read(path))``.
+    A file, or a certificate's bytes, is read by the reader of
+    ``Certificate.read``, one line at a time, and the nodes are checked as
+    they are read, so no text and no list of its lines or nodes is held.
+    Its reader errors are raised as ``Certificate.read`` raises them, the
+    first in file order.
     """
     if isinstance(cert, Certificate):
-        return _verify(
-            cert.functional, cert.r_max, cert.low_slope_floor, cert.nodes,
-            partial(map, _point_of, cert.nodes),
-        )
+        cert = io.BytesIO(cert._header() + cert.text)
     with _certificate_file(cert) as fh:
         lines = _lines(fh)
         header = _read_header(lines)
         return _verify(
             header["coefficients"], header["r-max"], header["low-slope-floor"],
-            _read_nodes(lines, header["nodes"]), partial(_file_points, fh),
+            _read_nodes(lines, header["nodes"]), fh,
         )
 
 
-def _coverage(
-    keys: list[tuple[int, int]], r_max: int
-) -> tuple[list[str], set[tuple[int, int]]]:
-    """The coverage issues of nodes at ``keys`` (r, b), and the non-points among them.
+def _coverage(keys: list[tuple[int, int]], r_max: int) -> list[str]:
+    """The coverage issues of nodes at ``keys`` (r, b).
 
-    The extra points are those above r_max and, in a certificate made in
-    code rather than read, any that is not a basket point; the walk for
-    missing ones reads at most nodes + 5 slopes.
+    The extra points are those above r_max; the walk for missing ones
+    reads at most nodes + 5 slopes.
     """
     issues = []
     recorded = set(keys)
@@ -883,12 +890,11 @@ def _coverage(
         issues.append("nodes are not in canonical order or contain repeats")
     unrecorded = ((b, r) for b, r in slopes(2, r_max) if (r, b) not in recorded)
     missing = [f"{b}/{r}" for b, r in islice(unrecorded, 5)]
-    strays = {(r, b) for r, b in recorded if not _is_point(b, r)}
-    extras = sorted(strays.union(k for k in recorded if k[0] > r_max))
+    extras = sorted(k for k in recorded if k[0] > r_max)
     extra = [f"{b}/{r}" for r, b in extras[:5]]
     if missing or extra:
         issues.append(f"coverage mismatch: missing {missing}, extra {extra}")
-    return issues, strays
+    return issues
 
 
 def _verify(
@@ -896,17 +902,17 @@ def _verify(
     r_max: int,
     floor: int,
     nodes: Iterable[CertificateNode],
-    points: Callable[[], Iterable[tuple[int, int]]],
+    fh: BinaryIO,
 ) -> VerificationReport:
     """The check of ``verify_certificate``, over nodes as ``nodes`` yields them.
 
     It keeps the parent-row table, the running least slack, the issues, the
     node count and whether every node so far was the next slope of
-    ``slopes(2, r_max)``.  Only where that fails does it walk the nodes'
-    ``points()`` again, for the coverage issues, which come first.  Values
-    are compared as integers over 2r.  Each node's values come from one
-    ``_node_walk`` against its parents' recomputed rows (zero rows at an
-    atom or where a parent is missing), and its own row is kept for the
+    ``slopes(2, r_max)``.  Only where that fails does it read the points of
+    the file ``fh`` again, for the coverage issues, which come first.
+    Values are compared as integers over 2r.  Each node's values come from
+    one ``_node_walk`` against its parents' recomputed rows (zero rows at
+    an atom or where a parent is missing), and its own row is kept for the
     splits that name it as a parent; recorded fields are never used in
     place of a recomputed value.  Nodes are taken ``_BATCH`` at a time, so
     the reader's loop and the check's each run over a batch in turn.
@@ -924,11 +930,7 @@ def _verify(
         for batch in iter(lambda: tuple(islice(nodes, _BATCH)), ()):
             count += len(batch)
             if covered:
-                covered = list(map(_point_of, batch)) == list(islice(expected, len(batch)))
-            # The arithmetic below is defined on basket points only; only a
-            # certificate made in code, not one read, has other points.
-            if not covered and not all(_is_point(*point) for point in map(_point_of, batch)):
-                break
+                covered = [node[:2] for node in batch] == list(islice(expected, len(batch)))
             slacks = []
             for node in batch:
                 # The names ending in _rec are the node's recorded fields, which
@@ -981,7 +983,8 @@ def _verify(
                     continue
                 nonzero = _nonzero(support, offs)
                 if offsets_rec != nonzero:
-                    found = len(issues)
+                    # The reader takes only nonzero offsets in ascending j, so
+                    # two lists that differ differ at some j.
                     recorded = dict(offsets_rec)
                     for j, off in zip(support, offs):
                         if recorded.pop(j, 0) != off:
@@ -990,8 +993,6 @@ def _verify(
                         issues.append(
                             f"{b}/{r}: offsets outside the support: {sorted(recorded)}"
                         )
-                    if len(issues) == found:
-                        issues.append(f"{b}/{r}: offsets are not nonzero and in ascending j")
                 # The lemmas speak only of unimodular splits, whose indices are coprime.
                 predicted = lemma_offsets(r_hi, r_lo, support) if unimodular else offs
                 if offs != predicted:
@@ -1001,14 +1002,9 @@ def _verify(
                 net = weigh(offs) if nonzero else 0
                 if net_rec != net:
                     issues.append(f"{b}/{r}: recorded net offset {net_rec} != {net}")
-            least.update(batch, slacks)
+            least.update(zip(batch, slacks))
 
     if not (covered and next(expected, None) is None):
-        keys = [(r, b) for b, r in points()]
-        coverage, strays = _coverage(keys, r_max)
-        if strays:
-            # The arithmetic is defined on basket points only.
-            return VerificationReport(len(keys), None, (), tuple(coverage))
-        issues[:0] = coverage
+        issues[:0] = _coverage([(r, b) for b, r in _file_points(fh)], r_max)
     min_slack, attained = least.summary()
     return VerificationReport(count, min_slack, attained, tuple(issues))

@@ -208,10 +208,10 @@ def cmd_replay(args) -> int:
         {
             "which": args.which,
             "r_max": args.r_max,
-            "nodes": len(cert.nodes),
+            "nodes": cert.node_count,
             "min_slack": format_fraction(min_slack),
             "attained_count": len(attained),
-            "attained": [f"{n.b}/{n.r}" for n in attained[:16]],
+            "attained": [f"{b}/{r}" for b, r in attained[:16]],
             "pass": min_slack >= 0,
         }
     )

@@ -7,13 +7,14 @@ holds the library's two ways of verifying a file to each other.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import floor, gcd, lcm
 from random import Random
 
 from basket3.baskets import Basket, OrbifoldPoint
-from basket3.certificates import Certificate, verify_certificate
+from basket3.certificates import Certificate, _node_line, verify_certificate
 from basket3.enumeration import (
     EnumConstraints,
     ExplicitK3,
@@ -263,3 +264,15 @@ def verify_both_ways(path) -> object:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
+
+
+def with_nodes(cert: Certificate, nodes) -> Certificate:
+    """The certificate of ``nodes`` under ``cert``'s header, as the reader takes it.
+
+    Each node is written with the writer's ``_node_line``, the header's
+    ``nodes:`` count is set to theirs, and the text is read back with
+    ``Certificate.from_text``, so a node the reader refuses raises its error.
+    """
+    header = cert._header().decode("ascii")
+    header = re.sub(r"(?m)^nodes: \d+$", f"nodes: {len(nodes)}", header)
+    return Certificate.from_text(header + "".join(map(_node_line, nodes)))

@@ -11,13 +11,12 @@ import pickle
 import re
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, groupby
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from basket3 import baskets, certificates
@@ -48,6 +47,7 @@ from oracles import (
     mbar_by_definition,
     slopes_in_interval,
     verify_both_ways,
+    with_nodes,
 )
 
 # Equality set of the first inequality for r <= 12, computed by direct
@@ -97,7 +97,7 @@ class TestReplay:
         cert = proof_replay(INEQ1, 12)
         least, points = cert.slack_summary()
         assert least == 0
-        attained = {(p.b, p.r) for p in points}
+        attained = set(points)
         assert attained == INEQ1_EQUALITY_R12
         assert {(1, 2), (1, 3), (1, 4), (2, 5)} <= attained
 
@@ -105,7 +105,7 @@ class TestReplay:
         for func in (INEQ1, INEQ2):
             cert = proof_replay(func, 30)
             least = min(slack(n) for n in cert.nodes)
-            attaining = tuple(n for n in cert.nodes if slack(n) == least)
+            attaining = tuple((n.b, n.r) for n in cert.nodes if slack(n) == least)
             assert cert.slack_summary() == (least, attaining)
 
     def test_node_counts_cover_all_slopes(self):
@@ -135,23 +135,32 @@ class _NoClasses(pickle.Unpickler):
         raise pickle.UnpicklingError(f"{module}.{name} crossed the pool")
 
 
+def least_of(nodes):
+    """(least slack, attaining (b, r) in order) of nodes or records, by Fraction."""
+    slacks = [Fraction(n[10] - 2 * n[1] * n[11], 2 * n[1]) for n in nodes]
+    least = min(slacks)
+    return least, tuple(n[:2] for n, s in zip(nodes, slacks) if s == least)
+
+
 @pytest.mark.parametrize(("func", "floor"), [(INEQ1, 0), (INEQ2, 14)])
 def test_worker_results_are_plain_data(func, floor):
-    # A worker's task is one Farey interval of slopes; its records, merged
-    # in (r, b) order, are the serial nodes, and its text is their lines.
-    parts = [
-        certificates._build_range((func.coeffs, floor, 40, lo, hi))
-        for lo, hi in certificates._intervals(40, 4)
-    ]
-    assert len(parts) == 4
-    for part in parts:
-        assert _NoClasses(io.BytesIO(pickle.dumps(part))).load() == part
+    # A worker's task is one Farey interval of slopes.  Its records, merged
+    # in (r, b) order, are the serial nodes; its result is plain data: the
+    # text of their lines and the least slack of their fields.
+    intervals = certificates._intervals(40, 4)
+    assert len(intervals) == 4
     nodes = proof_replay(func, 40, low_slope_floor=floor).nodes
-    records = chain.from_iterable(records for records, _, _ in parts)
-    merged = sorted(records, key=lambda record: record[1::-1])
-    assert tuple(merged) == nodes
-    for records, text, _ in parts:
+    columns = []
+    for lo, hi in intervals:
+        records = list(certificates._records(func, floor, 40, (lo, hi)))
+        columns.append(records)
+        part = certificates._build_range((func.coeffs, floor, 40, lo, hi))
+        assert _NoClasses(io.BytesIO(pickle.dumps(part))).load() == part
+        text, _, (num, den, points) = part
         assert text == "".join(map(certificates._node_line, records))
+        assert (Fraction(num, den), tuple(points)) == least_of(records)
+    merged = sorted(chain.from_iterable(columns), key=lambda record: record[1::-1])
+    assert tuple(merged) == nodes
 
 
 # sha256 of the INEQ2 certificate at r_max 400, as pinned for the benchmark
@@ -190,9 +199,14 @@ def test_tasks_walk_their_interval_by_rows(r_max, count):
     # Each task lists exactly the slopes of its interval, in (r, b) order,
     # and gives every split the parents and cfdet of split_slope.  Its row
     # ends, one per r from its right end's index up to r_max, cut its text
-    # into the lines of each row.
+    # into the lines of each row, and its summary is its records' least
+    # slack with the points attaining it.
     for lo, hi in certificates._intervals(r_max, count):
-        records, text, ends = certificates._build_range((INEQ2.coeffs, 14, r_max, lo, hi))
+        records = list(certificates._records(INEQ2, 14, r_max, (lo, hi)))
+        text, ends, (num, den, points) = certificates._build_range(
+            (INEQ2.coeffs, 14, r_max, lo, hi)
+        )
+        assert (Fraction(num, den), tuple(points)) == least_of(records)
         assert [record[:2] for record in records] == slopes_in_interval(r_max, lo, hi)
         for b, r, b_hi, r_hi, b_lo, r_lo, cf_det, *_ in records:
             if b > 1:
@@ -339,20 +353,76 @@ def test_fresh_certificates_of_any_functional_verify(func, r_max):
 @settings(max_examples=30, deadline=None)
 @given(FUNCTIONALS, st.integers(-3, 20), st.integers(2, 150), st.integers(1, 3))
 def test_replay_text_is_the_text_of_its_nodes(func, floor, r_max, jobs):
-    # A replay keeps the text its tasks wrote; a copy made by replace has
-    # only the nodes and writes each node's line.  Both give the same text,
-    # write writes its bytes, and the reader takes it back to the nodes.
+    # A replay keeps the text its tasks wrote, which is the text of the
+    # nodes it reads as; write writes its bytes, and the reader takes it
+    # back to the same certificate.
     cert = proof_replay(func, r_max, low_slope_floor=floor, jobs=jobs)
     text = cert.to_text()
-    fresh = replace(cert)
-    assert fresh._texts is None and cert._texts is not None
-    assert fresh.to_text() == text
+    assert cert.text.decode("ascii") == "".join(map(certificates._node_line, cert.nodes))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cert.txt")
         cert.write(path)
         with open(path, "rb") as fh:
             assert fh.read() == text.encode("ascii")
     assert Certificate.from_text(text) == cert
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    func=FUNCTIONALS, floor=st.integers(-3, 20), r_max=st.integers(2, 150),
+    jobs=st.integers(1, 3),
+)
+def test_merged_summary_is_the_least_slack_of_the_nodes(
+    pool_log, monkeypatch, tmp_path, func, floor, r_max, jobs
+):
+    # The summary that the merge takes from the tasks' summaries is the
+    # least recorded slack over the nodes, negative where a floor is not
+    # met, with every point attaining it in (r, b) order; and the verifier,
+    # which recomputes each slack, finds the same on the written file.
+    monkeypatch.setattr(certificates.os, "cpu_count", lambda: 2)
+    cert = proof_replay(func, r_max, low_slope_floor=floor, jobs=jobs)
+    least = min(slack(n) for n in cert.nodes)
+    attaining = tuple((n.b, n.r) for n in cert.nodes if slack(n) == least)
+    assert cert.slack_summary() == (least, attaining)
+    path = tmp_path / "cert.txt"
+    cert.write(path)
+    report = verify_certificate(path)
+    assert (report.min_slack, report.min_slack_points) == (least, attaining)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replay_makes_no_node(jobs, pool_log, monkeypatch, tmp_path, capsys):
+    # A replay's file, summary and printed report come from its tasks' text
+    # and summaries; its nodes are read from its text on first access only,
+    # and then kept.
+    new_node, made = certificates._new_node, 0
+
+    def no_node(fields):
+        raise AssertionError("a node was made")
+
+    def counting(fields):
+        nonlocal made
+        made += 1
+        return new_node(fields)
+
+    monkeypatch.setattr(certificates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(certificates, "_new_node", no_node)
+    cert = proof_replay(INEQ2, 60, low_slope_floor=14, jobs=jobs)
+    cert.write(tmp_path / "cert.txt")
+    least, attained = cert.slack_summary()
+    args = ["replay", "--which", "2", "--r-max", "60", "--jobs", str(jobs)]
+    assert main([*args, "--out", str(tmp_path / "cli.txt")]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert pool_log["sizes"] == ([] if jobs == 1 else [2, 2])
+    monkeypatch.setattr(certificates, "_new_node", counting)
+    nodes = cert.nodes
+    assert made == len(nodes) == printed["nodes"] == expected_count(60)
+    assert cert.nodes is nodes and made == len(nodes)
+    assert printed["attained_count"] == len(attained)
+    assert (tmp_path / "cli.txt").read_bytes() == (tmp_path / "cert.txt").read_bytes()
 
 
 def set_collector(on):
@@ -522,6 +592,18 @@ class TestSerialization:
             " in position 5: ordinal not in range(128)"
         )
 
+    def test_non_ascii_character_in_text_names_its_line(self):
+        # from_text reads the text as its UTF-8 bytes, so a character that
+        # is not ASCII is named with its line, as in a file.
+        lines = proof_replay(INEQ1, 10).to_text().split("\n")
+        lines[9] = lines[9].replace("leaf", "l\u00e9af")
+        with pytest.raises(ValueError) as exc:
+            Certificate.from_text("\n".join(lines))
+        assert str(exc.value) == (
+            "certificate line 10: 'ascii' codec can't decode byte 0xc3"
+            " in position 5: ordinal not in range(128)"
+        )
+
 
 class TestVerification:
     def test_fresh_certificates_verify(self):
@@ -639,25 +721,24 @@ class TestVerification:
             "2/5: parents missing from the certificate before it",
         ]
 
-    # The reader refuses these points, so only a certificate built in code
-    # holds them.  The coverage check names them, and the arithmetic, which
-    # 1/0 would divide by zero, is not run.
-    @pytest.mark.parametrize("r", [1, 0])
-    def test_non_point_made_in_code_is_extra(self, r):
+    # A certificate is its text, and the reader refuses these points, so no
+    # certificate holds them: written as the first node line, each is named
+    # with its line and token.  (xibar is 1/2r, since 0/0 has no spelling.)
+    @pytest.mark.parametrize(
+        ("r", "error"),
+        [(1, "'1/1' is not a basket point: "),
+         (0, "malformed value '1/0' in node field '1/0'; want '{point}'")],
+        ids=["1", "0"],
+    )
+    def test_non_point_made_in_code_is_extra(self, r, error):
         cert = proof_replay(INEQ2, 12, low_slope_floor=14)
-        atom = CertificateNode(1, r, None, None, None, None, None, (), 0, 0, 0, 0)
-        report = verify_certificate(replace(cert, nodes=(atom, *cert.nodes)))
-        assert report.issues == (f"coverage mismatch: missing [], extra ['1/{r}']",)
+        atom = CertificateNode(1, r, None, None, None, None, None, (), 0, 0, 1, 0)
+        with pytest.raises(ValueError, match=f"^certificate line 8: {re.escape(error)}"):
+            with_nodes(cert, (atom, *cert.nodes))
 
     def test_unsorted_nodes_detected(self):
         cert = proof_replay(INEQ1, 8)
-        shuffled = Certificate(
-            cert.functional,
-            cert.r_max,
-            cert.low_slope_floor,
-            tuple(reversed(cert.nodes)),
-        )
-        report = verify_certificate(shuffled)
+        report = verify_certificate(with_nodes(cert, tuple(reversed(cert.nodes))))
         assert any("order" in issue for issue in report.issues)
 
     def test_verifier_shares_no_delta_kernel_with_the_builder(self, monkeypatch):
@@ -670,8 +751,8 @@ class TestVerification:
         ]
         node = by_point(certs[1])[2, 5]
         doctored = node._replace(xi_delta=node.xi_delta + 1, offsets=())
-        certs.append(replace(
-            certs[1], nodes=tuple(doctored if n is node else n for n in certs[1].nodes)
+        certs.append(with_nodes(
+            certs[1], tuple(doctored if n is node else n for n in certs[1].nodes)
         ))
         reports = [verify_certificate(cert) for cert in certs]
         assert [report.ok for report in reports] == [True, True, False]
@@ -746,8 +827,7 @@ class TestVerification:
         parent = parent._replace(xi_delta=parent.xi_delta + 1, xi_num=parent.xi_num + 10)
         doctored = {p25: parent, p37: bump(n37, -1)}
         nodes = tuple(doctored.get((n.b, n.r), n) for n in cert.nodes)
-        text = replace(cert, nodes=nodes).to_text()
-        issues = verify_certificate(Certificate.from_text(text)).issues
+        issues = verify_certificate(with_nodes(cert, nodes)).issues
         assert any(issue.startswith("2/5: recorded xidelta") for issue in issues)
         assert any(issue.startswith("3/7: ") for issue in issues)
 
@@ -782,20 +862,28 @@ class TestVerification:
         assert any(found.startswith(issue) for found in issues), issues
 
     @pytest.mark.parametrize(
-        "edit",
-        [lambda offs: offs[::-1], lambda offs: offs + offs[-1:],
-         lambda offs: ((1, 0),) + offs],
+        ("edit", "error"),
+        [
+            (lambda offs: offs[::-1],
+             "offsets '12:-2,10:-2,7:-1,5:-1' are not in strictly ascending j"),
+            (lambda offs: offs + offs[-1:],
+             "offsets '5:-1,7:-1,10:-2,12:-2,12:-2' are not in strictly ascending j"),
+            (lambda offs: ((1, 0),) + offs,
+             "malformed value '1:0' in node field 'offsets=1:0,5:-1,7:-1,10:-2,12:-2'"),
+        ],
         ids=["reordered", "repeated", "zero"],
     )
-    def test_non_canonical_offsets_object_is_an_issue(self, edit):
-        # The reader refuses these spellings, so only a certificate built in
-        # code carries them; the verifier must still name the point.
+    def test_non_canonical_offsets_object_is_an_issue(self, edit, error):
+        # A certificate is its text, and the reader refuses these spellings,
+        # so no certificate carries them: written as the node line of 2/5,
+        # each is named with its line and token.
         cert = proof_replay(INEQ2, 12, low_slope_floor=14)
         node = by_point(cert)[2, 5]
         doctored = node._replace(offsets=edit(node.offsets))
         nodes = tuple(doctored if n is node else n for n in cert.nodes)
-        issues = verify_certificate(replace(cert, nodes=nodes)).issues
-        assert any(issue.startswith("2/5: offsets") for issue in issues), issues
+        line = 8 + nodes.index(doctored)
+        with pytest.raises(ValueError, match=f"^certificate line {line}: {re.escape(error)}"):
+            with_nodes(cert, nodes)
 
     # Single-token edits of a certificate file: a token is what lies between
     # spaces, ",", ":", "/", "=" and newlines, and it is replaced by a number,
@@ -825,8 +913,9 @@ class TestVerification:
 
     def test_streamed_check_holds_less_than_the_read_certificate(self, tmp_path):
         # Checked as it is read, a file costs the parent-row table and little
-        # else; read first, it costs every node as well.  Each traced call
-        # follows an untraced one, so the free lists are filled alike.
+        # else; read first, it costs the text and the attaining points as
+        # well.  Each traced call follows an untraced one, so the free lists
+        # are filled alike.
         path = tmp_path / "cert.txt"
         proof_replay(INEQ2, 300, low_slope_floor=14).write(path)
         peaks = []
