@@ -65,7 +65,7 @@ import gc
 import io
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -735,6 +735,29 @@ def _build_range(args) -> tuple[str, list[int], tuple[int, int, list[tuple[int, 
     return "".join(rows), ends, (least.num, least.den, least.attained)
 
 
+def _pool_getattr(module: str):
+    """A module ``__getattr__`` (PEP 562) that gives ``module`` its pool class.
+
+    ``concurrent.futures.ProcessPoolExecutor`` is imported when the
+    module's ``ProcessPoolExecutor`` is first read, not with the module:
+    it loads multiprocessing, socket, pickle, logging and more, which no
+    one-worker command uses.  A value assigned to the attribute shadows
+    this, and the next pool is made from whatever the attribute names then.
+    """
+
+    def __getattr__(name: str):
+        if name != "ProcessPoolExecutor":
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+
+    return __getattr__
+
+
+__getattr__ = _pool_getattr(__name__)
+
+
 def proof_replay(
     func: Functional,
     r_max: int,
@@ -763,7 +786,7 @@ def proof_replay(
     if workers == 1:
         text, least = _merge(intervals, map(_build_range, tasks), r_max)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             text, least = _merge(intervals, pool.map(_build_range, tasks), r_max)
     return Certificate(func, r_max, low_slope_floor, text, least)
 

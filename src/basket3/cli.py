@@ -18,14 +18,13 @@ import signal
 import sys
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import groupby, islice
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .baskets import Basket
-from .certificates import proof_replay, verify_certificate
+from .certificates import _pool_getattr, proof_replay, verify_certificate
 from .enumeration import (
     Candidate,
     EnumConstraints,
@@ -48,6 +47,8 @@ from .riemann_roch import ThreefoldInvariants, k3_from_p2, plurigenus
 __all__ = ["entry", "main"]
 
 PASS, VIOLATION, INVALID, IO_FAILURE = 0, 1, 2, 3
+
+__getattr__ = _pool_getattr(__name__)
 
 _REQUIRED = object()
 
@@ -313,7 +314,7 @@ def _pooled_lines(
     """
     baskets = enumerate_baskets(constraints)
     chunks = iter(lambda: list(islice(baskets, _CHUNK_BASKETS)), [])
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
     try:
         pending = deque()
         for chunk in chunks:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from basket3 import cli
+from basket3 import certificates, cli
 from basket3.baskets import Basket
 from basket3.cli import main
 from basket3.enumeration import Candidate, EnumConstraints, enumerate_candidates
@@ -928,6 +928,82 @@ class TestEnumerateJobs:
                 tracemalloc.stop()
                 gc.enable()
         assert abs(peaks[1] - peaks[0]) <= 16 * 1024
+
+
+# Run in a fresh interpreter with src first on sys.path and two CPUs: each
+# command, then the pool modules loaded after it, as one JSON line.
+START_UP = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+os.cpu_count = lambda: 2
+import basket3, basket3.cli
+work = sys.argv[2]
+for argv in map(json.loads, sys.argv[3:]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = basket3.cli.main([arg.format(work=work) for arg in argv])
+    loaded = sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing")))
+    print(json.dumps([code, out.getvalue(), loaded]))
+"""
+
+
+class TestPoolImport:
+    """The worker-pool stack is imported by the first pool, not with the CLI."""
+
+    def test_one_worker_commands_never_load_it(self, tmp_path):
+        constraints = write_json(tmp_path, "c.json", SWEEP)
+        replay = ["replay", "--which", "2", "--r-max", "40", "--out"]
+        steps = [
+            replay + ["{work}/jobs1.txt", "--jobs", "1"],
+            ["verify", "{work}/jobs1.txt"],
+            ["enumerate", constraints],
+            ["ineq", "--which", "3", "--basket", "[[2,5]]"],
+            ["constants", "120"],
+            replay + ["{work}/jobs2.txt", "--jobs", "2"],
+            ["enumerate", constraints, "--jobs", "2"],
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", START_UP, str(src), str(tmp_path)]
+            + [json.dumps(argv) for argv in steps],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        results = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [code for code, _, _ in results] == [0] * len(steps)
+        assert [loaded for _, _, loaded in results[:5]] == [[]] * 5
+        for _, _, loaded in results[5:]:
+            assert {"concurrent.futures.process", "multiprocessing"} <= set(loaded)
+        assert (tmp_path / "jobs1.txt").read_bytes() == (tmp_path / "jobs2.txt").read_bytes()
+        assert results[0][1] == results[5][1]
+        assert results[2][1] == results[6][1]
+        assert hashlib.sha256(results[6][1].encode()).hexdigest().startswith(SWEEP_SHA256)
+
+    @pytest.mark.parametrize("module", [certificates, cli])
+    def test_the_attribute_is_the_pool_class(self, module):
+        from concurrent.futures import ProcessPoolExecutor
+
+        assert module.ProcessPoolExecutor is ProcessPoolExecutor
+        message = f"module '{module.__name__}' has no attribute 'nope'"
+        with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+            module.nope
+
+    @pytest.mark.parametrize("module", [certificates, cli])
+    def test_the_next_pool_is_what_the_attribute_names(self, module, tmp_path, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def pool(max_workers):
+            raise Started(max_workers)
+
+        monkeypatch.setattr(module, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = {
+            certificates: ["replay", "--which", "2", "--r-max", "40",
+                           "--out", str(tmp_path / "cert.txt"), "--jobs", "2"],
+            cli: ["enumerate", write_json(tmp_path, "c.json", SWEEP), "--jobs", "2"],
+        }[module]
+        with pytest.raises(Started) as exc:
+            main(argv)
+        assert exc.value.args == (2,)
 
 
 @pytest.mark.parametrize("command", ["replay-1", "replay-2", "verify", "enumerate"])
