@@ -66,7 +66,7 @@ import io
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -225,8 +225,9 @@ class Certificate:
     """A full sweep up to r_max for one functional and target rule.
 
     ``text`` is the node lines in ASCII, in canonical (r, b) order, and
-    ``least_slack`` the least recorded slack of those nodes with the points
-    attaining it, as ``proof_replay`` or the reader found them.
+    ``least_slack`` the least recorded slack of those nodes with the (b, r)
+    points attaining it (None and no points without nodes), as
+    ``proof_replay`` or the reader found them.
     """
 
     functional: Functional
@@ -246,10 +247,6 @@ class Certificate:
         lines = self.text.decode("ascii").splitlines()
         with _collector_paused():
             return tuple(_read_nodes(lines, self.node_count))
-
-    def slack_summary(self) -> _SlackSummary:
-        """The least slack and the (b, r) points attaining it (None without nodes)."""
-        return self.least_slack
 
     def _header(self) -> bytes:
         """The header lines and the blank line after them, in ASCII."""
@@ -735,27 +732,47 @@ def _build_range(args) -> tuple[str, list[int], tuple[int, int, list[tuple[int, 
     return "".join(rows), ends, (least.num, least.den, least.attained)
 
 
-def _pool_getattr(module: str):
-    """A module ``__getattr__`` (PEP 562) that gives ``module`` its pool class.
+def __getattr__(name: str):
+    """The module's ``ProcessPoolExecutor``, imported when it is first read.
 
-    ``concurrent.futures.ProcessPoolExecutor`` is imported when the
-    module's ``ProcessPoolExecutor`` is first read, not with the module:
-    it loads multiprocessing, socket, pickle, logging and more, which no
-    one-worker command uses.  A value assigned to the attribute shadows
-    this, and the next pool is made from whatever the attribute names then.
+    ``concurrent.futures`` loads multiprocessing, socket, pickle, logging
+    and more, which no one-worker command uses, so the package does not
+    import it (PEP 562).  A value assigned to the attribute shadows this,
+    and the next pool is made from whatever the attribute names then.
     """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
 
-    def __getattr__(name: str):
-        if name != "ProcessPoolExecutor":
-            raise AttributeError(f"module {module!r} has no attribute {name!r}")
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-
-    return __getattr__
+    return ProcessPoolExecutor
 
 
-__getattr__ = _pool_getattr(__name__)
+def ordered_map(fn, tasks: Iterable, workers: int, per_worker: int) -> Iterator:
+    """``map(fn, tasks)``, run by ``workers`` processes unless that is one.
+
+    One worker is the builtin ``map``, in this process.  Otherwise the
+    tasks are taken in windows of ``workers * per_worker``, each one
+    ``pool.map`` call on a pool made from this module's
+    ``ProcessPoolExecutor``, and each window is submitted before the one
+    ahead of it is yielded, so at most two are in flight.  Results come in
+    task order.  However the generator ends, the pool is shut down with
+    its queued tasks cancelled.
+    """
+    if workers == 1:
+        yield from map(fn, tasks)
+        return
+    tasks = iter(tasks)
+    windows = iter(lambda: list(islice(tasks, workers * per_worker)), [])
+    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
+    try:
+        results = ()
+        for window in windows:
+            submitted = pool.map(fn, window)
+            yield from results
+            results = submitted
+        yield from results
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def proof_replay(
@@ -773,9 +790,9 @@ def proof_replay(
     task needs a parent that another task builds.  Each task walks its
     interval's mediant tree row by row and returns its node text in (r, b)
     order, with the text's row ends and its least slack.  No more workers
-    start than there are tasks, and one worker runs the same tasks in this
-    process, with no pool; either way ``_merge`` takes each result as it
-    comes.
+    start than there are tasks.  ``ordered_map`` runs the tasks, in this
+    process with no pool at one worker, and ``_merge`` takes each result
+    as it comes.
     """
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
@@ -783,11 +800,9 @@ def proof_replay(
     intervals = _intervals(r_max, workers * 8)
     workers = min(workers, len(intervals))
     tasks = [(func.coeffs, low_slope_floor, r_max, lo, hi) for lo, hi in intervals]
-    if workers == 1:
-        text, least = _merge(intervals, map(_build_range, tasks), r_max)
-    else:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            text, least = _merge(intervals, pool.map(_build_range, tasks), r_max)
+    # A window of 8 tasks per worker holds every task: one map call.
+    with closing(ordered_map(_build_range, tasks, workers, 8)) as parts:
+        text, least = _merge(intervals, parts, r_max)
     return Certificate(func, r_max, low_slope_floor, text, least)
 
 

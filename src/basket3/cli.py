@@ -17,14 +17,13 @@ import os
 import signal
 import sys
 import threading
-from collections import deque
 from fractions import Fraction
 from itertools import groupby, islice
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .baskets import Basket
-from .certificates import _pool_getattr, proof_replay, verify_certificate
+from .certificates import ordered_map, proof_replay, verify_certificate
 from .enumeration import (
     Candidate,
     EnumConstraints,
@@ -47,8 +46,6 @@ from .riemann_roch import ThreefoldInvariants, k3_from_p2, plurigenus
 __all__ = ["entry", "main"]
 
 PASS, VIOLATION, INVALID, IO_FAILURE = 0, 1, 2, 3
-
-__getattr__ = _pool_getattr(__name__)
 
 _REQUIRED = object()
 
@@ -204,7 +201,7 @@ def cmd_replay(args) -> int:
         ineq.functional, args.r_max, low_slope_floor=ineq.floor, jobs=args.jobs
     )
     cert.write(args.out)
-    min_slack, attained = cert.slack_summary()
+    min_slack, attained = cert.least_slack
     _emit(
         {
             "which": args.which,
@@ -303,30 +300,6 @@ def _chunk_lines(task: tuple[EnumConstraints, list[Basket]]) -> tuple[str, bool]
     return "".join(text for text, _ in parts), all(ok for _, ok in parts)
 
 
-def _pooled_lines(
-    constraints: EnumConstraints, workers: int
-) -> Iterator[tuple[str, bool]]:
-    """``_chunk_lines`` of ordered basket chunks, run by ``workers`` processes.
-
-    At most ``_CHUNKS_PER_WORKER`` tasks per worker are in flight, and the
-    results come back in basket order.  The pool is shut down, with its
-    queued tasks cancelled, before this generator ends, however it ends.
-    """
-    baskets = enumerate_baskets(constraints)
-    chunks = iter(lambda: list(islice(baskets, _CHUNK_BASKETS)), [])
-    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
-    try:
-        pending = deque()
-        for chunk in chunks:
-            pending.append(pool.submit(_chunk_lines, (constraints, chunk)))
-            if len(pending) == workers * _CHUNKS_PER_WORKER:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 @contextlib.contextmanager
 def _broken_pipe_after_workers():
     """Let a closed stdout end this process only once its workers are gone.
@@ -358,9 +331,9 @@ def cmd_enumerate(args) -> int:
     """Write the candidate stream, one JSON line per candidate.
 
     The stream is the same for every ``--jobs``.  At most min(jobs, CPUs)
-    workers run ``_basket_lines`` over ordered chunks of whole baskets;
-    one worker runs it in this process, with no pool, over the candidates
-    of ``enumerate_candidates`` grouped by basket.
+    workers run ``_basket_lines`` over ordered chunks of whole baskets,
+    through ``ordered_map``; one worker runs it in this process, with no
+    pool, over the candidates of ``enumerate_candidates`` grouped by basket.
     """
     constraints = _constraints_from_json(_read_json(args.constraints))
     workers = min(args.jobs, os.cpu_count() or 1)
@@ -368,8 +341,12 @@ def cmd_enumerate(args) -> int:
         # Every chi of a basket comes with the same Basket object.
         groups = groupby(enumerate_candidates(constraints), attrgetter("basket"))
         return _write_stream(_basket_lines(basket, cands) for basket, cands in groups)
+    baskets = enumerate_baskets(constraints)
+    chunks = iter(lambda: list(islice(baskets, _CHUNK_BASKETS)), [])
+    tasks = ((constraints, chunk) for chunk in chunks)
+    # ordered_map keeps at most two windows in flight, so each holds half.
     with _broken_pipe_after_workers(), contextlib.closing(
-        _pooled_lines(constraints, workers)
+        ordered_map(_chunk_lines, tasks, workers, _CHUNKS_PER_WORKER // 2)
     ) as parts:
         return _write_stream(parts)
 

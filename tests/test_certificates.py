@@ -95,7 +95,7 @@ class TestReplay:
 
     def test_ineq1_equality_set(self):
         cert = proof_replay(INEQ1, 12)
-        least, points = cert.slack_summary()
+        least, points = cert.least_slack
         assert least == 0
         attained = set(points)
         assert attained == INEQ1_EQUALITY_R12
@@ -106,7 +106,7 @@ class TestReplay:
             cert = proof_replay(func, 30)
             least = min(slack(n) for n in cert.nodes)
             attaining = tuple((n.b, n.r) for n in cert.nodes if slack(n) == least)
-            assert cert.slack_summary() == (least, attaining)
+            assert cert.least_slack == (least, attaining)
 
     def test_node_counts_cover_all_slopes(self):
         cert = proof_replay(INEQ1, 30)
@@ -217,31 +217,6 @@ def test_tasks_walk_their_interval_by_rows(r_max, count):
             assert text[start:end] == "".join(map(certificates._node_line, rows.get(r, [])))
 
 
-@pytest.fixture
-def pool_log(monkeypatch):
-    """A stand-in worker pool: it logs its sizes and tasks and runs the
-    tasks in this process."""
-    log = {"sizes": [], "tasks": []}
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            log["sizes"].append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            tasks = list(iterable)
-            log["tasks"] += tasks
-            return map(fn, tasks)
-
-    monkeypatch.setattr(certificates, "ProcessPoolExecutor", InProcessPool)
-    return log
-
-
 def test_interval_tasks_compute_no_parent_twice(pool_log, monkeypatch):
     # Every --jobs builds through the same interval tasks: one worker runs
     # them in this process, with no pool.  A task computes the vector of
@@ -272,6 +247,10 @@ def test_interval_tasks_compute_no_parent_twice(pool_log, monkeypatch):
         assert tasks == 8 * jobs and builds == tasks
         assert pool_log["sizes"] == sizes
         assert len(pool_log["tasks"]) == (tasks if sizes else 0)
+        # One map call takes every task, in slope order.
+        cuts = certificates._intervals(400, tasks)
+        every = [(INEQ2.coeffs, 14, 400, lo, hi) for lo, hi in cuts]
+        assert pool_log["maps"] == ([every] if sizes else [])
         assert calls <= len(cert.nodes) + 2 * tasks
         assert hashlib.sha256(cert.to_text().encode()).hexdigest() == FULL_SIZE_SHA256
 
@@ -386,7 +365,7 @@ def test_merged_summary_is_the_least_slack_of_the_nodes(
     cert = proof_replay(func, r_max, low_slope_floor=floor, jobs=jobs)
     least = min(slack(n) for n in cert.nodes)
     attaining = tuple((n.b, n.r) for n in cert.nodes if slack(n) == least)
-    assert cert.slack_summary() == (least, attaining)
+    assert cert.least_slack == (least, attaining)
     path = tmp_path / "cert.txt"
     cert.write(path)
     report = verify_certificate(path)
@@ -412,7 +391,7 @@ def test_replay_makes_no_node(jobs, pool_log, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(certificates, "_new_node", no_node)
     cert = proof_replay(INEQ2, 60, low_slope_floor=14, jobs=jobs)
     cert.write(tmp_path / "cert.txt")
-    least, attained = cert.slack_summary()
+    least, attained = cert.least_slack
     args = ["replay", "--which", "2", "--r-max", "60", "--jobs", str(jobs)]
     assert main([*args, "--out", str(tmp_path / "cli.txt")]) == 0
     printed = json.loads(capsys.readouterr().out)
@@ -527,7 +506,7 @@ class TestSerialization:
         args = ["replay", "--which", "2", "--r-max", "12", "--jobs", "10000"]
         assert main([*args, "--out", str(path)]) == 0
         if workers == 1:
-            assert pool_log == {"sizes": [], "tasks": []}
+            assert pool_log["sizes"] == pool_log["tasks"] == []
         else:
             assert pool_log["sizes"] == [workers]
             assert len(pool_log["tasks"]) == 11
@@ -545,6 +524,8 @@ class TestSerialization:
         # The widest task, (2/5, 1/2], is sent first and fails at its first split.
         with pytest.raises(ArithmeticError, match="for split 3/7 -> 1/2, 2/5$"):
             proof_replay(INEQ2, 12, low_slope_floor=14, jobs=2)
+        # The pool is shut down before the error leaves the replay.
+        assert not multiprocessing.active_children()
 
     # A certificate that the reader takes must be the bytes that it writes.
     # Random edits with the characters a certificate is made of: most are

@@ -12,7 +12,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
 from math import gcd
 from pathlib import Path
@@ -775,42 +774,32 @@ class TestEnumerateJobs:
         assert all(stream == streams[0] for stream in streams)
         assert not multiprocessing.active_children()
 
-    def test_pool_takes_whole_baskets_in_order(self, tmp_path, capsys, monkeypatch):
-        # A stand-in pool runs the tasks in this process and logs them.
-        log = {"sizes": [], "tasks": []}
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                log["sizes"].append(max_workers)
-
-            def submit(self, fn, task):
-                log["tasks"].append(task)
-                future = Future()
-                future.set_result(fn(task))
-                return future
-
-            def shutdown(self, cancel_futures):
-                pass
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_takes_whole_baskets_in_order(
+        self, tmp_path, capsys, monkeypatch, pool_log
+    ):
+        # The stand-in pool runs the tasks in this process and logs them.
         constraints = write_json(tmp_path, "c.json", SWEEP)
         expected = self.stream(capsys, constraints, 1)
         for cpus, jobs, sizes in ((2, 2, [2]), (2, 64, [2]), (1, 64, []), (3, 2, [2])):
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-            log["sizes"], log["tasks"] = [], []
+            pool_log.update(sizes=[], tasks=[], maps=[], shutdowns=[], in_flight=0)
             assert self.stream(capsys, constraints, jobs) == expected
-            assert log["sizes"] == sizes
+            assert pool_log["sizes"] == sizes
             if sizes:
-                chunks = [baskets for _, baskets in log["tasks"]]
+                chunks = [baskets for _, baskets in pool_log["tasks"]]
                 assert {len(chunk) for chunk in chunks[:-1]} == {cli._CHUNK_BASKETS}
                 baskets = list(cli.enumerate_baskets(cli._constraints_from_json(SWEEP)))
                 assert [b for chunk in chunks for b in chunk] == baskets
+                # No more chunks are submitted and not yet yielded than
+                # _CHUNKS_PER_WORKER per worker, and the pool is shut down once.
+                assert pool_log["in_flight"] == sizes[0] * cli._CHUNKS_PER_WORKER
+                assert pool_log["shutdowns"] == [True]
 
     def test_one_worker_starts_no_pool(self, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("one worker runs in this process")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(certificates, "ProcessPoolExecutor", no_pool)
         constraints = write_json(tmp_path, "c.json", SWEEP)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
         for jobs in (1, 2, 64):
@@ -869,6 +858,36 @@ class TestEnumerateJobs:
             # The pool is shut down before the error leaves the command.
             assert not multiprocessing.active_children()
         assert texts[0] == texts[1] == f"forced at {target.pairs()} chi -8"
+
+    @pytest.mark.parametrize("end", ["closed-pipe", "raising-check"])
+    def test_an_early_end_shuts_the_pool_down_once(
+        self, tmp_path, capsys, monkeypatch, pool_log, end
+    ):
+        # A writer that meets a closed pipe, or a form check that raises in
+        # a late chunk, ends the stream before its last chunk is submitted;
+        # either way the pool is shut down once, its queued tasks cancelled.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise BrokenPipeError("closed")
+                return super().write(text)
+
+        def fail(inv, report):
+            raise ArithmeticError("forced")
+
+        constraints = write_json(tmp_path, "c.json", SWEEP)
+        argv = ["enumerate", constraints, "--jobs", "2"]
+        if end == "closed-pipe":
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(argv) == cli.IO_FAILURE
+        else:
+            self.patch_one_basket(monkeypatch, fail)
+            with pytest.raises(ArithmeticError, match="^forced$"):
+                main(argv)
+        chunks = len(list(cli.enumerate_baskets(cli._constraints_from_json(SWEEP))))
+        assert len(pool_log["tasks"]) < chunks / cli._CHUNK_BASKETS
+        assert pool_log["sizes"] == [2] and pool_log["shutdowns"] == [True]
 
     def test_closed_pipe_stops_the_workers(self, tmp_path):
         # As test_closed_pipe_ends_quietly, with two workers: the process
@@ -977,30 +996,30 @@ class TestPoolImport:
         assert results[2][1] == results[6][1]
         assert hashlib.sha256(results[6][1].encode()).hexdigest().startswith(SWEEP_SHA256)
 
-    @pytest.mark.parametrize("module", [certificates, cli])
-    def test_the_attribute_is_the_pool_class(self, module):
+    def test_the_attribute_is_the_pool_class(self):
         from concurrent.futures import ProcessPoolExecutor
 
-        assert module.ProcessPoolExecutor is ProcessPoolExecutor
-        message = f"module '{module.__name__}' has no attribute 'nope'"
+        assert certificates.ProcessPoolExecutor is ProcessPoolExecutor
+        message = "module 'basket3.certificates' has no attribute 'nope'"
         with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
-            module.nope
+            certificates.nope
 
-    @pytest.mark.parametrize("module", [certificates, cli])
-    def test_the_next_pool_is_what_the_attribute_names(self, module, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["replay", "enumerate"])
+    def test_the_next_pool_is_what_the_attribute_names(self, command, tmp_path, monkeypatch):
+        # Both commands make their pool from certificates.ProcessPoolExecutor.
         class Started(Exception):
             pass
 
         def pool(max_workers):
             raise Started(max_workers)
 
-        monkeypatch.setattr(module, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(certificates, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = {
-            certificates: ["replay", "--which", "2", "--r-max", "40",
-                           "--out", str(tmp_path / "cert.txt"), "--jobs", "2"],
-            cli: ["enumerate", write_json(tmp_path, "c.json", SWEEP), "--jobs", "2"],
-        }[module]
+            "replay": ["replay", "--which", "2", "--r-max", "40",
+                       "--out", str(tmp_path / "cert.txt"), "--jobs", "2"],
+            "enumerate": ["enumerate", write_json(tmp_path, "c.json", SWEEP), "--jobs", "2"],
+        }[command]
         with pytest.raises(Started) as exc:
             main(argv)
         assert exc.value.args == (2,)
