@@ -35,6 +35,8 @@ from .enumeration import (
 )
 from .functionals import (
     INEQUALITIES,
+    _basket_half,
+    _row_report,
     check_lemmas_exhaustive,
     verify_plurigenus_form,
     xi_bar,
@@ -268,28 +270,27 @@ def _basket_lines(basket: Basket, cands: Iterable[Candidate]) -> tuple[str, bool
     """One basket's ``enumerate`` lines, and whether both forms held on each.
 
     The one body of ``enumerate`` for every ``--jobs``: ``cands`` are the
-    basket's candidates, in stream order.  The line up to the chi value is
-    built once.  Both form checks run on the candidate itself, which
-    carries the basket, chi and K^3 they read, against the P_m row its
-    line prints.
+    basket's candidates, in stream order.  The line up to the chi value,
+    and each form's basket half (``_basket_half``), are taken once per
+    basket, at its first candidate.  Then both forms are checked on every
+    candidate, whatever the first one says, each by ``_row_report``
+    against the P_m row its line prints, in integers.
     """
     head = '{"basket": ' + json.dumps(basket.pairs()) + ', "chi": '
     lines, ok = [], True
     for cand in cands:
-        pm = cand.pm
-        ok = (
-            verify_plurigenus_form(cand, 1, strict=False, pm=pm).ok
-            and verify_plurigenus_form(cand, 2, strict=False, pm=pm).ok
-            and ok
-        )
+        if not lines:
+            half1, half2 = _basket_half(basket, 1), _basket_half(basket, 2)
+        pm, chi, k3 = cand.pm, cand.chi, cand.k3
+        # & rather than and: form 2 is checked even where form 1 fails.
+        ok &= _row_report(half1, pm, chi, k3).ok & _row_report(half2, pm, chi, k3).ok
         # The keys are written in sorted order, basket < chi < k3 < pm, with
         # json's default separators, so the line equals
         # json.dumps(record, sort_keys=True), as _emit writes it; a list of
-        # ints prints as json writes it.
-        lines.append(
-            f'{head}{cand.chi}, "k3": "{format_fraction(cand.k3)}",'
-            f' "pm": {list(pm)}}}\n'
-        )
+        # ints prints as json writes it, and K^3 as format_fraction does.
+        num, den = k3.numerator, k3.denominator
+        k3_text = f"{num}/{den}" if den != 1 else f"{num}"
+        lines.append(f'{head}{chi}, "k3": "{k3_text}", "pm": {list(pm)}}}\n')
     return "".join(lines), ok
 
 

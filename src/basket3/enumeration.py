@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from operator import add, floordiv, sub
 from typing import Iterator
 
 from .baskets import Basket, OrbifoldPoint, low_slope, scaled_l_table
@@ -192,6 +194,18 @@ def _plurigenera(
     return [value // w for value in row]
 
 
+@lru_cache(maxsize=8)
+def _grid_rows(m_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(2m - 1) and n_m = m(m - 1)(2m - 1)/6 for m = 2 .. m_max.
+
+    P_m moves by -(2m - 1) per unit of chi and by n_m per step of the
+    K^3 grid; both rows depend on m_max alone.
+    """
+    ms = range(2, m_max + 1)
+    odd = tuple(2 * m - 1 for m in ms)
+    return odd, tuple(m * (m - 1) * o // 6 for m, o in zip(ms, odd))
+
+
 def attach_invariants(
     basket: Basket, constraints: EnumConstraints
 ) -> Iterator[Candidate]:
@@ -208,7 +222,7 @@ def attach_invariants(
     policy = constraints.k3_policy
     m_max, nonneg = constraints.m_max, constraints.require_nonneg_pm
     ms = range(2, m_max + 1)
-    odd = [2 * m - 1 for m in ms]
+    odd, step = _grid_rows(m_max)
     chis = range(constraints.chi_min, constraints.chi_max + 1)
     ells = scaled_l_table(basket, m_max)
     if isinstance(policy, ExplicitK3):
@@ -216,8 +230,12 @@ def attach_invariants(
         base = _plurigenera(ells, k3, ms) if k3 > 0 else None
         if base is None:
             return
+        # Each chi moves every P_m by -(2m - 1), from the row at chi_min - 1.
+        # A row is made as a list, then a tuple: tuple() of a map guesses
+        # its length and reallocates.
+        table = [p - o * (chis.start - 1) for p, o in zip(base, odd)]
         for chi in chis:
-            table = tuple([p - o * chi for p, o in zip(base, odd)])
+            table = tuple(list(map(sub, table, odd)))
             if not (nonneg and min(table) < 0):
                 yield Candidate(basket, chi, k3, table, m_max)
         return
@@ -232,19 +250,21 @@ def attach_invariants(
     base = _plurigenera(ells, Fraction(rem, denominator), ms)
     if base is None:
         return
-    step = [m * (m - 1) * (2 * m - 1) // 6 for m in ms]
     t_first = 0 if rem else 1  # the search starts at k = 1
+    # row: P_m at k = rem, base_m - (2m - 1) chi, moved by -(2m - 1) per chi.
+    row, last_t = [p - o * (chis.start - 1) for p, o in zip(base, odd)], None
     for chi in chis:
+        row = tuple(list(map(sub, row, odd)))
         t = t_first
         if nonneg and chi > 0:
-            # P_m >= 0 from t >= ((2m - 1) chi - base_m) / step_m; for
-            # chi <= 0 it holds at every k >= 1, since l(m) >= 0.
-            bounds = [-((p - o * chi) // s) for p, o, s in zip(base, odd, step)]
-            t = max(t, max(bounds))
-        table = tuple([p + t * s - o * chi for p, o, s in zip(base, odd, step)])
-        yield Candidate(
-            basket, chi, Fraction(rem + mod * t, denominator), table, m_max
-        )
+            # P_m >= 0 from t >= -row_m / step_m; for chi <= 0 it holds at
+            # every k >= 1, since l(m) >= 0.
+            t = max(t, -min(map(floordiv, row, step)))
+        if t != last_t:  # candidates with the same t share K^3 and shift
+            k3, shift = Fraction(rem + mod * t, denominator), [t * s for s in step]
+            last_t = t
+        table = tuple(list(map(add, row, shift))) if t else row
+        yield Candidate(basket, chi, k3, table, m_max)
 
 
 def enumerate_candidates(constraints: EnumConstraints) -> Iterator[Candidate]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .baskets import Basket, delta_row, low_slope, scaled_l_table, sigma12
 from .rationals import slopes, split_slope
@@ -319,22 +319,36 @@ class PlurigenusFormReport:
         return self.ok
 
 
+# Per form: its largest m, its a_m, a getter of its P_m from a row
+# (P_2, ..., P_M) that covers the form, and [int] * (number of a_m): the
+# types of an all-int read.
+_ROW_FORMS = {
+    which: (
+        ineq.p_coeffs[-1][0],
+        tuple(a for _, a in ineq.p_coeffs),
+        itemgetter(*(m - 2 for m, _ in ineq.p_coeffs)),
+        [int] * len(ineq.p_coeffs),
+    )
+    for which, ineq in INEQUALITIES.items()
+}
+
+
 @lru_cache(maxsize=4)
 def _basket_half(
     basket: Basket, which: int
-) -> tuple[int, tuple[int, ...], int, tuple[PlurigenusFormReport, ...]]:
+) -> tuple[Basket, int, int, tuple[int, ...], int, tuple[PlurigenusFormReport, ...]]:
     """Everything a form check needs of the basket alone, once per basket.
 
-    Returns (D, (D*l(0), ..., D*l(top)), D*l_form, reports) with
-    D = 2*lcm(r_i) and top the form's largest m, after checking the
+    Returns (basket, which, D, (D*l(0), ..., D*l(top)), D*l_form, reports)
+    with D = 2*lcm(r_i) and top the form's largest m, after checking the
     per-basket identity l_form == xi_bar (ArithmeticError otherwise; a
     raise is not memoized, so every call on that basket raises).  For one
     basket every (K^3, chi) has p_form = l_form, the same xi_form and the
     same target, so the form has only two possible reports;
     ``reports[integral]`` is the one with that ``integral`` flag.  The
-    memo is keyed by (basket, which) and bounded: the sweep checks both
-    forms on every chi of one basket before it moves on.  Every value is
-    immutable, so the callers share them.
+    memo is keyed by (basket, which) and bounded: a caller that checks
+    many rows of one basket takes the half once and passes it to
+    ``_row_report``.  Every value is immutable, so the callers share them.
     """
     ineq = INEQUALITIES[which]
     den, ells = scaled_l_table(basket, ineq.p_coeffs[-1][0])
@@ -350,7 +364,58 @@ def _basket_half(
         PlurigenusFormReport(which, l_form, l_form, xi_form, target, integral)
         for integral in (False, True)
     )
-    return den, tuple(ells), l_num, reports
+    return basket, which, den, tuple(ells), l_num, reports
+
+
+def _row_report(
+    half: tuple, pm: tuple[int, ...], chi: int, k3: Fraction, strict: bool = False
+) -> PlurigenusFormReport:
+    """The form's report on one row, against a ``_basket_half`` of its basket.
+
+    ``pm = (P_2, ..., P_M)`` holds ints (an entry the form reads that is
+    not an int raises ValueError); the form's P_m above M come from a
+    ``chi_mk_row`` on (K^3, chi), over W = lcm(12 den(K^3), D).  When the
+    row covers the form, the P-form is one dot product of the form's a_m
+    with the row's entries and W = 1.  The computed P_m that are not
+    integers are listed (and raise InconsistentInvariantsError under
+    ``strict``); then the P-form must equal the l-form as scaled integers,
+    p_num * D == l_num * W, or ArithmeticError is raised.  The returned
+    report is the basket's shared one for that ``integral`` flag.
+    """
+    _, which, den, ells, l_num, reports = half
+    top, coeffs, read, ints = _ROW_FORMS[which]
+    ineq = INEQUALITIES[which]
+    if len(pm) + 1 >= top and list(map(type, given := read(pm))) == ints:
+        # The row covers the form and holds only ints (no bool or float).
+        w, bad = 1, ()
+        p_num = sum(map(mul, coeffs, given)) - ineq.chi_coeff * chi
+    else:
+        # given: the sum of a_m * P_m over the m <= M that pm holds.
+        given, computed, top = 0, [], len(pm) + 1
+        for m, a in ineq.p_coeffs:
+            if m > top:
+                computed.append((m, a))
+            elif type(p := pm[m - 2]) is int:  # no bool, float or Fraction
+                given += a * p
+            else:
+                raise ValueError(
+                    f"P_{m} in pm must be int, got {type(p).__name__} {p!r}"
+                )
+        ms = [m for m, _ in computed]
+        w, row = chi_mk_row(k3, chi, den, ells, ms) if ms else (1, ())
+        bad = [m for m, v in zip(ms, row) if v % w]
+        if strict and bad:
+            raise InconsistentInvariantsError(f"non-integral plurigenera at m = {bad}")
+        p_num = (given - ineq.chi_coeff * chi) * w + sum(
+            [a * v for (_, a), v in zip(computed, row)]
+        )
+    report = reports[not bad]
+    if p_num * den != l_num * w:
+        raise ArithmeticError(
+            f"form {which} evaluations disagree: "
+            f"{Fraction(p_num, w)}, {report.l_form}, {report.xi_form}"
+        )
+    return report
 
 
 def verify_plurigenus_form(
@@ -368,11 +433,11 @@ def verify_plurigenus_form(
     form's support raise InconsistentInvariantsError instead.  ``which``
     must be the int 1 or 2.
 
-    ``inv`` is read only through its fields ``basket`` (a Basket) and
-    ``chi`` (an int), and ``k3`` (an int or Fraction) when some P_m is
-    computed, so it may be a ThreefoldInvariants or anything else that
-    carries them, such as an enumeration ``Candidate``.  Those are not
-    type-checked here.
+    ``inv`` is read only through its fields ``basket`` (a Basket),
+    ``chi`` (an int) and ``k3`` (an int or Fraction, used only when some
+    P_m is computed), so it may be a ThreefoldInvariants or anything else
+    that carries them, such as an enumeration ``Candidate``.  Those are
+    not type-checked here.
 
     ``pm = (P_2, ..., P_M)`` is a row of ints the caller already holds,
     such as ``Candidate.pm``: the P-form reads each of its P_m with
@@ -382,41 +447,18 @@ def verify_plurigenus_form(
     computed; when the row covers the form, no ``chi_mk_row`` is made.
 
     The work is split by what it depends on.  Per basket, in
-    ``_basket_half``: the scaled l table, the l-form, xi_bar, the target,
-    the l-form = xi_bar identity and the form's two possible reports.  Per
-    call: the computed P_m (over W = lcm(12 den(K^3), D), or W = 1 when
-    none is), their integrality list (and the strict raise), and the
-    P-form = l-form identity as scaled integers, p_num * D == l_num * W,
-    so every candidate is checked against its own row.  The returned
-    report is the basket's shared, immutable one.
+    ``_basket_half`` (memoized): the scaled l table, the l-form, xi_bar,
+    the target, the l-form = xi_bar identity and the form's two possible
+    reports.  Per row, in ``_row_report``: the computed P_m, their
+    integrality (and the strict raise), and the P-form = l-form identity
+    in integers, so every row is checked on its own.  A caller that checks
+    many rows of one basket, as ``enumerate`` does, takes the half once
+    and calls ``_row_report`` per row.  The returned report is the
+    basket's shared, immutable one.
     """
     if type(which) is not int or which not in INEQUALITIES:
         raise ValueError(
             f"form must be the int 1 or 2, got {type(which).__name__} {which!r}"
         )
-    ineq = INEQUALITIES[which]
-    den, ells, l_num, reports = _basket_half(inv.basket, which)
-    # given: the sum of a_m * P_m over the m <= M that pm holds.
-    given, computed, top = 0, [], len(pm) + 1
-    for m, a in ineq.p_coeffs:
-        if m > top:
-            computed.append((m, a))
-        elif type(p := pm[m - 2]) is int:  # no bool, float or Fraction
-            given += a * p
-        else:
-            raise ValueError(f"P_{m} in pm must be int, got {type(p).__name__} {p!r}")
-    ms = [m for m, _ in computed]
-    w, row = chi_mk_row(inv.k3, inv.chi, den, ells, ms) if ms else (1, ())
-    bad = [m for m, v in zip(ms, row) if v % w]
-    if strict and bad:
-        raise InconsistentInvariantsError(f"non-integral plurigenera at m = {bad}")
-    p_num = (given - ineq.chi_coeff * inv.chi) * w + sum(
-        [a * v for (_, a), v in zip(computed, row)]
-    )
-    report = reports[not bad]
-    if p_num * den != l_num * w:
-        raise ArithmeticError(
-            f"form {which} evaluations disagree: "
-            f"{Fraction(p_num, w)}, {report.l_form}, {report.xi_form}"
-        )
-    return report
+    half = _basket_half(inv.basket, which)
+    return _row_report(half, pm, inv.chi, inv.k3, strict)

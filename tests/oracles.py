@@ -1,12 +1,14 @@
 """Independent oracles and random data generators for the tests.
 
 The counting and enumeration logic here deliberately avoids the library
-code paths it is used to check.  ``verify_both_ways`` is the exception: it
-holds the library's two ways of verifying a file to each other.
+code paths it is used to check.  ``verify_both_ways`` and
+``basket_lines_by_candidate`` are the exceptions: each holds one of the
+library's ways of doing a thing to another.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -22,7 +24,8 @@ from basket3.enumeration import (
     NoCandidatesError,
     enumerate_candidates,
 )
-from basket3.rationals import slopes
+from basket3.functionals import verify_plurigenus_form
+from basket3.rationals import format_fraction, slopes
 from basket3.riemann_roch import ThreefoldInvariants, plurigenus
 
 X10_WEIGHTS = (1, 1, 1, 1, 5)
@@ -264,6 +267,25 @@ def verify_both_ways(path) -> object:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
+
+
+def basket_lines_by_candidate(basket: Basket, cands) -> tuple[str, bool]:
+    """``cli._basket_lines`` from one ``verify_plurigenus_form`` per candidate and form.
+
+    Each candidate is checked on forms 1 and 2, in that order, against its
+    own row, and its line is the sorted ``json.dumps`` of its record with
+    ``K^3`` written by ``format_fraction``.  Returns the lines and whether
+    every check held; an error of a check is raised as it is.
+    """
+    lines, ok = [], True
+    for cand in cands:
+        for which in (1, 2):
+            report = verify_plurigenus_form(cand, which, strict=False, pm=cand.pm)
+            ok = report.ok and ok
+        record = {"basket": basket.pairs(), "chi": cand.chi,
+                  "k3": format_fraction(cand.k3), "pm": list(cand.pm)}
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines), ok
 
 
 def with_nodes(cert: Certificate, nodes) -> Certificate:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -24,10 +25,18 @@ from hypothesis import strategies as st
 from basket3 import certificates, cli
 from basket3.baskets import Basket
 from basket3.cli import main
-from basket3.enumeration import Candidate, EnumConstraints, enumerate_candidates
+from basket3.enumeration import (
+    Candidate,
+    EnumConstraints,
+    ExplicitK3,
+    MinimalK3Search,
+    attach_invariants,
+    enumerate_baskets,
+    enumerate_candidates,
+)
 from basket3.rationals import format_fraction
 from basket3.riemann_roch import ThreefoldInvariants, k3_from_p2, plurigenus
-from oracles import hypersurface_h0, verify_both_ways
+from oracles import basket_lines_by_candidate, hypersurface_h0, verify_both_ways
 
 X10_DOC = {"chi": -3, "k3": "2", "basket": []}
 # The line of 2/5 in the INEQ2 certificate at r_max 12, its 12th line.
@@ -816,16 +825,20 @@ class TestEnumerateJobs:
         assert capsys.readouterr().out == ""
 
     def patch_one_basket(self, monkeypatch, change):
-        """Route the form checks of one basket, in a late chunk, through ``change``."""
+        """Route the row checks of one basket, in a late chunk, through ``change``.
+
+        ``change(basket, chi, report)`` sees each report of that basket; the
+        basket is the first entry of the basket half the check is given.
+        """
         baskets = list(cli.enumerate_baskets(cli._constraints_from_json(SWEEP)))
         target = baskets[3 * cli._CHUNK_BASKETS + 5]
-        verify = cli.verify_plurigenus_form
+        check = cli._row_report
 
-        def patched(inv, which, **kwargs):
-            report = verify(inv, which, **kwargs)
-            return change(inv, report) if inv.basket == target else report
+        def patched(half, pm, chi, k3, *args):
+            report = check(half, pm, chi, k3, *args)
+            return change(half[0], chi, report) if half[0] == target else report
 
-        monkeypatch.setattr(cli, "verify_plurigenus_form", patched)
+        monkeypatch.setattr(cli, "_row_report", patched)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         return target
 
@@ -836,7 +849,8 @@ class TestEnumerateJobs:
         constraints = write_json(tmp_path, "c.json", SWEEP)
         _, clean = self.stream(capsys, constraints, 1)
         self.patch_one_basket(
-            monkeypatch, lambda inv, report: replace(report, target=report.p_form + 1)
+            monkeypatch,
+            lambda basket, chi, report: replace(report, target=report.p_form + 1),
         )
         one, two = (self.stream(capsys, constraints, jobs) for jobs in (1, 2))
         assert one == two == (1, clean)
@@ -845,8 +859,8 @@ class TestEnumerateJobs:
     def test_raising_form_check_is_the_same_at_every_jobs(
         self, tmp_path, capsys, monkeypatch
     ):
-        def fail(inv, report):
-            raise ArithmeticError(f"forced at {inv.basket.pairs()} chi {inv.chi}")
+        def fail(basket, chi, report):
+            raise ArithmeticError(f"forced at {basket.pairs()} chi {chi}")
 
         target = self.patch_one_basket(monkeypatch, fail)
         constraints = write_json(tmp_path, "c.json", SWEEP)
@@ -872,7 +886,7 @@ class TestEnumerateJobs:
                     raise BrokenPipeError("closed")
                 return super().write(text)
 
-        def fail(inv, report):
+        def fail(basket, chi, report):
             raise ArithmeticError("forced")
 
         constraints = write_json(tmp_path, "c.json", SWEEP)
@@ -1279,6 +1293,92 @@ class TestFormChecksReadThePrintedRow:
         assert wrong_code == code == 0
         assert wrong_out != out
         assert len(wrong_out.splitlines()) == len(out.splitlines())
+
+    def test_form_two_is_checked_where_form_one_fails(self, monkeypatch):
+        # With form 1 failing on the basket of a wrong P_8 (in form 2's
+        # support only), the stream exits 1 on the true rows and still
+        # reports the wrong P_8.
+        cands = self.stream(8)
+        target = cands[len(cands) // 2].basket
+        check = cli._row_report
+
+        def form_one_fails(half, *args):
+            report = check(half, *args)
+            if half[0] == target and report.which == 1:
+                return replace(report, target=report.p_form + 1)
+            return report
+
+        monkeypatch.setattr(cli, "_row_report", form_one_fails)
+        assert run_stream(self.stream())[0] == cli.VIOLATION
+        with pytest.raises(ArithmeticError, match="form 2 evaluations disagree"):
+            run_stream(cands)
+
+
+# P_m of either form: 2 .. 7 for form 1; 2, 3, 5 .. 8 and 10 .. 13 for form 2.
+FORM_SUPPORT = (2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13)
+
+
+@st.composite
+def sweep_constraints(draw):
+    """Small constraints: chi in -3..3, sigma_max 0..2 and m_max 2..20.
+
+    Rows shorter than 7 or 13 leave some P_m of a form to be computed.
+    The volume is explicit, or searched with the default denominator or
+    with 1, 2 or 8.
+    """
+    chi_min = draw(st.integers(-3, 3))
+    explicit = st.one_of(
+        st.integers(1, 40), st.fractions(Fraction(1, 8), 40, max_denominator=8)
+    ).map(ExplicitK3)
+    search = st.sampled_from([None, 1, 2, 8]).map(MinimalK3Search)
+    return EnumConstraints(
+        chi_min=chi_min,
+        chi_max=draw(st.integers(chi_min, 3)),
+        sigma_max=draw(st.integers(0, 2)),
+        k3_policy=draw(st.one_of(explicit, search)),
+        m_max=draw(st.integers(2, 20)),
+        require_nonneg_pm=draw(st.booleans()),
+    )
+
+
+class TestBasketLinesMatchPerCandidateCalls:
+    """``_basket_lines`` takes each form's basket half once per basket.
+
+    Its text, verdict and errors must be those of one
+    ``verify_plurigenus_form`` call per candidate and form.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_constraints(), st.lists(st.integers(0, 999), min_size=3, max_size=3))
+    @example(EnumConstraints(-1, 1, 2, m_max=6), [5, 1, 3])
+    @example(EnumConstraints(0, 2, 1, k3_policy=ExplicitK3(4), m_max=12,
+                             require_nonneg_pm=False), [0, 2, 6])
+    def test_text_verdict_and_errors_match(self, constraints, picks):
+        groups = [
+            (basket, list(attach_invariants(basket, constraints)))
+            for basket in enumerate_baskets(constraints)
+        ]
+        for basket, cands in groups:
+            expected = basket_lines_by_candidate(basket, cands)
+            assert cli._basket_lines(basket, cands) == expected
+        groups = [(basket, cands) for basket, cands in groups if cands]
+        if not groups:
+            return
+        # One P_m in a form's support raised by one, in a candidate that
+        # ``picks`` chooses: the same error from both.
+        basket, cands = groups[picks[0] % len(groups)]
+        i = picks[1] % len(cands)
+        support = [m for m in FORM_SUPPORT if m <= constraints.m_max]
+        m = support[picks[2] % len(support)]
+        pm = list(cands[i].pm)
+        pm[m - 2] += 1
+        cands[i] = replace(cands[i], pm=tuple(pm))
+        errors = []
+        for lines in (cli._basket_lines, basket_lines_by_candidate):
+            with pytest.raises(ArithmeticError, match="evaluations disagree") as exc:
+                lines(basket, cands)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 class TestConstantsAndLemmas:

@@ -404,12 +404,17 @@ class TestPlurigenusForms:
 
     @pytest.mark.parametrize("value", [20.0, Fraction(20), True])
     def test_a_given_row_holds_ints(self, value):
-        # X10 has P_2 = 10 and P_3 = 20; the form reads P_3 from the row.
+        # X10 has P_2 = 10 and P_3 = 20; the form reads P_3 from the row,
+        # which stops at P_3 or covers both forms.
         inv = ThreefoldInvariants(Fraction(2), -3, EMPTY_BASKET)
-        assert verify_plurigenus_form(inv, 1, pm=(10, 20)).ok
         message = f"P_3 in pm must be int, got {type(value).__name__} {value!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            verify_plurigenus_form(inv, 1, pm=(10, value))
+        for top in (3, 13):
+            row = tuple(plurigenus(inv, m).p_m for m in range(2, top + 1))
+            assert row[:2] == (10, 20)
+            for which in (1, 2):
+                assert verify_plurigenus_form(inv, which, pm=row).ok
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    verify_plurigenus_form(inv, which, pm=(10, value, *row[2:]))
 
     @settings(max_examples=80, deadline=None)
     @given(form_invariants(), st.booleans())
