@@ -43,10 +43,10 @@ the point rule (``check_point``).
 
 A certificate is its header values, its node text and its least slack.
 Every replay task, in a worker or in this process, returns its node lines,
-already written as one text, where each row of it ends, and its least
-slack with the (b, r) points attaining it; the parent only cuts and joins
-the texts and merges the summaries.  ``Certificate.nodes`` reads the text
-on first access.
+already written as one text per row and keyed by the row's first (r, b),
+and its least slack with the (b, r) points attaining it; the parent merges
+the rows and the attaining points by (r, b), joins the texts and takes the
+least of the slacks.  ``Certificate.nodes`` reads the text on first access.
 
 ``_node_line`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
 exactly that text: it reads each node line with one match of its kind's
@@ -70,8 +70,8 @@ from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from heapq import heappop, heappush, merge
-from itertools import accumulate, chain, compress, groupby, islice, pairwise
+from heapq import heappop, heappush
+from itertools import compress, groupby, islice
 from math import gcd
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, NoReturn
@@ -90,6 +90,7 @@ from .rationals import (
     INT_RULE,
     NAT_RULE,
     SLOPE_RANGE,
+    _check_type,
     matched_ratio,
     parse_int,
     slopes,
@@ -186,9 +187,6 @@ class CertificateNode(NamedTuple):
 # constructor: the namedtuple's own __new__ and _make are Python calls, and
 # every node is made here, by the reader.
 _new_node = partial(tuple.__new__, CertificateNode)
-# The r of a record, a node or a (b, r) point: a task groups its records
-# into rows by it, and the merge interleaves the attaining points by it.
-_row_of = itemgetter(1)
 # Nodes the verifier takes from its source at a time, which bounds what it
 # holds beyond its row table.  Taking turns by the batch, the reader's loop
 # and the check's loop verified the INEQ2 r_max 400 certificate about
@@ -218,6 +216,9 @@ def _collector_paused() -> Iterator[None]:
 # The least slack of a set of nodes and the (b, r) points attaining it, in
 # (r, b) order; (None, ()) for no nodes.
 _SlackSummary = tuple[Fraction | None, tuple[tuple[int, int], ...]]
+# A replay task's result: its (r, b of the first slope, node lines) rows and
+# its least slack as (numerator, denominator, attaining points).
+_TaskResult = tuple[list[tuple[int, int, bytes]], tuple[int, int, list[tuple[int, int]]]]
 
 
 @dataclass(frozen=True)
@@ -477,29 +478,6 @@ def _node_line(node: CertificateNode) -> str:
     )
 
 
-def _row_slices(
-    texts: Iterable[tuple[int, bytes, list[int]]], r_max: int
-) -> Iterator[memoryview]:
-    """The node text in canonical order, from each interval's text and row ends.
-
-    ``texts`` holds one (first r, text, row ends) per interval, in slope
-    order, with a row end for each r from the first up to r_max.  For each
-    r, each interval whose rows have begun gives its row-r slice, so the
-    lines come in (r, b) order; empty slices are left out.  The slices are
-    views, so the one join of them copies each byte once.
-    """
-    cuts = [
-        (first, memoryview(text), pairwise(chain((0,), ends)))
-        for first, text, ends in texts
-    ]
-    for r in range(2, r_max + 1):
-        for first, text, spans in cuts:
-            if first <= r:
-                start, end = next(spans)
-                if start != end:
-                    yield text[start:end]
-
-
 def _xi_num(text: str, r: int) -> int:
     """The matched ``xibar=`` value read as a numerator over 2r."""
     num, den = matched_ratio(text)
@@ -711,25 +689,24 @@ def _intervals(r_max: int, count: int) -> list[tuple[tuple[int, int], tuple[int,
     return [(lo, hi) for _, lo, hi in sorted(splittable + final)]
 
 
-def _build_range(args) -> tuple[str, list[int], tuple[int, int, list[tuple[int, int]]]]:
+def _build_range(args) -> _TaskResult:
     """A replay task, in a worker or in this process: one interval's node text.
 
-    Returns the node lines of the interval's slopes in (r, b) order as one
-    text; the end of each row in that text, for each r from the index of
-    the interval's right end up to r_max, where a row without a slope of
-    the interval ends where the one before it does; and the least slack
-    as (numerator, denominator, attaining (b, r) points in (r, b) order).
-    All three are plain data, so no class crosses the pool.
+    Returns the interval's rows in (r, b) order, each as (r, b of its first
+    slope, its node lines in ASCII), and the least slack as (numerator,
+    denominator, attaining (b, r) points in (r, b) order).  Both are plain
+    data, so no class crosses the pool.
     """
     coeffs, floor, r_max, lo, hi = args
     with _collector_paused():
         records = list(_records(Functional(coeffs), floor, r_max, (lo, hi)))
     least = _LeastSlack()
     least.update((record, _recorded_slack(record)) for record in records)
-    by_row = {r: "".join(map(_node_line, row)) for r, row in groupby(records, _row_of)}
-    rows = [by_row.get(r, "") for r in range(hi[1], r_max + 1)]
-    ends = list(accumulate(map(len, rows)))
-    return "".join(rows), ends, (least.num, least.den, least.attained)
+    rows = []
+    for r, row in groupby(records, itemgetter(1)):
+        row = list(row)
+        rows.append((r, row[0][0], "".join(map(_node_line, row)).encode("ascii")))
+    return rows, (least.num, least.den, least.attained)
 
 
 def __getattr__(name: str):
@@ -784,60 +761,51 @@ def proof_replay(
 ) -> Certificate:
     """Build the certificate for all coprime b/r <= 1/2 with r <= r_max.
 
-    The text is identical for any ``jobs``.  At most min(jobs, CPUs)
-    workers run, and work is cut into up to eight Farey intervals of
-    slopes per worker (and at most r_max - 1), sent widest first, so no
-    task needs a parent that another task builds.  Each task walks its
-    interval's mediant tree row by row and returns its node text in (r, b)
-    order, with the text's row ends and its least slack.  No more workers
-    start than there are tasks.  ``ordered_map`` runs the tasks, in this
-    process with no pool at one worker, and ``_merge`` takes each result
-    as it comes.
+    ``r_max``, ``low_slope_floor`` and ``jobs`` must be exact ints, with
+    r_max >= 2 and jobs >= 1, checked before any task runs.  The text is
+    identical for any ``jobs``.  At most min(jobs, CPUs, tasks) workers
+    run, and work is cut into up to eight Farey intervals of slopes per
+    worker (and at most r_max - 1), sent widest first, so no task needs a
+    parent that another task builds.  Each task walks its interval's
+    mediant tree row by row.  ``ordered_map`` runs the tasks, in this
+    process with no pool at one worker, and ``_merge`` sorts their rows.
     """
+    for name, value in (("r_max", r_max), ("low_slope_floor", low_slope_floor), ("jobs", jobs)):
+        _check_type(name, value, (int,))
     if r_max < 2:
         raise ValueError(f"r_max must be at least 2, got {r_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1)
     intervals = _intervals(r_max, workers * 8)
     workers = min(workers, len(intervals))
     tasks = [(func.coeffs, low_slope_floor, r_max, lo, hi) for lo, hi in intervals]
     # A window of 8 tasks per worker holds every task: one map call.
     with closing(ordered_map(_build_range, tasks, workers, 8)) as parts:
-        text, least = _merge(intervals, parts, r_max)
+        text, least = _merge(parts)
     return Certificate(func, r_max, low_slope_floor, text, least)
 
 
-def _merge(
-    intervals: list[tuple[tuple[int, int], tuple[int, int]]],
-    parts: Iterable[tuple[str, list[int], tuple[int, int, list[tuple[int, int]]]]],
-    r_max: int,
-) -> tuple[bytes, _SlackSummary]:
+def _merge(parts: Iterable[_TaskResult]) -> tuple[bytes, _SlackSummary]:
     """The node text in canonical order, and the least slack of all tasks.
 
-    ``parts`` are the tasks' results for ``intervals``, in the same order,
-    taken one at a time as they come.  The intervals tile the slope range,
-    each one's hi the next one's lo, so their slope order is the walk from
-    0/1.  The least slack is the least of the tasks' by cross-multiplication;
-    the tied tasks' points, each in (r, b) order and taken in slope order,
-    are interleaved by r alone, which puts them in (r, b) order.
+    ``parts`` are the tasks' results, in any order.  No two tasks share a
+    point, so their (r, b, text) rows sort on (r, b) alone into canonical
+    order.  The least slack is the least of the tasks' by
+    cross-multiplication, and the tied tasks' points sort by (r, b) too.
+    Each task's rows and points come in (r, b) order, so each sort merges
+    those runs.
     """
-    results = {}
-    for (lo, hi), (text, ends, least) in zip(intervals, parts):
-        # Encoded here, the text that the pool's result thread made is
-        # freed at once, not kept in that thread's memory.
-        results[lo] = hi, text.encode("ascii"), ends, least
-    texts = []
-    num, den, tied = 0, 0, []
-    lo = SLOPE_RANGE[0]
-    while lo in results:
-        hi, text, ends, (task_num, task_den, points) = results.pop(lo)
-        texts.append((hi[1], text, ends))
+    rows, num, den, tied = [], 0, 0, []
+    for task_rows, (task_num, task_den, points) in parts:
+        rows += task_rows
         if not tied or task_num * den < num * task_den:
-            num, den, tied = task_num, task_den, [points]
+            num, den, tied = task_num, task_den, list(points)
         elif task_num * den == num * task_den:
-            tied.append(points)
-        lo = hi
-    points = tuple(merge(*tied, key=_row_of))
-    return b"".join(_row_slices(texts, r_max)), (Fraction(num, den), points)
+            tied += points
+    rows.sort()
+    text = b"".join([row[2] for row in rows])
+    return text, (Fraction(num, den), tuple(sorted(tied, key=itemgetter(1, 0))))
 
 
 def _node_walk(

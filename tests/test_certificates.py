@@ -116,6 +116,29 @@ class TestReplay:
         with pytest.raises(ValueError):
             proof_replay(INEQ1, 1)
 
+    @pytest.mark.parametrize(
+        ("r_max", "kwargs", "name"),
+        [
+            (13, {"low_slope_floor": True}, "low_slope_floor"),
+            (13, {"low_slope_floor": 14.5}, "low_slope_floor"),
+            # No slope is low at r_max 10, so no target would read the floor.
+            (10, {"low_slope_floor": 14.5}, "low_slope_floor"),
+            (13, {"jobs": 0}, "jobs"),
+            (13, {"jobs": -1}, "jobs"),
+            (13, {"jobs": True}, "jobs"),
+            (2.0, {}, "r_max"),
+        ],
+    )
+    def test_refuses_what_a_certificate_cannot_hold(self, monkeypatch, r_max, kwargs, name):
+        # Only exact ints, and at least one job, are taken; anything else is
+        # refused before any task runs, naming the argument.
+        def no_task(args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(certificates, "_build_range", no_task)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            proof_replay(INEQ2, r_max, **kwargs)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_parents_are_earlier_nodes(self, jobs):
         cert = proof_replay(INEQ2, 40, low_slope_floor=14, jobs=jobs)
@@ -142,11 +165,25 @@ def least_of(nodes):
     return least, tuple(n[:2] for n, s in zip(nodes, slacks) if s == least)
 
 
+def rows_of(records):
+    """(r, b of its first record, its records' lines in ASCII) of each row, by r."""
+    rows = [list(row) for _, row in groupby(records, lambda record: record[1])]
+    return [
+        (row[0][1], row[0][0], "".join(map(certificates._node_line, row)).encode("ascii"))
+        for row in rows
+    ]
+
+
+def canonical(records):
+    """Records, or nodes, in canonical (r, b) order."""
+    return sorted(records, key=lambda record: record[1::-1])
+
+
 @pytest.mark.parametrize(("func", "floor"), [(INEQ1, 0), (INEQ2, 14)])
 def test_worker_results_are_plain_data(func, floor):
     # A worker's task is one Farey interval of slopes.  Its records, merged
     # in (r, b) order, are the serial nodes; its result is plain data: the
-    # text of their lines and the least slack of their fields.
+    # lines of each row's records and the least slack of their fields.
     intervals = certificates._intervals(40, 4)
     assert len(intervals) == 4
     nodes = proof_replay(func, 40, low_slope_floor=floor).nodes
@@ -156,11 +193,10 @@ def test_worker_results_are_plain_data(func, floor):
         columns.append(records)
         part = certificates._build_range((func.coeffs, floor, 40, lo, hi))
         assert _NoClasses(io.BytesIO(pickle.dumps(part))).load() == part
-        text, _, (num, den, points) = part
-        assert text == "".join(map(certificates._node_line, records))
+        rows, (num, den, points) = part
+        assert rows == rows_of(records)
         assert (Fraction(num, den), tuple(points)) == least_of(records)
-    merged = sorted(chain.from_iterable(columns), key=lambda record: record[1::-1])
-    assert tuple(merged) == nodes
+    assert tuple(canonical(chain.from_iterable(columns))) == nodes
 
 
 # sha256 of the INEQ2 certificate at r_max 400, as pinned for the benchmark
@@ -197,13 +233,14 @@ def test_intervals_own_their_parents(r_max, count):
 @given(st.integers(2, 300), st.integers(1, 64))
 def test_tasks_walk_their_interval_by_rows(r_max, count):
     # Each task lists exactly the slopes of its interval, in (r, b) order,
-    # and gives every split the parents and cfdet of split_slope.  Its row
-    # ends, one per r from its right end's index up to r_max, cut its text
-    # into the lines of each row, and its summary is its records' least
-    # slack with the points attaining it.
+    # and gives every split the parents and cfdet of split_slope.  Its rows,
+    # one per r from its right end's index up to r_max that has a slope of
+    # the interval, are each keyed by their first (r, b) and hold the lines
+    # of that row's records, and its summary is its records' least slack
+    # with the points attaining it.
     for lo, hi in certificates._intervals(r_max, count):
         records = list(certificates._records(INEQ2, 14, r_max, (lo, hi)))
-        text, ends, (num, den, points) = certificates._build_range(
+        rows, (num, den, points) = certificates._build_range(
             (INEQ2.coeffs, 14, r_max, lo, hi)
         )
         assert (Fraction(num, den), tuple(points)) == least_of(records)
@@ -211,10 +248,8 @@ def test_tasks_walk_their_interval_by_rows(r_max, count):
         for b, r, b_hi, r_hi, b_lo, r_lo, cf_det, *_ in records:
             if b > 1:
                 assert ((b_hi, r_hi), (b_lo, r_lo), cf_det) == split_slope(b, r)
-        rows = {r: list(row) for r, row in groupby(records, lambda record: record[1])}
-        assert len(ends) == r_max - hi[1] + 1 and ends[-1] == len(text)
-        for r, start, end in zip(range(hi[1], r_max + 1), [0, *ends], ends):
-            assert text[start:end] == "".join(map(certificates._node_line, rows.get(r, [])))
+        assert rows == rows_of(records)
+        assert all(hi[1] <= r <= r_max for r, _, _ in rows)
 
 
 def test_interval_tasks_compute_no_parent_twice(pool_log, monkeypatch):
@@ -247,7 +282,7 @@ def test_interval_tasks_compute_no_parent_twice(pool_log, monkeypatch):
         assert tasks == 8 * jobs and builds == tasks
         assert pool_log["sizes"] == sizes
         assert len(pool_log["tasks"]) == (tasks if sizes else 0)
-        # One map call takes every task, in slope order.
+        # One map call takes every task, widest first.
         cuts = certificates._intervals(400, tasks)
         every = [(INEQ2.coeffs, 14, 400, lo, hi) for lo, hi in cuts]
         assert pool_log["maps"] == ([every] if sizes else [])
@@ -370,6 +405,32 @@ def test_merged_summary_is_the_least_slack_of_the_nodes(
     cert.write(path)
     report = verify_certificate(path)
     assert (report.min_slack, report.min_slack_points) == (least, attaining)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(st.sampled_from([INEQ1, INEQ2]), FUNCTIONALS), st.integers(-3, 20),
+    st.integers(2, 150), st.integers(1, 64), st.randoms(use_true_random=False),
+)
+def test_merge_takes_the_task_results_in_any_order(func, floor, r_max, count, rng):
+    # The merge keys every row and attaining point by its (r, b), so the
+    # order in which the tasks' results come changes nothing: the text is
+    # the lines of all the tasks' records in (r, b) order, and the summary
+    # their least slack.  The paper's functionals attain their least slack
+    # in many tasks at once.
+    intervals = certificates._intervals(r_max, count)
+    parts = [
+        certificates._build_range((func.coeffs, floor, r_max, lo, hi)) for lo, hi in intervals
+    ]
+    nodes = canonical(
+        chain.from_iterable(
+            certificates._records(func, floor, r_max, interval) for interval in intervals
+        )
+    )
+    want = "".join(map(certificates._node_line, nodes)).encode("ascii"), least_of(nodes)
+    assert certificates._merge(parts) == want
+    rng.shuffle(parts)
+    assert certificates._merge(iter(parts)) == want
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
