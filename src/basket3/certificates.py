@@ -228,7 +228,9 @@ class Certificate:
     ``text`` is the node lines in ASCII, in canonical (r, b) order, and
     ``least_slack`` the least recorded slack of those nodes with the (b, r)
     points attaining it (None and no points without nodes), as
-    ``proof_replay`` or the reader found them.
+    ``proof_replay`` or the reader found them.  ``r_max`` and
+    ``low_slope_floor`` must be exact ints, with r_max >= 2: the header
+    values the reader takes back.
     """
 
     functional: Functional
@@ -236,6 +238,12 @@ class Certificate:
     low_slope_floor: int
     text: bytes = field(repr=False)
     least_slack: _SlackSummary
+
+    def __post_init__(self) -> None:
+        _check_type("r_max", self.r_max, (int,))
+        _check_type("low_slope_floor", self.low_slope_floor, (int,))
+        if self.r_max < 2:
+            raise ValueError(f"r_max must be at least 2, got {self.r_max}")
 
     @property
     def node_count(self) -> int:

@@ -266,6 +266,12 @@ _CHUNK_BASKETS = 8
 _CHUNKS_PER_WORKER = 4
 
 
+@functools.lru_cache(maxsize=8)
+def _row_format(n: int) -> str:
+    """The %-format that writes a tuple of n values as its list's repr."""
+    return "[" + ", ".join(["%r"] * n) + "]"
+
+
 def _basket_lines(basket: Basket, cands: Iterable[Candidate]) -> tuple[str, bool]:
     """One basket's ``enumerate`` lines, and whether both forms held on each.
 
@@ -274,7 +280,9 @@ def _basket_lines(basket: Basket, cands: Iterable[Candidate]) -> tuple[str, bool
     and each form's basket half (``_basket_half``), are taken once per
     basket, at its first candidate.  Then both forms are checked on every
     candidate, whatever the first one says, each by ``_row_report``
-    against the P_m row its line prints, in integers.
+    against the P_m row its line prints, in integers.  Each row is written
+    by the ``_row_format`` of its own length, which gives the text of
+    ``list(pm)`` without making the list.
     """
     head = '{"basket": ' + json.dumps(basket.pairs()) + ', "chi": '
     lines, ok = [], True
@@ -290,7 +298,9 @@ def _basket_lines(basket: Basket, cands: Iterable[Candidate]) -> tuple[str, bool
         # ints prints as json writes it, and K^3 as format_fraction does.
         num, den = k3.numerator, k3.denominator
         k3_text = f"{num}/{den}" if den != 1 else f"{num}"
-        lines.append(f'{head}{chi}, "k3": "{k3_text}", "pm": {list(pm)}}}\n')
+        # % spreads a tuple over the fields; tuple() of a tuple is itself.
+        row = _row_format(len(pm)) % tuple(pm)
+        lines.append(f'{head}{chi}, "k3": "{k3_text}", "pm": {row}}}\n')
     return "".join(lines), ok
 
 

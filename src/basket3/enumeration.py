@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import lcm
 from operator import add, floordiv, sub
 from typing import Iterator
@@ -172,9 +173,15 @@ def _walk(
     budget: int,
     chosen: list[OrbifoldPoint],
 ) -> Iterator[Basket]:
-    # The baskets that extend ``chosen`` by points[start:] within the budget.
-    # A module-level function, so a walk leaves no reference cycle behind.
-    yield Basket.from_points(chosen)
+    """The baskets that extend ``chosen`` by points[start:] within the budget.
+
+    ``chosen`` holds admissible points themselves, in canonical order with
+    repeats adjacent, so each basket is made from their runs as
+    (point, count) pairs, without re-making or re-checking a point;
+    ``Basket`` still checks the order and the multiplicities.  A
+    module-level function, so a walk leaves no reference cycle behind.
+    """
+    yield Basket(tuple([(p, len(list(run))) for p, run in groupby(chosen)]))
     for i in range(start, len(points)):
         p = points[i]
         if p.b <= budget:

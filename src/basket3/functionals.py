@@ -166,16 +166,27 @@ def xi_bar_pair(func: Functional, b: int, r: int) -> Fraction:
     return Fraction(xi_bar_num(func, b, r), 2 * r)
 
 
+def _xi_bar_scaled(func: Functional, basket: Basket) -> tuple[int, int]:
+    """(D, D * xi_bar) with D = 2 * lcm(r_i): the basket sum in integers.
+
+    Each point's 2r * xi_bar is an integer, so D * xi_bar is the sum of
+    mult * xi_bar_num * (D/2 // r) over the basket.  D is the one of
+    ``scaled_l_table``, so the l-form is compared with it as an integer.
+    """
+    items = basket.items
+    half = lcm(*(p.r for p, _ in items))  # D / 2; 1 for the empty basket
+    num = sum(mult * xi_bar_num(func, p.b, p.r) * (half // p.r) for p, mult in items)
+    return 2 * half, num
+
+
 def xi_bar(func: Functional, basket: Basket) -> Fraction:
     """Sum of c_j * mbar^j over the basket; additive over multiset union.
 
-    Each point's 2r * xi_bar is an integer, so the sum is taken in
-    integers over L = 2 * lcm(r_i) and made a Fraction once.
+    The sum is taken in integers over D = 2 * lcm(r_i) by
+    ``_xi_bar_scaled`` and made a Fraction once.
     """
-    items = basket.items
-    half = lcm(*(p.r for p, _ in items))  # L / 2; 1 for the empty basket
-    num = sum(mult * xi_bar_num(func, p.b, p.r) * (half // p.r) for p, mult in items)
-    return Fraction(num, 2 * half)
+    den, num = _xi_bar_scaled(func, basket)
+    return Fraction(num, den)
 
 
 def xi_lin_num(func: Functional, b: int, r: int) -> int:
@@ -341,10 +352,13 @@ def _basket_half(
 
     Returns (basket, which, D, (D*l(0), ..., D*l(top)), D*l_form, reports)
     with D = 2*lcm(r_i) and top the form's largest m, after checking the
-    per-basket identity l_form == xi_bar (ArithmeticError otherwise; a
-    raise is not memoized, so every call on that basket raises).  For one
-    basket every (K^3, chi) has p_form = l_form, the same xi_form and the
-    same target, so the form has only two possible reports;
+    per-basket identity l_form == xi_bar in integers: D*l_form, from the
+    scaled l table, must equal D*xi_bar, from ``_xi_bar_scaled``
+    (ArithmeticError otherwise, its text made only then; a raise is not
+    memoized, so every call on that basket raises).  For one basket every
+    (K^3, chi) has p_form = l_form, the same xi_form and the same target,
+    so the form has only two possible reports, which share one
+    Fraction(D*l_form, D) as p_form, l_form and xi_form;
     ``reports[integral]`` is the one with that ``integral`` flag.  The
     memo is keyed by (basket, which) and bounded: a caller that checks
     many rows of one basket takes the half once and passes it to
@@ -353,15 +367,15 @@ def _basket_half(
     ineq = INEQUALITIES[which]
     den, ells = scaled_l_table(basket, ineq.p_coeffs[-1][0])
     l_num = sum(c * ells[m] for m, c in ineq.p_coeffs)
-    l_form = Fraction(l_num, den)
-    xi_form = xi_bar(ineq.functional, basket)
-    if l_form != xi_form:
+    _, xi_num = _xi_bar_scaled(ineq.functional, basket)  # over the same D
+    if l_num != xi_num:
         raise ArithmeticError(
-            f"form {which} evaluations disagree: {l_form}, {xi_form}"
+            f"form {which} evaluations disagree: "
+            f"{Fraction(l_num, den)}, {Fraction(xi_num, den)}"
         )
-    target = ineq.target(basket)
+    value, target = Fraction(l_num, den), ineq.target(basket)
     reports = tuple(
-        PlurigenusFormReport(which, l_form, l_form, xi_form, target, integral)
+        PlurigenusFormReport(which, value, value, value, target, integral)
         for integral in (False, True)
     )
     return basket, which, den, tuple(ells), l_num, reports

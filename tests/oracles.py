@@ -24,7 +24,11 @@ from basket3.enumeration import (
     NoCandidatesError,
     enumerate_candidates,
 )
-from basket3.functionals import verify_plurigenus_form
+from basket3.functionals import (
+    INEQUALITIES,
+    PlurigenusFormReport,
+    verify_plurigenus_form,
+)
 from basket3.rationals import format_fraction, slopes
 from basket3.riemann_roch import ThreefoldInvariants, plurigenus
 
@@ -286,6 +290,35 @@ def basket_lines_by_candidate(basket: Basket, cands) -> tuple[str, bool]:
                   "k3": format_fraction(cand.k3), "pm": list(cand.pm)}
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines), ok
+
+
+def basket_half_by_fractions(basket: Basket, which: int) -> tuple:
+    """``functionals._basket_half`` restated in Fractions from the definitions.
+
+    The l table is ``l_by_definition`` at m = 0 .. top, the form's largest
+    m; the l-form is sum a_m l(m) and xi_bar the sum of c_j mbar^j over the
+    expanded basket, which must be equal (ArithmeticError otherwise); the
+    target is floor * sigma12, summed point by point.  Both reports hold
+    these three Fractions and the target; the table and the l-form are
+    scaled by D = 2 * lcm(r_i), as the half returns them.
+    """
+    ineq = INEQUALITIES[which]
+    ells = [l_by_definition(basket, m) for m in range(ineq.p_coeffs[-1][0] + 1)]
+    l_form = sum(a * ells[m] for m, a in ineq.p_coeffs)
+    xi_form = sum(
+        c * mbar_by_definition(j, b, r)
+        for b, r in basket.pairs()
+        for j, c in enumerate(ineq.functional.coeffs, start=1)
+    )
+    if l_form != xi_form:
+        raise ArithmeticError(f"form {which} evaluations disagree: {l_form}, {xi_form}")
+    target = Fraction(ineq.floor * sum(b for b, r in basket.pairs() if 12 * b <= r))
+    den = 2 * lcm(*(r for _, r in basket.pairs()))
+    reports = tuple(
+        PlurigenusFormReport(which, l_form, l_form, xi_form, target, integral)
+        for integral in (False, True)
+    )
+    return basket, which, den, tuple(v * den for v in ells), l_form * den, reports
 
 
 def with_nodes(cert: Certificate, nodes) -> Certificate:

@@ -529,6 +529,32 @@ class TestSerialization:
         assert Certificate.from_text(cert.to_text()) == cert
 
     @pytest.mark.parametrize(
+        ("r_max", "floor", "name"),
+        [
+            (True, 14, "r_max"),
+            (5.0, 14, "r_max"),
+            ("5", 14, "r_max"),
+            (1, 14, "r_max"),
+            (5, True, "low_slope_floor"),
+            (5, 14.0, "low_slope_floor"),
+            (5, None, "low_slope_floor"),
+        ],
+    )
+    def test_refuses_header_values_it_cannot_write_back(self, r_max, floor, name):
+        # The header is written with str, and the reader takes only an int
+        # (an r-max of at least 2), so anything else is refused when made.
+        cert = proof_replay(INEQ2, 5, low_slope_floor=14)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            Certificate(INEQ2, r_max, floor, cert.text, cert.least_slack)
+
+    def test_a_hand_made_certificate_reads_back_equal(self, tmp_path):
+        # Made from values, not by a replay: no nodes, a negative floor.
+        cert = Certificate(Functional((3, -1, 2)), 7, -2, b"", (None, ()))
+        assert Certificate.from_text(cert.to_text()) == cert
+        cert.write(tmp_path / "cert.txt")
+        assert Certificate.read(tmp_path / "cert.txt") == cert
+
+    @pytest.mark.parametrize(
         ("func", "floor"),
         # The last functional is unbalanced, so its xibar values are proper
         # fractions over 2r and exercise the gcd reduction both ways.

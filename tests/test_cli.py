@@ -940,26 +940,34 @@ class TestEnumerateJobs:
         # The in-process stream keeps one basket's lines at a time: the
         # traced peak at sigma_max 4 (1,956 lines) is within a small
         # constant of the one at sigma_max 3 (416 lines), where keeping the
-        # stream would add over 600 kB.  Each traced run follows an
-        # untraced one of the same constraints, with the collector off, so
-        # the interpreter's free lists are filled alike before tracing.
+        # stream would add over 600 kB.  Objects freed to the interpreter's
+        # free lists stay traced, so a run's peak also holds what the free
+        # lists lacked when it started: after one untraced run, five traced
+        # runs of the same constraints peaked anywhere from 34 to 105 kB.
+        # So, with the collector off, five untraced runs fill the free lists
+        # and each sigma_max takes the least peak of two traced runs.
         peaks = []
         for sigma in (3, 4):
             constraints = write_json(
                 tmp_path, f"s{sigma}.json",
                 {"chi_min": 0, "chi_max": 0, "sigma_max": sigma, "m_max": 12},
             )
+            runs = []
             gc.collect()
             gc.disable()
             try:
                 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                    assert main(["enumerate", constraints]) == 0
-                    tracemalloc.start()
-                    assert main(["enumerate", constraints]) == 0
-                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    for _ in range(5):
+                        assert main(["enumerate", constraints]) == 0
+                    for _ in range(2):
+                        tracemalloc.start()
+                        assert main(["enumerate", constraints]) == 0
+                        runs.append(tracemalloc.get_traced_memory()[1])
+                        tracemalloc.stop()
             finally:
                 tracemalloc.stop()
                 gc.enable()
+            peaks.append(min(runs))
         assert abs(peaks[1] - peaks[0]) <= 16 * 1024
 
 
@@ -1258,6 +1266,18 @@ class TestCandidateLine:
             ) + "\n"
             for c in cands
         )
+
+
+class TestRowFormat:
+    # Each P_m row is written by the format of its own length; the text must
+    # be the list's, as json.dumps writes a list of ints.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-10**15, 10**15), min_size=1, max_size=40).map(tuple))
+    @example((0,))
+    @example((-1, 10, -200, 3000, 10**40))
+    def test_row_is_written_as_its_list(self, pm):
+        text = cli._row_format(len(pm)) % pm
+        assert text == str(list(pm)) == json.dumps(list(pm))
 
 
 class TestFormChecksReadThePrintedRow:

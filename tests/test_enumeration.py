@@ -2,6 +2,7 @@
 
 import gc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -102,6 +103,29 @@ class TestEnumerateBaskets:
         c = EnumConstraints(chi_min=0, chi_max=0, sigma_max=3)
         keys = [tuple(b.pairs()) for b in enumerate_baskets(c)]
         assert keys == sorted(keys, key=lambda pairs: [(r, b) for b, r in pairs])
+
+    @pytest.mark.parametrize(
+        ("sigma_max", "sigma12_zero", "max_index"),
+        [(0, True, None), (2, True, None), (3, True, None), (3, False, 9)],
+    )
+    def test_baskets_equal_their_from_points(self, sigma_max, sigma12_zero, max_index):
+        # Each basket is made from the admissible points the walk holds, not
+        # through Basket.from_points.  In order, the baskets must equal
+        # from_points of every point multiset within the budget, sorted by
+        # its (r, b)-sorted point list.
+        c = EnumConstraints(0, 0, sigma_max, sigma12_zero, max_index=max_index)
+        points = admissible_points(c)
+        multisets = sorted(
+            (
+                combo
+                for size in range(sigma_max + 1)
+                for combo in combinations_with_replacement(points, size)
+                if sum(p.b for p in combo) <= sigma_max
+            ),
+            key=lambda combo: [p.key() for p in combo],
+        )
+        expected = [Basket.from_points(combo) for combo in multisets]
+        assert list(enumerate_baskets(c)) == expected
 
     def test_walk_leaves_no_cyclic_garbage(self):
         # With the collector off and every object it finds kept, one full

@@ -48,7 +48,13 @@ from basket3.riemann_roch import (
     k3_from_p2,
     plurigenus,
 )
-from oracles import l_by_definition, lemma_offset_by_search, random_basket, random_k3
+from oracles import (
+    basket_half_by_fractions,
+    l_by_definition,
+    lemma_offset_by_search,
+    random_basket,
+    random_k3,
+)
 
 
 @st.composite
@@ -340,6 +346,22 @@ class TestSingleBasket:
             assert got - ineq.target(Basket.from_pairs([(b, r)])) == slack
 
 
+class TestBasketHalf:
+    """A form's basket half checks the l-form = xi_bar identity in integers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(points(60), max_size=5).map(Basket.from_points), st.sampled_from([1, 2]))
+    @example(EMPTY_BASKET, 1)
+    @example(Basket.from_pairs([(1, 12), (5, 59), (29, 59)]), 2)
+    def test_half_equals_the_fraction_restatement(self, basket, which):
+        half = basket3.functionals._basket_half(basket, which)
+        expected = basket_half_by_fractions(basket, which)
+        assert half == expected
+        assert [report.ok for report in half[-1]] == [report.ok for report in expected[-1]]
+        _, _, den, ells, l_num, _ = half
+        assert {type(v) for v in (den, *ells, l_num)} == {int}
+
+
 class TestPlurigenusForms:
     def test_half_k3_form_one(self):
         inv = ThreefoldInvariants(Fraction(11, 2), 1, Basket.from_pairs([(1, 2)]))
@@ -469,11 +491,18 @@ class TestPlurigenusForms:
     def test_a_broken_basket_identity_raises_on_every_call(self, monkeypatch):
         # The l-form = xi_bar identity is checked once per basket half, and
         # a half that raises is not memoized, so no call slips through.
+        # xi_bar is broken at its integer basket sum, which the half reads.
         basket = Basket.from_pairs([(2, 5), (3, 11)])
         basket3.functionals._basket_half.cache_clear()
-        monkeypatch.setattr(
-            "basket3.functionals.xi_bar", lambda func, bk: xi_bar(func, bk) + 1
-        )
+        scaled = basket3.functionals._xi_bar_scaled
+
+        def off_by_one(func, bk):
+            den, num = scaled(func, bk)
+            return den, num + den
+
+        monkeypatch.setattr("basket3.functionals._xi_bar_scaled", off_by_one)
+        den, num = scaled(INEQ1, basket)
+        assert xi_bar(INEQ1, basket) == Fraction(num, den) + 1  # the patch counts
         for _ in range(2):
             for which in (1, 2):
                 for k3, chi in [(Fraction(3), 1), (Fraction(9, 4), -5)]:
