@@ -10,7 +10,7 @@ integers over one denominator, and ``l_table`` is its Fraction view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -70,13 +70,20 @@ def check_point(b: int, r: int) -> None:
 
 @dataclass(frozen=True, slots=True)
 class OrbifoldPoint:
-    """A single basket point (b, r): local multiplicity b, local index r."""
+    """A single basket point (b, r): local multiplicity b, local index r.
+
+    b and r must be ints (a bool, float or string is refused with a
+    BasketError, not coerced), and (b, r) must pass ``check_point``.
+    """
 
     b: int
     r: int
 
     def __post_init__(self) -> None:
-        check_point(self.b, self.r)
+        b, r = self.b, self.r
+        if type(b) is not int or type(r) is not int:  # no bool, no coercion
+            raise BasketError(f"b and r must be integers, got ({b!r}, {r!r})")
+        check_point(b, r)
 
     @property
     def slope(self) -> Fraction:
@@ -95,13 +102,10 @@ class Basket:
     """Finite multiset of orbifold points, stored canonically sorted.
 
     ``items`` holds (point, multiplicity) pairs, ascending by (r, b).
+    Baskets compare and hash by ``items``.
     """
 
     items: tuple[tuple[OrbifoldPoint, int], ...] = ()
-    # hash(items), taken once: memo keys hash a basket on every lookup, and
-    # the generated __hash__ would rehash each point every time.  It is a
-    # hash of ints only, so it survives pickling.
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = [p.key() for p, _ in self.items]
@@ -109,18 +113,12 @@ class Basket:
             raise BasketError("basket items must be sorted by (r, b) without repeats")
         if any(mult < 1 for _, mult in self.items):
             raise BasketError("multiplicities must be >= 1")
-        object.__setattr__(self, "_hash", hash(self.items))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Basket":
         """Validate raw (b, r) pairs (repeats allowed) into a canonical basket."""
         counts: dict[OrbifoldPoint, int] = {}
         for b, r in pairs:
-            if type(b) is not int or type(r) is not int:  # no bool, no coercion
-                raise BasketError(f"b and r must be integers, got ({b!r}, {r!r})")
             p = OrbifoldPoint(b, r)
             counts[p] = counts.get(p, 0) + 1
         return cls(tuple((p, counts[p]) for p in sorted(counts, key=OrbifoldPoint.key)))

@@ -36,7 +36,7 @@ from .enumeration import (
 from .functionals import (
     INEQUALITIES,
     _basket_half,
-    _row_report,
+    _row_check,
     check_lemmas_exhaustive,
     verify_plurigenus_form,
     xi_bar,
@@ -278,10 +278,12 @@ def _basket_lines(basket: Basket, cands: Iterable[Candidate]) -> tuple[str, bool
     The one body of ``enumerate`` for every ``--jobs``: ``cands`` are the
     basket's candidates, in stream order.  The line up to the chi value,
     and each form's basket half (``_basket_half``), are taken once per
-    basket, at its first candidate.  Then both forms are checked on every
-    candidate, whatever the first one says, each by ``_row_report``
-    against the P_m row its line prints, in integers.  Each row is written
-    by the ``_row_format`` of its own length, which gives the text of
+    basket, at its first candidate, and the verdict with them: the P-form
+    equals the l-form on every row that passes its check, so a form holds
+    on each row exactly when D*l_form >= target * D.  Then both forms'
+    row checks (``_row_check``) run on every candidate, against the P_m
+    row its line prints, in integers.  Each row is written by the
+    ``_row_format`` of its own length, which gives the text of
     ``list(pm)`` without making the list.
     """
     head = '{"basket": ' + json.dumps(basket.pairs()) + ', "chi": '
@@ -289,9 +291,11 @@ def _basket_lines(basket: Basket, cands: Iterable[Candidate]) -> tuple[str, bool
     for cand in cands:
         if not lines:
             half1, half2 = _basket_half(basket, 1), _basket_half(basket, 2)
+            ok = all(l_num >= target * den for den, _, l_num, target in (half1, half2))
         pm, chi, k3 = cand.pm, cand.chi, cand.k3
-        # & rather than and: form 2 is checked even where form 1 fails.
-        ok &= _row_report(half1, pm, chi, k3).ok & _row_report(half2, pm, chi, k3).ok
+        # Form 2's row is checked even where form 1 fails.
+        _row_check(half1, 1, pm, chi, k3)
+        _row_check(half2, 2, pm, chi, k3)
         # The keys are written in sorted order, basket < chi < k3 < pm, with
         # json's default separators, so the line equals
         # json.dumps(record, sort_keys=True), as _emit writes it; a list of

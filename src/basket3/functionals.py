@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import itemgetter, mul, sub
 
@@ -136,9 +135,9 @@ class Inequality:
         object.__setattr__(self, "functional", Functional(suffix_sums))
         object.__setattr__(self, "chi_coeff", -sum(a * (2 * m - 1) for m, a in items))
 
-    def target(self, basket: Basket) -> Fraction:
+    def target(self, basket: Basket) -> int:
         """floor * sigma12: the sum of ``point_target`` over the basket."""
-        return Fraction(self.floor * sigma12(basket))
+        return self.floor * sigma12(basket)
 
 
 INEQUALITIES = {
@@ -308,7 +307,6 @@ class PlurigenusFormReport:
     p_form is the P-side LHS - RHS (including the -chi term of form 2 but
     not the sigma12 target), l_form the same thing written in correction
     terms, xi_form the basket functional; the three are equal exactly.
-    ``ok`` (p_form >= target) is decided once, when the report is made.
     """
 
     which: int
@@ -317,10 +315,10 @@ class PlurigenusFormReport:
     xi_form: Fraction
     target: Fraction
     integral: bool
-    ok: bool = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ok", self.p_form >= self.target)
+    @property
+    def ok(self) -> bool:
+        return self.p_form >= self.target
 
     @property
     def slack(self) -> Fraction:
@@ -344,25 +342,18 @@ _ROW_FORMS = {
 }
 
 
-@lru_cache(maxsize=4)
-def _basket_half(
-    basket: Basket, which: int
-) -> tuple[Basket, int, int, tuple[int, ...], int, tuple[PlurigenusFormReport, ...]]:
-    """Everything a form check needs of the basket alone, once per basket.
+def _basket_half(basket: Basket, which: int) -> tuple[int, list[int], int, int]:
+    """Everything a form check needs of the basket alone, in integers.
 
-    Returns (basket, which, D, (D*l(0), ..., D*l(top)), D*l_form, reports)
-    with D = 2*lcm(r_i) and top the form's largest m, after checking the
-    per-basket identity l_form == xi_bar in integers: D*l_form, from the
-    scaled l table, must equal D*xi_bar, from ``_xi_bar_scaled``
-    (ArithmeticError otherwise, its text made only then; a raise is not
-    memoized, so every call on that basket raises).  For one basket every
-    (K^3, chi) has p_form = l_form, the same xi_form and the same target,
-    so the form has only two possible reports, which share one
-    Fraction(D*l_form, D) as p_form, l_form and xi_form;
-    ``reports[integral]`` is the one with that ``integral`` flag.  The
-    memo is keyed by (basket, which) and bounded: a caller that checks
-    many rows of one basket takes the half once and passes it to
-    ``_row_report``.  Every value is immutable, so the callers share them.
+    Returns (D, [D*l(0), ..., D*l(top)], D*l_form, target) with
+    D = 2*lcm(r_i), top the form's largest m and target = floor * sigma12,
+    after checking the per-basket identity l_form == xi_bar in integers:
+    D*l_form, from the scaled l table, must equal D*xi_bar, from
+    ``_xi_bar_scaled`` (ArithmeticError otherwise, its text made only
+    then).  Every (K^3, chi) of one basket has p_form = l_form, so the
+    form holds on each of its rows exactly when D*l_form >= target * D.
+    A caller that checks many rows of one basket takes the half once and
+    passes it to ``_row_check`` per row.
     """
     ineq = INEQUALITIES[which]
     den, ells = scaled_l_table(basket, ineq.p_coeffs[-1][0])
@@ -373,18 +364,14 @@ def _basket_half(
             f"form {which} evaluations disagree: "
             f"{Fraction(l_num, den)}, {Fraction(xi_num, den)}"
         )
-    value, target = Fraction(l_num, den), ineq.target(basket)
-    reports = tuple(
-        PlurigenusFormReport(which, value, value, value, target, integral)
-        for integral in (False, True)
-    )
-    return basket, which, den, tuple(ells), l_num, reports
+    return den, ells, l_num, ineq.target(basket)
 
 
-def _row_report(
-    half: tuple, pm: tuple[int, ...], chi: int, k3: Fraction, strict: bool = False
-) -> PlurigenusFormReport:
-    """The form's report on one row, against a ``_basket_half`` of its basket.
+def _row_check(
+    half: tuple, which: int, pm: tuple[int, ...], chi: int, k3: Fraction,
+    strict: bool = False,
+) -> list[int]:
+    """The form's non-integral P_m on one row, against a ``_basket_half`` of its basket.
 
     ``pm = (P_2, ..., P_M)`` holds ints (an entry the form reads that is
     not an int raises ValueError); the form's P_m above M come from a
@@ -393,15 +380,15 @@ def _row_report(
     with the row's entries and W = 1.  The computed P_m that are not
     integers are listed (and raise InconsistentInvariantsError under
     ``strict``); then the P-form must equal the l-form as scaled integers,
-    p_num * D == l_num * W, or ArithmeticError is raised.  The returned
-    report is the basket's shared one for that ``integral`` flag.
+    p_num * D == l_num * W, or ArithmeticError is raised.  Returns the
+    list, empty when every P_m the form reads is an integer.
     """
-    _, which, den, ells, l_num, reports = half
+    den, ells, l_num, _ = half
     top, coeffs, read, ints = _ROW_FORMS[which]
     ineq = INEQUALITIES[which]
     if len(pm) + 1 >= top and list(map(type, given := read(pm))) == ints:
         # The row covers the form and holds only ints (no bool or float).
-        w, bad = 1, ()
+        w, bad = 1, []
         p_num = sum(map(mul, coeffs, given)) - ineq.chi_coeff * chi
     else:
         # given: the sum of a_m * P_m over the m <= M that pm holds.
@@ -423,13 +410,13 @@ def _row_report(
         p_num = (given - ineq.chi_coeff * chi) * w + sum(
             [a * v for (_, a), v in zip(computed, row)]
         )
-    report = reports[not bad]
     if p_num * den != l_num * w:
+        l_form = Fraction(l_num, den)
         raise ArithmeticError(
             f"form {which} evaluations disagree: "
-            f"{Fraction(p_num, w)}, {report.l_form}, {report.xi_form}"
+            f"{Fraction(p_num, w)}, {l_form}, {l_form}"
         )
-    return report
+    return bad
 
 
 def verify_plurigenus_form(
@@ -461,18 +448,21 @@ def verify_plurigenus_form(
     computed; when the row covers the form, no ``chi_mk_row`` is made.
 
     The work is split by what it depends on.  Per basket, in
-    ``_basket_half`` (memoized): the scaled l table, the l-form, xi_bar,
-    the target, the l-form = xi_bar identity and the form's two possible
-    reports.  Per row, in ``_row_report``: the computed P_m, their
-    integrality (and the strict raise), and the P-form = l-form identity
-    in integers, so every row is checked on its own.  A caller that checks
-    many rows of one basket, as ``enumerate`` does, takes the half once
-    and calls ``_row_report`` per row.  The returned report is the
-    basket's shared, immutable one.
+    ``_basket_half``: the scaled l table, the l-form, the target and the
+    l-form = xi_bar identity, all in integers.  Per row, in
+    ``_row_check``: the computed P_m, their integrality (and the strict
+    raise), and the P-form = l-form identity in integers, so every row is
+    checked on its own.  A caller that checks many rows of one basket, as
+    ``enumerate`` does, takes the half once and calls ``_row_check`` per
+    row.  The one report returned is made here, from the half and the
+    row's non-integral P_m.
     """
     if type(which) is not int or which not in INEQUALITIES:
         raise ValueError(
             f"form must be the int 1 or 2, got {type(which).__name__} {which!r}"
         )
     half = _basket_half(inv.basket, which)
-    return _row_report(half, pm, inv.chi, inv.k3, strict)
+    bad = _row_check(half, which, pm, inv.chi, inv.k3, strict)
+    den, _, l_num, target = half
+    value = Fraction(l_num, den)
+    return PlurigenusFormReport(which, value, value, value, Fraction(target), not bad)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
+from .rationals import _check_type
 from .riemann_roch import ThreefoldInvariants, chi_mk
 
 __all__ = [
@@ -68,7 +69,8 @@ class ConstantChain:
 
 
 def derive_constants(m0_raw: int) -> ConstantChain:
-    """Constant chain for m0 = lcm(m0_raw, 120)."""
+    """Constant chain for m0 = lcm(m0_raw, 120); m0_raw is an int (not a bool)."""
+    _check_type("m0", m0_raw, (int,))
     if m0_raw < 2:
         raise ValueError(f"m0 must be at least 2, got {m0_raw}")
     m0 = lcm(m0_raw, 120)
@@ -154,15 +156,19 @@ def check_pm_bound(
 
     For chi(O) <= 0 the stronger bound P_m >= m^3 K^3 / 16 holds from
     m = 2 already and is checked as well; in that case m below m1 is not
-    an error.  For chi(O) > 0, m below m1 raises ThresholdError.
+    an error, but m below 2 is.  For chi(O) > 0, m below m1 raises
+    ThresholdError.  m must be an int (not a bool).
     """
+    _check_type("m", m, (int,))
     general_bound = strong_bound = None
     if m >= chain.m1:
         general_bound = chain.c_prime * m**3 * inv.k3
-    elif inv.chi > 0 or m < 2:
+    elif inv.chi > 0:
         raise ThresholdError(
             f"bound for chi > 0 needs m >= m1 = {chain.m1}, got {m}"
         )
+    elif m < 2:
+        raise ThresholdError(f"bound for chi <= 0 needs m >= 2, got {m}")
     if inv.chi <= 0 and m >= 2:
         strong_bound = Fraction(m**3, 16) * inv.k3
     return PmBoundReport(m, chi_mk(inv, m), general_bound, strong_bound)

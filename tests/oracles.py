@@ -24,11 +24,7 @@ from basket3.enumeration import (
     NoCandidatesError,
     enumerate_candidates,
 )
-from basket3.functionals import (
-    INEQUALITIES,
-    PlurigenusFormReport,
-    verify_plurigenus_form,
-)
+from basket3.functionals import INEQUALITIES, verify_plurigenus_form
 from basket3.rationals import format_fraction, slopes
 from basket3.riemann_roch import ThreefoldInvariants, plurigenus
 
@@ -298,9 +294,9 @@ def basket_half_by_fractions(basket: Basket, which: int) -> tuple:
     The l table is ``l_by_definition`` at m = 0 .. top, the form's largest
     m; the l-form is sum a_m l(m) and xi_bar the sum of c_j mbar^j over the
     expanded basket, which must be equal (ArithmeticError otherwise); the
-    target is floor * sigma12, summed point by point.  Both reports hold
-    these three Fractions and the target; the table and the l-form are
-    scaled by D = 2 * lcm(r_i), as the half returns them.
+    target is floor * sigma12, summed point by point.  The table and the
+    l-form are scaled by D = 2 * lcm(r_i) and returned as ints, as the
+    half returns them (AssertionError if one is not an integer).
     """
     ineq = INEQUALITIES[which]
     ells = [l_by_definition(basket, m) for m in range(ineq.p_coeffs[-1][0] + 1)]
@@ -312,13 +308,15 @@ def basket_half_by_fractions(basket: Basket, which: int) -> tuple:
     )
     if l_form != xi_form:
         raise ArithmeticError(f"form {which} evaluations disagree: {l_form}, {xi_form}")
-    target = Fraction(ineq.floor * sum(b for b, r in basket.pairs() if 12 * b <= r))
+    target = ineq.floor * sum(b for b, r in basket.pairs() if 12 * b <= r)
     den = 2 * lcm(*(r for _, r in basket.pairs()))
-    reports = tuple(
-        PlurigenusFormReport(which, l_form, l_form, xi_form, target, integral)
-        for integral in (False, True)
-    )
-    return basket, which, den, tuple(v * den for v in ells), l_form * den, reports
+
+    def scaled(value: Fraction) -> int:
+        value *= den
+        assert value.denominator == 1, value
+        return value.numerator
+
+    return den, [scaled(v) for v in ells], scaled(l_form), target
 
 
 def with_nodes(cert: Certificate, nodes) -> Certificate:

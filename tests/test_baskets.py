@@ -1,6 +1,7 @@
 """Basket model and the local parabola terms."""
 
 import pickle
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -58,6 +59,14 @@ class TestPointValidation:
     def test_slope(self):
         assert OrbifoldPoint(2, 5).slope == Fraction(2, 5)
 
+    @pytest.mark.parametrize(
+        "b, r", [(True, 3), (2.0, 5), (1, 3.0), ("1", 3), (1, True), (Fraction(1), 3)]
+    )
+    def test_rejects_non_integers(self, b, r):
+        message = f"b and r must be integers, got ({b!r}, {r!r})"
+        with pytest.raises(BasketError, match=re.escape(message)):
+            OrbifoldPoint(b, r)
+
 
 class TestBasket:
     def test_canonicalization(self):
@@ -93,8 +102,8 @@ class TestBasket:
         assert pickle.loads(pickle.dumps(basket)) == basket
 
     def test_equal_baskets_hash_equal(self):
-        # The hash is taken once, at construction, however the basket is
-        # built, and survives pickling.
+        # Equal baskets hash equal however they are built, also after
+        # pickling.
         pairs = [(2, 5), (1, 2), (2, 5), (3, 11)]
         built = [
             Basket.from_pairs(pairs),

@@ -760,6 +760,12 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+def target_above_l_form(basket, half):
+    """``half`` with its target just above its l-form, so the form fails."""
+    den, ells, l_num, _ = half
+    return den, ells, l_num, l_num // den + 1
+
+
 class TestEnumerateJobs:
     """``enumerate --jobs``: one stream and one exit code for every value."""
 
@@ -825,20 +831,20 @@ class TestEnumerateJobs:
         assert capsys.readouterr().out == ""
 
     def patch_one_basket(self, monkeypatch, change):
-        """Route the row checks of one basket, in a late chunk, through ``change``.
+        """Route the basket halves of one basket, in a late chunk, through ``change``.
 
-        ``change(basket, chi, report)`` sees each report of that basket; the
-        basket is the first entry of the basket half the check is given.
+        ``change(basket, half)`` sees each basket half of that basket, and
+        its return value is the half the stream uses.
         """
         baskets = list(cli.enumerate_baskets(cli._constraints_from_json(SWEEP)))
         target = baskets[3 * cli._CHUNK_BASKETS + 5]
-        check = cli._row_report
+        take = cli._basket_half
 
-        def patched(half, pm, chi, k3, *args):
-            report = check(half, pm, chi, k3, *args)
-            return change(half[0], chi, report) if half[0] == target else report
+        def patched(basket, which):
+            half = take(basket, which)
+            return change(basket, half) if basket == target else half
 
-        monkeypatch.setattr(cli, "_row_report", patched)
+        monkeypatch.setattr(cli, "_basket_half", patched)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         return target
 
@@ -848,10 +854,7 @@ class TestEnumerateJobs:
     ):
         constraints = write_json(tmp_path, "c.json", SWEEP)
         _, clean = self.stream(capsys, constraints, 1)
-        self.patch_one_basket(
-            monkeypatch,
-            lambda basket, chi, report: replace(report, target=report.p_form + 1),
-        )
+        self.patch_one_basket(monkeypatch, target_above_l_form)
         one, two = (self.stream(capsys, constraints, jobs) for jobs in (1, 2))
         assert one == two == (1, clean)
 
@@ -859,8 +862,8 @@ class TestEnumerateJobs:
     def test_raising_form_check_is_the_same_at_every_jobs(
         self, tmp_path, capsys, monkeypatch
     ):
-        def fail(basket, chi, report):
-            raise ArithmeticError(f"forced at {basket.pairs()} chi {chi}")
+        def fail(basket, half):
+            raise ArithmeticError(f"forced at {basket.pairs()}")
 
         target = self.patch_one_basket(monkeypatch, fail)
         constraints = write_json(tmp_path, "c.json", SWEEP)
@@ -871,7 +874,7 @@ class TestEnumerateJobs:
             texts.append(str(exc.value))
             # The pool is shut down before the error leaves the command.
             assert not multiprocessing.active_children()
-        assert texts[0] == texts[1] == f"forced at {target.pairs()} chi -8"
+        assert texts[0] == texts[1] == f"forced at {target.pairs()}"
 
     @pytest.mark.parametrize("end", ["closed-pipe", "raising-check"])
     def test_an_early_end_shuts_the_pool_down_once(
@@ -886,7 +889,7 @@ class TestEnumerateJobs:
                     raise BrokenPipeError("closed")
                 return super().write(text)
 
-        def fail(basket, chi, report):
+        def fail(basket, half):
             raise ArithmeticError("forced")
 
         constraints = write_json(tmp_path, "c.json", SWEEP)
@@ -1320,15 +1323,15 @@ class TestFormChecksReadThePrintedRow:
         # reports the wrong P_8.
         cands = self.stream(8)
         target = cands[len(cands) // 2].basket
-        check = cli._row_report
+        take = cli._basket_half
 
-        def form_one_fails(half, *args):
-            report = check(half, *args)
-            if half[0] == target and report.which == 1:
-                return replace(report, target=report.p_form + 1)
-            return report
+        def form_one_fails(basket, which):
+            half = take(basket, which)
+            if basket == target and which == 1:
+                return target_above_l_form(basket, half)
+            return half
 
-        monkeypatch.setattr(cli, "_row_report", form_one_fails)
+        monkeypatch.setattr(cli, "_basket_half", form_one_fails)
         assert run_stream(self.stream())[0] == cli.VIOLATION
         with pytest.raises(ArithmeticError, match="form 2 evaluations disagree"):
             run_stream(cands)

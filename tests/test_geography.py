@@ -1,5 +1,6 @@
 """Constant chains and the global bound checks."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,12 @@ class TestDeriveConstants:
         with pytest.raises(ValueError):
             derive_constants(1)
 
+    @pytest.mark.parametrize("m0", [120.0, "120", True])
+    def test_m0_is_not_coerced(self, m0):
+        message = f"m0 must be int, got {type(m0).__name__} {m0!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            derive_constants(m0)
+
 
 class TestChiBound:
     def test_positive_chi_omega_passes(self):
@@ -87,6 +94,19 @@ class TestPmBound:
         inv = ThreefoldInvariants(Fraction(11, 2), 1, Basket.from_pairs([(1, 2)]))
         with pytest.raises(ThresholdError):
             check_pm_bound(inv, derive_constants(120), 100)
+
+    @pytest.mark.parametrize("m", [2.0, "2", True])
+    def test_m_is_not_coerced(self, m):
+        message = f"m must be int, got {type(m).__name__} {m!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_pm_bound(X10, derive_constants(120), m)
+
+    @pytest.mark.parametrize("m", [1, 0, -5])
+    def test_m_below_two_names_its_rule_for_nonpositive_chi(self, m):
+        inv = ThreefoldInvariants(Fraction(2), -3, EMPTY_BASKET)
+        message = f"bound for chi <= 0 needs m >= 2, got {m}"
+        with pytest.raises(ThresholdError, match=f"^{re.escape(message)}$"):
+            check_pm_bound(inv, derive_constants(120), m)
 
     def test_general_branch_at_m1(self):
         chain = derive_constants(120)
