@@ -33,13 +33,16 @@ with xi_lin in closed form, and the target from ``point_target``.  The
 verifier evaluates each node from the definitions instead, in one walk
 over the support (``_node_walk``): with t = jb and s = t mod r, s(r - s)
 is 2r*mbar^j, and s(r - s) - t(r - t) over 2r is delta^j, which gives
-xi_bar, xi_delta and the offsets against the parents' recomputed rows.
+xi_bar, xi_delta and, with the same definition at both parents, the
+offsets; no row is kept from one node to the next.
 Through the identity it checks the builder's closed-form ``xi_lin_num``
 against those sums, and it takes each target from the header's floor and
 the fixed cut 1/12.  What it still shares with the builder is the lemma
-vector (``lemma_offsets``) and ``xi_lin_num``; it checks the node set
-against ``slopes``, which the builder does not walk, and the reader shares
-the point rule (``check_point``).
+vector (``lemma_offsets``), ``xi_lin_num`` and ``split_slope``, whose
+parents only name the line it expects and go through the same sum and
+unimodularity checks as recorded ones; it checks the node set against
+``slopes``, which the builder does not walk, and the reader shares the
+point rule (``check_point``).
 
 A certificate is its header values, its node text and its least slack.
 Every replay task, in a worker or in this process, returns its node lines,
@@ -54,9 +57,11 @@ template, compiled from the same grammar, whose groups are the node's
 values spelled by the ``rationals`` rules, and names the line and the
 token of anything else.  The reader takes a file or a buffer one line at
 a time, in binary, and decodes each line as ASCII on its own.
-``verify_certificate`` checks the nodes as that reader yields them, a few
-hundred at a time, from a file or from a certificate's bytes, so it holds
-the verifier's row table but no text, line list or node list.
+``verify_certificate`` checks the node lines as that reader yields them, a
+few hundred at a time, from a file or from a certificate's bytes, so it
+holds no text, line list, node list or row table.  It writes the line it
+expects for each slope with its own code, and parses only a line that
+differs.
 """
 
 from __future__ import annotations
@@ -114,6 +119,8 @@ _HEADER_LINE = "{}: {}"  # key, value
 # The header values every certificate has: its format and the slope cut of
 # baskets.low_slope, which is fixed, not a parameter.
 _FIXED_HEADER = {"basket3-certificate": str(FORMAT_VERSION), "slope-cut": "1/12"}
+# The header lines and the blank line after them: node line k is line _HEAD + k.
+_HEAD = len(_HEADER_KEYS) + 1
 # The values a node line is written with, in the one spelling of each
 # number that rationals reads, with one group per value of the node: a
 # point b/r is two, b and r.  An offset is j:v with v != 0.
@@ -187,11 +194,10 @@ class CertificateNode(NamedTuple):
 # constructor: the namedtuple's own __new__ and _make are Python calls, and
 # every node is made here, by the reader.
 _new_node = partial(tuple.__new__, CertificateNode)
-# Nodes the verifier takes from its source at a time, which bounds what it
-# holds beyond its row table.  Taking turns by the batch, the reader's loop
-# and the check's loop verified the INEQ2 r_max 400 certificate about
-# 0.02 s faster (of 0.3 s) than taking turns by the node (quartiles of 30
-# runs each, Python 3.11.7, 2 CPUs).
+# Node lines the verifier takes from the reader at a time.  Taking turns by
+# the batch, the reader's loop and the check's loop verified the INEQ2
+# r_max 400 certificate about 0.02 s faster (of 0.23 s) than taking turns
+# by the line (min of 5 runs each, Python 3.11.7, 2 CPUs).
 _BATCH = 256
 
 
@@ -230,7 +236,9 @@ class Certificate:
     points attaining it (None and no points without nodes), as
     ``proof_replay`` or the reader found them.  ``r_max`` and
     ``low_slope_floor`` must be exact ints, with r_max >= 2: the header
-    values the reader takes back.
+    values the reader takes back.  ``text`` must be ASCII ``bytes``, empty
+    or ending in a newline, so that the header's ``nodes`` count is its
+    number of lines.
     """
 
     functional: Functional
@@ -244,6 +252,11 @@ class Certificate:
         _check_type("low_slope_floor", self.low_slope_floor, (int,))
         if self.r_max < 2:
             raise ValueError(f"r_max must be at least 2, got {self.r_max}")
+        _check_type("text", self.text, (bytes,))
+        if not self.text.isascii():
+            raise ValueError("text must be ASCII")
+        if self.text and not self.text.endswith(b"\n"):
+            raise ValueError("text must end in a newline")
 
     @property
     def node_count(self) -> int:
@@ -335,7 +348,7 @@ def _read_header(lines: Iterator[str]) -> dict:
                 raise ValueError(f"certificate line {number}: {exc}") from None
     if next(lines, None) != "":
         raise ValueError(
-            f"certificate line {len(_HEADER_KEYS) + 1}: want the blank line after the header"
+            f"certificate line {_HEAD}: want the blank line after the header"
         )
     return header
 
@@ -346,14 +359,22 @@ def _read_nodes(lines: Iterable[str], declared: int) -> Iterator[CertificateNode
     Once the lines run out, their count is checked against the header's
     ``declared`` one, so a bad line is named before a wrong count.
     """
-    head = len(_HEADER_KEYS) + 1  # the header lines and the blank line
     count = 0
     for count, line in enumerate(lines, start=1):
-        try:
-            node = _parse_node_line(line)
-        except ValueError as exc:
-            raise ValueError(f"certificate line {head + count}: {exc}") from None
-        yield node
+        yield _read_node(line, count)
+    _check_count(count, declared)
+
+
+def _read_node(line: str, count: int) -> CertificateNode:
+    """The node of the ``count``-th node line; its error names the certificate line."""
+    try:
+        return _parse_node_line(line)
+    except ValueError as exc:
+        raise ValueError(f"certificate line {_HEAD + count}: {exc}") from None
+
+
+def _check_count(count: int, declared: int) -> None:
+    """Refuse a node count other than the header's ``declared`` one."""
     if count != declared:
         raise ValueError(
             f"certificate line {_HEADER_KEYS.index('nodes') + 1}: "
@@ -404,7 +425,7 @@ def _lines(fh: BinaryIO) -> Iterator[str]:
 def _file_points(fh: BinaryIO) -> Iterator[tuple[int, int]]:
     """(b, r) of each node line, read again from a file whose lines all read."""
     fh.seek(0)
-    for line in islice(fh, len(_HEADER_KEYS) + 1, None):
+    for line in islice(fh, _HEAD, None):
         b, r = line[:line.index(b" ")].split(b"/")
         yield int(b), int(r)
 
@@ -816,35 +837,98 @@ def _merge(parts: Iterable[_TaskResult]) -> tuple[bytes, _SlackSummary]:
     return text, (Fraction(num, den), tuple(sorted(tied, key=itemgetter(1, 0))))
 
 
+# The low end of the slope range, 0/1, where every delta^j is 0: an atom
+# walks against it in place of both parents.
+_ORIGIN = SLOPE_RANGE[0]
+
+
 def _node_walk(
     support: tuple[int, ...],
     weights: tuple[int, ...],
     b: int,
     r: int,
-    d_hi: tuple[int, ...],
-    d_lo: tuple[int, ...],
-) -> tuple[tuple[int, ...], int, int, tuple[int, ...]]:
+    hi: tuple[int, int],
+    lo: tuple[int, int],
+) -> tuple[int, int, tuple[int, ...]]:
     """The verifier's values at b/r, in one walk over the support, by definition.
 
     Per j, with t = jb and s = t mod r: 2r*mbar^j = s(r - s) and
     2r*delta^j = s(r - s) - t(r - t), which 2r divides, since t = s (mod r).
-    Returns (delta row, 2r*xi_bar, xi_delta, offsets), where the offsets
-    are delta^j - d_hi[j] - d_lo[j] against the parents' rows ``d_hi`` and
-    ``d_lo`` over the same support.
+    The same definition gives delta^j at the parents ``hi`` and ``lo``,
+    each a point (b, r), so no row outlives the walk.  Returns (2r*xi_bar,
+    xi_delta, offsets), where the offsets are delta^j at b/r less delta^j
+    at each parent.
     """
     two_r = 2 * r
-    d, offs = [], []
+    b_hi, r_hi = hi
+    b_lo, r_lo = lo
+    two_hi, two_lo = 2 * r_hi, 2 * r_lo
+    offs = []
     xi = xd = 0
-    for j, c, hi, lo in zip(support, weights, d_hi, d_lo):
+    for j, c in zip(support, weights):
         t = j * b
         s = t % r
         u = s * (r - s)
         dj = (u - t * (r - t)) // two_r
-        d.append(dj)
-        offs.append(dj - hi - lo)
+        t_hi = j * b_hi
+        s_hi = t_hi % r_hi
+        t_lo = j * b_lo
+        s_lo = t_lo % r_lo
+        offs.append(
+            dj
+            - (s_hi * (r_hi - s_hi) - t_hi * (r_hi - t_hi)) // two_hi
+            - (s_lo * (r_lo - s_lo) - t_lo * (r_lo - t_lo)) // two_lo
+        )
         xi += c * u
         xd += c * dj
-    return tuple(d), xi, xd, tuple(offs)
+    return xi, xd, tuple(offs)
+
+
+def _own_node(
+    func: Functional,
+    floor: int,
+    b: int,
+    r: int,
+    hi: tuple[int, int] | None,
+    lo: tuple[int, int] | None,
+) -> tuple[tuple, tuple[int, ...]]:
+    """The node the verifier makes at b/r, split at ``hi``, ``lo`` or an atom (None).
+
+    Every value is its own: one ``_node_walk`` for xi_bar, xi_delta and the
+    offsets, the target from the header's floor and the fixed slope cut
+    1/12, cfdet from the parents' indices.  Returns the node's twelve
+    fields, in the order of a ``CertificateNode``, and its offset at every
+    j of the support.
+    """
+    support = func.support
+    xi, xd, offs = _node_walk(support, func.weights, b, r, hi or _ORIGIN, lo or _ORIGIN)
+    target = floor * b if 12 * b <= r else 0
+    if hi is None:
+        return (b, r, None, None, None, None, None, (), 0, xd, xi, target), offs
+    nonzero = _nonzero(support, offs)
+    net = func.weigh(offs) if nonzero else 0
+    cf_det = 1 if 2 * hi[1] < r else -1
+    return (b, r, *hi, *lo, cf_det, nonzero, net, xd, xi, target), offs
+
+
+def _own_line(node: tuple) -> str:
+    """The canonical line of a node's values, with its newline.
+
+    The verifier's own spelling of each value, filled into the grammar's
+    templates: it never calls the builder's ``_node_line``, so a fault of
+    that writer is not shared.  xibar is xi_num over 2r in lowest terms, a
+    bare integer when the denominator is 1.
+    """
+    b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offsets, net, xd, xi, target = node
+    two_r = 2 * r
+    g = gcd(xi, two_r)
+    xibar = "%d" % (xi // g) if g == two_r else "%d/%d" % (xi // g, two_r // g)
+    if b_hi is None:
+        return _LEAF_FORMAT % (b, r, xd, xibar, target)
+    offs = ",".join(["%d:%d" % pair for pair in offsets]) if offsets else "-"
+    return _SPLIT_FORMAT % (
+        b, r, b_hi, r_hi, b_lo, r_lo, cf_det, offs, net, xd, xibar, target
+    )
 
 
 @dataclass(frozen=True)
@@ -877,9 +961,10 @@ def verify_certificate(cert: Certificate | str | os.PathLike) -> VerificationRep
 
     A file, or a certificate's bytes, is read by the reader of
     ``Certificate.read``, one line at a time, and the nodes are checked as
-    they are read, so no text and no list of its lines or nodes is held.
-    Its reader errors are raised as ``Certificate.read`` raises them, the
-    first in file order.
+    they are read.  No text, list of lines or nodes, or table of rows is
+    held: the memory that grows with the certificate is the list of points
+    attaining the least slack.  Its reader errors are raised as
+    ``Certificate.read`` raises them, the first in file order.
     """
     if isinstance(cert, Certificate):
         cert = io.BytesIO(cert._header() + cert.text)
@@ -888,7 +973,7 @@ def verify_certificate(cert: Certificate | str | os.PathLike) -> VerificationRep
         header = _read_header(lines)
         return _verify(
             header["coefficients"], header["r-max"], header["low-slope-floor"],
-            _read_nodes(lines, header["nodes"]), fh,
+            header["nodes"], lines, fh,
         )
 
 
@@ -915,49 +1000,69 @@ def _verify(
     func: Functional,
     r_max: int,
     floor: int,
-    nodes: Iterable[CertificateNode],
+    declared: int,
+    lines: Iterator[str],
     fh: BinaryIO,
 ) -> VerificationReport:
-    """The check of ``verify_certificate``, over nodes as ``nodes`` yields them.
+    """The check of ``verify_certificate``, over the node lines ``lines`` yields.
 
-    It keeps the parent-row table, the running least slack, the issues, the
-    node count and whether every node so far was the next slope of
-    ``slopes(2, r_max)``.  Only where that fails does it read the points of
-    the file ``fh`` again, for the coverage issues, which come first.
-    Values are compared as integers over 2r.  Each node's values come from
-    one ``_node_walk`` against its parents' recomputed rows (zero rows at
-    an atom or where a parent is missing), and its own row is kept for the
-    splits that name it as a parent; recorded fields are never used in
-    place of a recomputed value.  Nodes are taken ``_BATCH`` at a time, so
-    the reader's loop and the check's each run over a batch in turn.
+    It holds the running least slack, the issues, the node count and the
+    slope walk ``slopes(2, r_max)``, which every node so far has followed;
+    no row outlives its node's walk.  While the nodes follow the walk, the
+    check makes the next slope's node itself, split at its ``split_slope``
+    parents (``_own_node``), and writes its line (``_own_line``): a line
+    with exactly those bytes is that node and is not parsed.  Any other
+    line goes through the reader, with its errors, and the check makes the
+    node at the point and parents the line records.  Either way the
+    recorded fields are only compared with the check's values, in the same
+    checks.  While the nodes follow the walk, a parent was read iff it is a
+    slope with a smaller (r, b); once one does not, the check keeps the set
+    of points read, and at the end it reads the points of the file ``fh``
+    again for the coverage issues, which come first.  Values are compared
+    as integers over 2r.  Lines are taken ``_BATCH`` at a time, so the
+    reader's loop and the check's each run over a batch in turn.
     """
     issues: list[str] = []
     expected = slopes(2, r_max)
-    covered = True
+    seen: set[tuple[int, int]] | None = None
     count = 0
     least = _LeastSlack()
-    support, weights, weigh = func.support, func.weights, func.weigh
-    zero = (0,) * len(support)
-    vectors: dict[tuple[int, int], tuple[int, ...]] = {}
-    nodes = iter(nodes)
+    support = func.support
     with _collector_paused():
-        for batch in iter(lambda: tuple(islice(nodes, _BATCH)), ()):
-            count += len(batch)
-            if covered:
-                covered = [node[:2] for node in batch] == list(islice(expected, len(batch)))
+        for batch in iter(lambda: tuple(islice(lines, _BATCH)), ()):
             slacks = []
-            for node in batch:
+            for line in batch:
+                count += 1
+                own = None
+                if seen is None and (point := next(expected, None)) is not None:
+                    b, r = point
+                    hi, lo, _ = split_slope(b, r) if b > 1 else (None, None, None)
+                    own, offs = _own_node(func, floor, b, r, hi, lo)
+                    if _own_line(own) != line + "\n":
+                        own = None
+                if own is None:
+                    node = _read_node(line, count)
+                    if seen is None and node[:2] != point:
+                        # The nodes before this one were the slopes before `point`.
+                        seen = set(islice(slopes(2, r_max), count - 1))
+                    hi, lo = (node[2:4], node[4:6]) if node[2] is not None else (None, None)
+                    own, offs = _own_node(func, floor, *node[:2], hi, lo)
+                else:
+                    node = own
                 # The names ending in _rec are the node's recorded fields, which
-                # are only ever compared with recomputed values.
+                # are only ever compared with the recomputed values of `own`.  A
+                # line that was not parsed is `own`, so those comparisons hold.
                 (b, r, b_hi, r_hi, b_lo, r_lo, cf_det_rec, offsets_rec, net_rec,
                  xd_rec, xi_rec, target_rec) = node
+                _, _, _, _, _, _, cf_det, nonzero, net, xd, xi, target = own
+                if seen is None:
+                    # Every node so far was the next slope, and a parent the
+                    # reader took is a slope, so it was read iff it comes first.
+                    missing = b_hi is None or (r_hi, b_hi) >= (r, b) or (r_lo, b_lo) >= (r, b)
+                else:
+                    missing = (b_hi, r_hi) not in seen or (b_lo, r_lo) not in seen
+                    seen.add((b, r))
                 two_r = 2 * r
-                # An atom's parents, (None, None), are never found.
-                rows = vectors.get((b_hi, r_hi)), vectors.get((b_lo, r_lo))
-                missing = None in rows
-                d_hi, d_lo = (zero, zero) if missing else rows
-                d, xi, xd, offs = _node_walk(support, weights, b, r, d_hi, d_lo)
-                vectors[b, r] = d
                 if xi_rec != xi:
                     issues.append(
                         f"{b}/{r}: recorded xibar {Fraction(xi_rec, two_r)}"
@@ -967,10 +1072,8 @@ def _verify(
                     issues.append(f"{b}/{r}: recorded xidelta {xd_rec} != {xd}")
                 if xi != two_r * xd + xi_lin_num(func, b, r):
                     issues.append(f"{b}/{r}: xi_bar != xi_delta + xi_lin")
-                # The fixed slope cut 1/12, written here, not read from the builder.
-                target = floor * b if 12 * b <= r else 0
                 slack = xi - two_r * target
-                slacks.append(slack)
+                slacks.append((node, slack))
                 if target_rec != target:
                     issues.append(f"{b}/{r}: recorded target {target_rec} != {target}")
                 if slack < 0:
@@ -989,13 +1092,11 @@ def _verify(
                 unimodular = b_hi * r_lo - b_lo * r_hi == 1
                 if not unimodular:
                     issues.append(f"{b}/{r}: parents are not unimodular in (high, low) order")
-                cf_det = 1 if 2 * r_hi < r else -1
                 if cf_det_rec != cf_det:
                     issues.append(f"{b}/{r}: recorded cfdet {cf_det_rec} != {cf_det}")
                 if missing:
                     issues.append(f"{b}/{r}: parents missing from the certificate before it")
                     continue
-                nonzero = _nonzero(support, offs)
                 if offsets_rec != nonzero:
                     # The reader takes only nonzero offsets in ascending j, so
                     # two lists that differ differ at some j.
@@ -1013,12 +1114,12 @@ def _verify(
                     for j, _, want in _contradictions(support, offs, predicted):
                         rule = "additivity" if want == 0 else "the offset lemma"
                         issues.append(f"{b}/{r}: j={j} contradicts {rule}")
-                net = weigh(offs) if nonzero else 0
                 if net_rec != net:
                     issues.append(f"{b}/{r}: recorded net offset {net_rec} != {net}")
-            least.update(zip(batch, slacks))
+            least.update(slacks)
+    _check_count(count, declared)
 
-    if not (covered and next(expected, None) is None):
+    if not (seen is None and next(expected, None) is None):
         issues[:0] = _coverage([(r, b) for b, r in _file_points(fh)], r_max)
     min_slack, attained = least.summary()
     return VerificationReport(count, min_slack, attained, tuple(issues))

@@ -333,17 +333,17 @@ def basket_points(draw, r_max):
 @given(FUNCTIONALS, basket_points(10**6))
 def test_node_walk_matches_the_definitions(func, point):
     # The verifier's walk against the builder's kernels and the Fraction
-    # definitions, with the split's parents' rows (zero rows at an atom).
+    # definitions, with the split's parents (0/1, where every delta^j is 0,
+    # for both at an atom).
     b, r = point
     support = func.support
-    if b == 1:
-        d_hi = d_lo = (0,) * len(support)
-    else:
-        hi, lo, _ = split_slope(b, r)
-        d_hi, d_lo = delta_row(*hi, support), delta_row(*lo, support)
-    d, xi, xd, offs = certificates._node_walk(support, func.weights, b, r, d_hi, d_lo)
-    assert d == delta_row(b, r, support)
-    assert list(d) == [delta_by_definition(j, b, r) for j in support]
+    hi, lo = split_slope(b, r)[:2] if b > 1 else ((0, 1), (0, 1))
+    xi, xd, offs = certificates._node_walk(support, func.weights, b, r, hi, lo)
+    d, d_hi, d_lo = (delta_row(*p, support) for p in ((b, r), hi, lo))
+    assert list(offs) == [
+        delta_by_definition(j, b, r) - delta_by_definition(j, *hi) - delta_by_definition(j, *lo)
+        for j in support
+    ]
     assert xi == xi_bar_num(func, b, r)
     assert xd == xi_delta_pair(func, b, r)
     assert xi == 2 * r * xd + xi_lin_num(func, b, r)
@@ -546,6 +546,28 @@ class TestSerialization:
         cert = proof_replay(INEQ2, 5, low_slope_floor=14)
         with pytest.raises(ValueError, match=f"^{name} must"):
             Certificate(INEQ2, r_max, floor, cert.text, cert.least_slack)
+
+    @pytest.mark.parametrize(
+        ("edit", "error"),
+        [
+            (lambda text: text.decode("ascii"), "text must be bytes, got str"),
+            (lambda text: text.replace(b"leaf", b"l\xe9af", 1), "text must be ASCII"),
+            (lambda text: text[:-1], "text must end in a newline"),
+        ],
+        ids=["str", "non-ascii", "cut"],
+    )
+    def test_refuses_text_it_cannot_write_back(self, edit, error, tmp_path):
+        # The header's node count is the text's number of newlines, and the
+        # reader takes only ASCII lines that each end in one: a text cut
+        # before its last newline would be written under "nodes: 4" above
+        # 5 node lines, which the reader refuses.  The text it was cut from
+        # writes and reads back.
+        cert = proof_replay(INEQ2, 5, low_slope_floor=14)
+        assert cert.node_count == 5
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+            Certificate(INEQ2, 5, 14, edit(cert.text), cert.least_slack)
+        cert.write(tmp_path / "cert.txt")
+        assert Certificate.read(tmp_path / "cert.txt") == cert
 
     def test_a_hand_made_certificate_reads_back_equal(self, tmp_path):
         # Made from values, not by a replay: no nodes, a negative floor.
@@ -953,6 +975,72 @@ class TestVerification:
         with pytest.raises(ValueError, match=f"^certificate line {line}: {re.escape(error)}"):
             with_nodes(cert, nodes)
 
+    @pytest.mark.parametrize("r_max", [13, 60])
+    @pytest.mark.parametrize(("func", "floor"), [(INEQ1, 0), (INEQ2, 14)], ids=["1", "2"])
+    def test_fresh_lines_are_not_parsed(self, func, floor, r_max, monkeypatch):
+        # Each line of a fresh certificate is the line the check writes for
+        # the next slope, so none goes through the parser, and the report
+        # is the one of a check that parses.
+        cert = proof_replay(func, r_max, low_slope_floor=floor)
+        report = verify_certificate(cert)
+        assert report.ok and report.nodes == expected_count(r_max)
+
+        def parse(line):
+            raise AssertionError(f"parsed {line!r}")
+
+        monkeypatch.setattr(certificates, "_parse_node_line", parse)
+        assert verify_certificate(cert) == report
+
+    def test_check_writes_its_own_lines(self, tmp_path, monkeypatch):
+        # A writer that spells xibar unreduced, as 2p/2q, writes the values
+        # of every node in lines the reader refuses.  With that writer in
+        # place, the check still refuses the first line with the reader's
+        # error, since the lines it compares with are its own.
+        node_line = certificates._node_line
+
+        def unreduced(node):
+            return re.sub(
+                r"xibar=(-?\d+)(?:/(\d+))?",
+                lambda m: f"xibar={2 * int(m[1])}/{2 * int(m[2] or 1)}",
+                node_line(node),
+            )
+
+        monkeypatch.setattr(certificates, "_node_line", unreduced)
+        cert = proof_replay(INEQ2, 13, low_slope_floor=14)
+        assert cert.text.startswith(b"1/2 leaf xidelta=-14 xibar=0/2 target=0\n")
+        path = tmp_path / "cert.txt"
+        cert.write(path)
+        assert verify_both_ways(path) == (
+            ValueError, "certificate line 8: fraction '0/2' is not in lowest terms"
+        )
+
+    # A node line with one integer token replaced by another integer, in its
+    # one spelling: the reader refuses the line, or the check finds an issue
+    # at the line's point, or the coverage check finds the point out of place.
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_an_edited_integer_is_never_ok(self, data):
+        r_max = data.draw(st.integers(2, 40))
+        lines = proof_replay(INEQ2, r_max, low_slope_floor=14).to_text().split("\n")
+        index = data.draw(st.integers(7, len(lines) - 2))
+        token = data.draw(st.sampled_from(list(re.finditer(r"-?\d+", lines[index]))))
+        value = data.draw(st.integers(-60, 60).filter(lambda v: v != int(token[0])))
+        line = lines[index][:token.start()] + str(value) + lines[index][token.end():]
+        lines[index] = line
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cert.txt")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines))
+            try:
+                report = verify_certificate(path)
+            except ValueError as exc:
+                assert str(exc).startswith("certificate line "), exc
+                return
+        point = line.split(" ")[0]
+        assert report.issues[0].startswith(
+            ("coverage mismatch: ", "nodes are not in canonical order", f"{point}: ")
+        ), (line, report.issues)
+
     # Single-token edits of a certificate file: a token is what lies between
     # spaces, ",", ":", "/", "=" and newlines, and it is replaced by a number,
     # a spelling the reader refuses, a non-ASCII letter or another token.
@@ -980,10 +1068,10 @@ class TestVerification:
             verify_both_ways(path)
 
     def test_streamed_check_holds_less_than_the_read_certificate(self, tmp_path):
-        # Checked as it is read, a file costs the parent-row table and little
-        # else; read first, it costs the text and the attaining points as
-        # well.  Each traced call follows an untraced one, so the free lists
-        # are filled alike.
+        # Checked as it is read, a file costs the attaining points and little
+        # else; read first, it costs the certificate's text and attaining
+        # points as well.  Each traced call follows an untraced one, so the
+        # free lists are filled alike.
         path = tmp_path / "cert.txt"
         proof_replay(INEQ2, 300, low_slope_floor=14).write(path)
         peaks = []
@@ -1000,6 +1088,31 @@ class TestVerification:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 0.85 * peaks[1], peaks
+
+    def test_check_memory_grows_by_the_attaining_points_only(self, tmp_path):
+        # The check holds no row of a node beyond its own check, so what
+        # grows with the certificate is the list of points attaining the
+        # least slack, about half of the nodes: some 35-45 bytes per node,
+        # where a row table cost about 360.  The first traced call follows
+        # an untraced one, so the free lists are filled.
+        counts, peaks = [], []
+        for r_max in (300, 600):
+            path = tmp_path / f"cert{r_max}.txt"
+            proof_replay(INEQ2, r_max, low_slope_floor=14).write(path)
+            if not peaks:
+                assert verify_certificate(path).ok
+            gc.collect()
+            tracemalloc.start()
+            try:
+                report = verify_certificate(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.ok
+            counts.append(report.nodes)
+        assert counts == [13699, 54750]
+        per_node = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
+        assert per_node < 100, peaks
 
     def test_violation_reported_for_hostile_target(self):
         # A floor the inequality does not satisfy must be flagged, not hidden.
