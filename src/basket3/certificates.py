@@ -47,9 +47,11 @@ point rule (``check_point``).
 A certificate is its header values, its node text and its least slack.
 Every replay task, in a worker or in this process, returns its node lines,
 already written as one text per row and keyed by the row's first (r, b),
-and its least slack with the (b, r) points attaining it; the parent merges
-the rows and the attaining points by (r, b), joins the texts and takes the
-least of the slacks.  ``Certificate.nodes`` reads the text on first access.
+and its least-slack summary: the least slack, how many of its nodes attain
+it and the first 16 of those (b, r) points.  The parent merges the rows by
+(r, b) and joins the texts, takes the least of the slacks, adds up the
+tied tasks' counts and keeps the first 16 of their points.
+``Certificate.nodes`` reads the text on first access.
 
 ``_node_line`` fills the templates of ``_NODE_GRAMMAR``, and the reader takes
 exactly that text: it reads each node line with one match of its kind's
@@ -57,16 +59,15 @@ template, compiled from the same grammar, whose groups are the node's
 values spelled by the ``rationals`` rules, and names the line and the
 token of anything else.  The reader takes a file or a buffer one line at
 a time, in binary, and decodes each line as ASCII on its own.
-``verify_certificate`` checks the node lines as that reader yields them, a
-few hundred at a time, from a file or from a certificate's bytes, so it
-holds no text, line list, node list or row table.  It writes the line it
-expects for each slope with its own code, and parses only a line that
-differs.
+``verify_certificate`` checks the node lines as that reader yields them,
+from a file or from a certificate's bytes, so it holds no text, line
+list, node list, row table or list of points: its least slack is two
+integers.  It writes the line it expects for each slope with its own
+code, and parses only a line that differs.
 """
 
 from __future__ import annotations
 
-import gc
 import io
 import os
 import re
@@ -194,37 +195,17 @@ class CertificateNode(NamedTuple):
 # constructor: the namedtuple's own __new__ and _make are Python calls, and
 # every node is made here, by the reader.
 _new_node = partial(tuple.__new__, CertificateNode)
-# Node lines the verifier takes from the reader at a time.  Taking turns by
-# the batch, the reader's loop and the check's loop verified the INEQ2
-# r_max 400 certificate about 0.02 s faster (of 0.23 s) than taking turns
-# by the line (min of 5 runs each, Python 3.11.7, 2 CPUs).
-_BATCH = 256
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Keep the cyclic collector off while nodes or records are made in bulk.
-
-    They are tuples of plain values, which make no cycle, so the passes
-    their allocations would start find nothing to free.  The caller's state
-    comes back on every exit, a raise included, and a collector that was
-    off stays off.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-# The least slack of a set of nodes and the (b, r) points attaining it, in
-# (r, b) order; (None, ()) for no nodes.
-_SlackSummary = tuple[Fraction | None, tuple[tuple[int, int], ...]]
+# How many of the points attaining the least slack a summary keeps, the
+# first in (r, b) order: as many as ``replay`` prints.
+_SHOWN = 16
+# The least slack of a set of nodes, how many nodes attain it and the first
+# _SHOWN of those (b, r) points in (r, b) order; (None, 0, ()) for no nodes.
+_SlackSummary = tuple[Fraction | None, int, tuple[tuple[int, int], ...]]
 # A replay task's result: its (r, b of the first slope, node lines) rows and
-# its least slack as (numerator, denominator, attaining points).
-_TaskResult = tuple[list[tuple[int, int, bytes]], tuple[int, int, list[tuple[int, int]]]]
+# its least slack as (numerator, denominator, count, first points).
+_TaskResult = tuple[
+    list[tuple[int, int, bytes]], tuple[int, int, int, list[tuple[int, int]]]
+]
 
 
 @dataclass(frozen=True)
@@ -232,9 +213,10 @@ class Certificate:
     """A full sweep up to r_max for one functional and target rule.
 
     ``text`` is the node lines in ASCII, in canonical (r, b) order, and
-    ``least_slack`` the least recorded slack of those nodes with the (b, r)
-    points attaining it (None and no points without nodes), as
-    ``proof_replay`` or the reader found them.  ``r_max`` and
+    ``least_slack`` is ``(least, count, first)``: the least recorded slack
+    of those nodes, how many nodes attain it and the first 16 of those
+    (b, r) points, in the order of the text (``(None, 0, ())`` without
+    nodes), as ``proof_replay`` or the reader found them.  ``r_max`` and
     ``low_slope_floor`` must be exact ints, with r_max >= 2: the header
     values the reader takes back.  ``text`` must be ASCII ``bytes``, empty
     or ending in a newline, so that the header's ``nodes`` count is its
@@ -267,8 +249,7 @@ class Certificate:
     def nodes(self) -> tuple[CertificateNode, ...]:
         """The nodes of the text, read on first access and then kept."""
         lines = self.text.decode("ascii").splitlines()
-        with _collector_paused():
-            return tuple(_read_nodes(lines, self.node_count))
+        return tuple(_read_nodes(lines, self.node_count))
 
     def _header(self) -> bytes:
         """The header lines and the blank line after them, in ASCII."""
@@ -457,34 +438,38 @@ _HEADER_VALUES = {
 
 
 class _LeastSlack:
-    """The least slack of the nodes seen so far and the (b, r) points attaining it.
+    """The least slack of the nodes seen so far, how many attain it, the first 16.
 
     Each slack is a numerator over 2r.  Slacks are compared by
-    cross-multiplication, so only the summary is a ``Fraction``; no nodes
-    give ``(None, ())``.
+    cross-multiplication, so only the summary is a ``Fraction``.  Of the
+    points attaining the least slack it keeps the first ``_SHOWN`` (b, r)
+    in the order they come and the count of all; no nodes give
+    ``(None, 0, ())``.
     """
 
-    __slots__ = ("num", "den", "attained")
+    __slots__ = ("num", "den", "count", "first")
 
     def __init__(self) -> None:
-        self.num, self.den = 0, 0
-        self.attained: list[tuple[int, int]] = []
+        self.num, self.den, self.count = 0, 0, 0
+        self.first: list[tuple[int, int]] = []
 
     def update(self, slacks: Iterable[tuple[tuple, int]]) -> None:
         """Take in more (node or record, its slack) pairs."""
-        best_num, best_den, attained = self.num, self.den, self.attained
+        best_num, best_den, count, first = self.num, self.den, self.count, self.first
         for node, num in slacks:
             den = 2 * node[1]
-            if not attained or num * best_den < best_num * den:
-                best_num, best_den, attained = num, den, [node[:2]]
+            if not count or num * best_den < best_num * den:
+                best_num, best_den, count, first = num, den, 1, [node[:2]]
             elif num * best_den == best_num * den:
-                attained.append(node[:2])
-        self.num, self.den, self.attained = best_num, best_den, attained
+                count += 1
+                if count <= _SHOWN:
+                    first.append(node[:2])
+        self.num, self.den, self.count, self.first = best_num, best_den, count, first
 
     def summary(self) -> _SlackSummary:
-        if not self.attained:
-            return None, ()
-        return Fraction(self.num, self.den), tuple(self.attained)
+        if not self.count:
+            return None, 0, ()
+        return Fraction(self.num, self.den), self.count, tuple(self.first)
 
 
 def _recorded_slack(node: tuple) -> int:
@@ -723,19 +708,18 @@ def _build_range(args) -> _TaskResult:
 
     Returns the interval's rows in (r, b) order, each as (r, b of its first
     slope, its node lines in ASCII), and the least slack as (numerator,
-    denominator, attaining (b, r) points in (r, b) order).  Both are plain
-    data, so no class crosses the pool.
+    denominator, count of the attaining points, the first ``_SHOWN`` of them
+    in (r, b) order).  Both are plain data, so no class crosses the pool.
     """
     coeffs, floor, r_max, lo, hi = args
-    with _collector_paused():
-        records = list(_records(Functional(coeffs), floor, r_max, (lo, hi)))
+    records = list(_records(Functional(coeffs), floor, r_max, (lo, hi)))
     least = _LeastSlack()
     least.update((record, _recorded_slack(record)) for record in records)
     rows = []
     for r, row in groupby(records, itemgetter(1)):
         row = list(row)
         rows.append((r, row[0][0], "".join(map(_node_line, row)).encode("ascii")))
-    return rows, (least.num, least.den, least.attained)
+    return rows, (least.num, least.den, least.count, least.first)
 
 
 def __getattr__(name: str):
@@ -821,20 +805,21 @@ def _merge(parts: Iterable[_TaskResult]) -> tuple[bytes, _SlackSummary]:
     ``parts`` are the tasks' results, in any order.  No two tasks share a
     point, so their (r, b, text) rows sort on (r, b) alone into canonical
     order.  The least slack is the least of the tasks' by
-    cross-multiplication, and the tied tasks' points sort by (r, b) too.
-    Each task's rows and points come in (r, b) order, so each sort merges
-    those runs.
+    cross-multiplication; its count is the sum of the tied tasks' counts,
+    and its points the first ``_SHOWN`` of theirs by (r, b).  Each task's
+    rows and points come in (r, b) order, so each sort merges those runs.
     """
-    rows, num, den, tied = [], 0, 0, []
-    for task_rows, (task_num, task_den, points) in parts:
+    rows, num, den, count, first = [], 0, 0, 0, []
+    for task_rows, (task_num, task_den, task_count, task_first) in parts:
         rows += task_rows
-        if not tied or task_num * den < num * task_den:
-            num, den, tied = task_num, task_den, list(points)
+        if not count or task_num * den < num * task_den:
+            num, den, count, first = task_num, task_den, task_count, task_first
         elif task_num * den == num * task_den:
-            tied += points
+            count += task_count
+            first = sorted(first + task_first, key=itemgetter(1, 0))[:_SHOWN]
     rows.sort()
     text = b"".join([row[2] for row in rows])
-    return text, (Fraction(num, den), tuple(sorted(tied, key=itemgetter(1, 0))))
+    return text, (Fraction(num, den), count, tuple(first))
 
 
 # The low end of the slope range, 0/1, where every delta^j is 0: an atom
@@ -937,7 +922,6 @@ class VerificationReport:
 
     nodes: int
     min_slack: Fraction | None
-    min_slack_points: tuple[tuple[int, int], ...]
     issues: tuple[str, ...]
 
     @property
@@ -961,9 +945,9 @@ def verify_certificate(cert: Certificate | str | os.PathLike) -> VerificationRep
 
     A file, or a certificate's bytes, is read by the reader of
     ``Certificate.read``, one line at a time, and the nodes are checked as
-    they are read.  No text, list of lines or nodes, or table of rows is
-    held: the memory that grows with the certificate is the list of points
-    attaining the least slack.  Its reader errors are raised as
+    they are read.  No text, list of lines, nodes or points, or table of
+    rows is held, so the memory of a check of the nodes in canonical order
+    does not grow with them.  Its reader errors are raised as
     ``Certificate.read`` raises them, the first in file order.
     """
     if isinstance(cert, Certificate):
@@ -1019,107 +1003,102 @@ def _verify(
     slope with a smaller (r, b); once one does not, the check keeps the set
     of points read, and at the end it reads the points of the file ``fh``
     again for the coverage issues, which come first.  Values are compared
-    as integers over 2r.  Lines are taken ``_BATCH`` at a time, so the
-    reader's loop and the check's each run over a batch in turn.
+    as integers over 2r, and the least slack is kept as two of them.
     """
     issues: list[str] = []
     expected = slopes(2, r_max)
     seen: set[tuple[int, int]] | None = None
-    count = 0
-    least = _LeastSlack()
+    count = least_num = least_den = 0
     support = func.support
-    with _collector_paused():
-        for batch in iter(lambda: tuple(islice(lines, _BATCH)), ()):
-            slacks = []
-            for line in batch:
-                count += 1
+    for line in lines:
+        count += 1
+        own = None
+        if seen is None and (point := next(expected, None)) is not None:
+            b, r = point
+            hi, lo, _ = split_slope(b, r) if b > 1 else (None, None, None)
+            own, offs = _own_node(func, floor, b, r, hi, lo)
+            if _own_line(own) != line + "\n":
                 own = None
-                if seen is None and (point := next(expected, None)) is not None:
-                    b, r = point
-                    hi, lo, _ = split_slope(b, r) if b > 1 else (None, None, None)
-                    own, offs = _own_node(func, floor, b, r, hi, lo)
-                    if _own_line(own) != line + "\n":
-                        own = None
-                if own is None:
-                    node = _read_node(line, count)
-                    if seen is None and node[:2] != point:
-                        # The nodes before this one were the slopes before `point`.
-                        seen = set(islice(slopes(2, r_max), count - 1))
-                    hi, lo = (node[2:4], node[4:6]) if node[2] is not None else (None, None)
-                    own, offs = _own_node(func, floor, *node[:2], hi, lo)
-                else:
-                    node = own
-                # The names ending in _rec are the node's recorded fields, which
-                # are only ever compared with the recomputed values of `own`.  A
-                # line that was not parsed is `own`, so those comparisons hold.
-                (b, r, b_hi, r_hi, b_lo, r_lo, cf_det_rec, offsets_rec, net_rec,
-                 xd_rec, xi_rec, target_rec) = node
-                _, _, _, _, _, _, cf_det, nonzero, net, xd, xi, target = own
-                if seen is None:
-                    # Every node so far was the next slope, and a parent the
-                    # reader took is a slope, so it was read iff it comes first.
-                    missing = b_hi is None or (r_hi, b_hi) >= (r, b) or (r_lo, b_lo) >= (r, b)
-                else:
-                    missing = (b_hi, r_hi) not in seen or (b_lo, r_lo) not in seen
-                    seen.add((b, r))
-                two_r = 2 * r
-                if xi_rec != xi:
-                    issues.append(
-                        f"{b}/{r}: recorded xibar {Fraction(xi_rec, two_r)}"
-                        f" != {Fraction(xi, two_r)}"
-                    )
-                if xd_rec != xd:
-                    issues.append(f"{b}/{r}: recorded xidelta {xd_rec} != {xd}")
-                if xi != two_r * xd + xi_lin_num(func, b, r):
-                    issues.append(f"{b}/{r}: xi_bar != xi_delta + xi_lin")
-                slack = xi - two_r * target
-                slacks.append((node, slack))
-                if target_rec != target:
-                    issues.append(f"{b}/{r}: recorded target {target_rec} != {target}")
-                if slack < 0:
-                    issues.append(
-                        f"{b}/{r}: violation, xibar {Fraction(xi, two_r)} < target {target}"
-                    )
-                if b_hi is None:
-                    if b != 1:
-                        issues.append(f"{b}/{r}: non-atom recorded as leaf")
-                    continue
-                if b_hi + b_lo != b or r_hi + r_lo != r:
-                    issues.append(
-                        f"{b}/{r}: parents {b_hi}/{r_hi}, {b_lo}/{r_lo} do not sum to the point"
-                    )
-                    continue
-                unimodular = b_hi * r_lo - b_lo * r_hi == 1
-                if not unimodular:
-                    issues.append(f"{b}/{r}: parents are not unimodular in (high, low) order")
-                if cf_det_rec != cf_det:
-                    issues.append(f"{b}/{r}: recorded cfdet {cf_det_rec} != {cf_det}")
-                if missing:
-                    issues.append(f"{b}/{r}: parents missing from the certificate before it")
-                    continue
-                if offsets_rec != nonzero:
-                    # The reader takes only nonzero offsets in ascending j, so
-                    # two lists that differ differ at some j.
-                    recorded = dict(offsets_rec)
-                    for j, off in zip(support, offs):
-                        if recorded.pop(j, 0) != off:
-                            issues.append(f"{b}/{r}: offset at j={j} should be {off}")
-                    if recorded:
-                        issues.append(
-                            f"{b}/{r}: offsets outside the support: {sorted(recorded)}"
-                        )
-                # The lemmas speak only of unimodular splits, whose indices are coprime.
-                predicted = lemma_offsets(r_hi, r_lo, support) if unimodular else offs
-                if offs != predicted:
-                    for j, _, want in _contradictions(support, offs, predicted):
-                        rule = "additivity" if want == 0 else "the offset lemma"
-                        issues.append(f"{b}/{r}: j={j} contradicts {rule}")
-                if net_rec != net:
-                    issues.append(f"{b}/{r}: recorded net offset {net_rec} != {net}")
-            least.update(slacks)
+        if own is None:
+            node = _read_node(line, count)
+            if seen is None and node[:2] != point:
+                # The nodes before this one were the slopes before `point`.
+                seen = set(islice(slopes(2, r_max), count - 1))
+            hi, lo = (node[2:4], node[4:6]) if node[2] is not None else (None, None)
+            own, offs = _own_node(func, floor, *node[:2], hi, lo)
+        else:
+            node = own
+        # The names ending in _rec are the node's recorded fields, which
+        # are only ever compared with the recomputed values of `own`.  A
+        # line that was not parsed is `own`, so those comparisons hold.
+        (b, r, b_hi, r_hi, b_lo, r_lo, cf_det_rec, offsets_rec, net_rec,
+         xd_rec, xi_rec, target_rec) = node
+        _, _, _, _, _, _, cf_det, nonzero, net, xd, xi, target = own
+        if seen is None:
+            # Every node so far was the next slope, and a parent the
+            # reader took is a slope, so it was read iff it comes first.
+            missing = b_hi is None or (r_hi, b_hi) >= (r, b) or (r_lo, b_lo) >= (r, b)
+        else:
+            missing = (b_hi, r_hi) not in seen or (b_lo, r_lo) not in seen
+            seen.add((b, r))
+        two_r = 2 * r
+        if xi_rec != xi:
+            issues.append(
+                f"{b}/{r}: recorded xibar {Fraction(xi_rec, two_r)}"
+                f" != {Fraction(xi, two_r)}"
+            )
+        if xd_rec != xd:
+            issues.append(f"{b}/{r}: recorded xidelta {xd_rec} != {xd}")
+        if xi != two_r * xd + xi_lin_num(func, b, r):
+            issues.append(f"{b}/{r}: xi_bar != xi_delta + xi_lin")
+        slack = xi - two_r * target
+        if not least_den or slack * least_den < least_num * two_r:
+            least_num, least_den = slack, two_r
+        if target_rec != target:
+            issues.append(f"{b}/{r}: recorded target {target_rec} != {target}")
+        if slack < 0:
+            issues.append(
+                f"{b}/{r}: violation, xibar {Fraction(xi, two_r)} < target {target}"
+            )
+        if b_hi is None:
+            if b != 1:
+                issues.append(f"{b}/{r}: non-atom recorded as leaf")
+            continue
+        if b_hi + b_lo != b or r_hi + r_lo != r:
+            issues.append(
+                f"{b}/{r}: parents {b_hi}/{r_hi}, {b_lo}/{r_lo} do not sum to the point"
+            )
+            continue
+        unimodular = b_hi * r_lo - b_lo * r_hi == 1
+        if not unimodular:
+            issues.append(f"{b}/{r}: parents are not unimodular in (high, low) order")
+        if cf_det_rec != cf_det:
+            issues.append(f"{b}/{r}: recorded cfdet {cf_det_rec} != {cf_det}")
+        if missing:
+            issues.append(f"{b}/{r}: parents missing from the certificate before it")
+            continue
+        if offsets_rec != nonzero:
+            # The reader takes only nonzero offsets in ascending j, so
+            # two lists that differ differ at some j.
+            recorded = dict(offsets_rec)
+            for j, off in zip(support, offs):
+                if recorded.pop(j, 0) != off:
+                    issues.append(f"{b}/{r}: offset at j={j} should be {off}")
+            if recorded:
+                issues.append(
+                    f"{b}/{r}: offsets outside the support: {sorted(recorded)}"
+                )
+        # The lemmas speak only of unimodular splits, whose indices are coprime.
+        predicted = lemma_offsets(r_hi, r_lo, support) if unimodular else offs
+        if offs != predicted:
+            for j, _, want in _contradictions(support, offs, predicted):
+                rule = "additivity" if want == 0 else "the offset lemma"
+                issues.append(f"{b}/{r}: j={j} contradicts {rule}")
+        if net_rec != net:
+            issues.append(f"{b}/{r}: recorded net offset {net_rec} != {net}")
     _check_count(count, declared)
 
     if not (seen is None and next(expected, None) is None):
         issues[:0] = _coverage([(r, b) for b, r in _file_points(fh)], r_max)
-    min_slack, attained = least.summary()
-    return VerificationReport(count, min_slack, attained, tuple(issues))
+    min_slack = Fraction(least_num, least_den) if count else None
+    return VerificationReport(count, min_slack, tuple(issues))

@@ -203,15 +203,15 @@ def cmd_replay(args) -> int:
         ineq.functional, args.r_max, low_slope_floor=ineq.floor, jobs=args.jobs
     )
     cert.write(args.out)
-    min_slack, attained = cert.least_slack
+    min_slack, count, first = cert.least_slack
     _emit(
         {
             "which": args.which,
             "r_max": args.r_max,
             "nodes": cert.node_count,
             "min_slack": format_fraction(min_slack),
-            "attained_count": len(attained),
-            "attained": [f"{b}/{r}" for b, r in attained[:16]],
+            "attained_count": count,
+            "attained": [f"{b}/{r}" for b, r in first],
             "pass": min_slack >= 0,
         }
     )

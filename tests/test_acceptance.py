@@ -63,8 +63,14 @@ def test_criterion_3_proof_replay_at_500():
     for func, floor in ((INEQ1, 0), (INEQ2, 14)):
         cert = proof_replay(func, 500, low_slope_floor=floor)
 
-        # Every single basket satisfies the inequality at its target.
-        assert cert.least_slack[0] >= 0
+        # Every single basket satisfies the inequality at its target, and the
+        # summary is the least slack over the nodes, how many attain it and
+        # the first 16 of those.
+        slacks = [Fraction(n.xi_num, 2 * n.r) - n.target_int for n in cert.nodes]
+        least = min(slacks)
+        attained = [(n.b, n.r) for n, s in zip(cert.nodes, slacks) if s == least]
+        assert least >= 0
+        assert cert.least_slack == (least, len(attained), tuple(attained[:16]))
 
         # Independent re-verification agrees node by node.
         report = verify_certificate(cert)

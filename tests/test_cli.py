@@ -239,9 +239,11 @@ class TestReplay:
         assert code == 0
         summary = json.loads(out)
         assert summary["min_slack"] == "0"
-        assert summary["attained_count"] == 13
+        nodes = certificates.Certificate.read(out_path).nodes
+        attained = [f"{n.b}/{n.r}" for n in nodes if n.xi_num == 2 * n.r * n.target_int]
+        assert summary["attained_count"] == len(attained) == 13
+        assert summary["attained"] == attained
         assert {"1/2", "1/3", "1/4", "2/5"} <= set(summary["attained"])
-        assert out_path.exists()
 
     def test_verify_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "cert.txt"
